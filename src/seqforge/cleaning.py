@@ -97,31 +97,6 @@ class MockSynth:
                               duration_s=n / self.frame_rate_hz)
 
 
-class FlakyClient:
-    """Test helper: fails the first n calls of an inner client."""
-
-    def __init__(self, inner, fail_calls: int):
-        self.inner = inner
-        self.remaining_failures = fail_calls
-
-    def _maybe_fail(self):
-        if self.remaining_failures > 0:
-            self.remaining_failures -= 1
-            raise ClientError("injected fault")
-
-    def correct(self, text, context):
-        self._maybe_fail()
-        return self.inner.correct(text, context)
-
-    def backfill(self, dialogue):
-        self._maybe_fail()
-        return self.inner.backfill(dialogue)
-
-    def synthesize(self, text, speaker_id):
-        self._maybe_fail()
-        return self.inner.synthesize(text, speaker_id)
-
-
 def _post_json(url: str, payload: dict, timeout: float) -> dict:
     body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
     req = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
@@ -202,6 +177,8 @@ def _digest(obj) -> str:
 
 def _call_with_retry(provenance, op: str, turn_index, fn, request_doc, retries: int):
     """Run a client call with bounded retries; log every attempt."""
+    if retries < 1:
+        raise ValueError(f"retries must be >= 1, got {retries}")
     last_error = None
     for attempt in range(1, retries + 1):
         try:
@@ -306,16 +283,16 @@ def apply_masking(dialogue: Dialogue) -> CleaningOutcome:
 def apply_context_completion(
     dialogue: Dialogue,
     corrector: CorrectorClient,
-    synth: SynthClient | None = None,
+    synth: SynthClient,
     seed: int = 0,
     retries: int = DEFAULT_RETRIES,
-    synthesize_backfill: bool = False,
 ) -> CleaningOutcome:
     """Prepend presupposed turns inferred by the corrector client.
 
-    Backfilled turns are text-only by default (synthesize_backfill adds mock
-    audio). A backfill that breaks role alternation is rejected with the
-    validation report; originals are never modified.
+    A backfilled turn without audio gets synthesized audio, so every turn
+    can be drawn as speech downstream. A client failure defers the dialogue;
+    a backfill that breaks role alternation is rejected with the validation
+    report. Originals are never modified.
     """
     provenance: list[dict] = []
     try:
@@ -323,21 +300,22 @@ def apply_context_completion(
             provenance, "backfill", None,
             lambda: corrector.backfill(dialogue),
             {"dialogue": dialogue.id}, retries)
+        new_turns = [copy.deepcopy(t) for t in backfilled]
+        for i, t in enumerate(new_turns):
+            if t.audio is None:
+                t.audio = _call_with_retry(
+                    provenance, "synthesize", i,
+                    lambda t=t: synth.synthesize(t.text, t.speaker_id),
+                    {"text": t.text, "speaker_id": t.speaker_id}, retries)
     except ClientError as exc:
         return CleaningOutcome(branch="context_completion", dialogue=dialogue,
                                provenance=provenance, status="deferred", detail=str(exc))
 
-    if not backfilled:
+    if not new_turns:
         out = copy.deepcopy(dialogue)
         out.quality_flags = [f for f in out.quality_flags if f.kind != "missing_context"]
         return CleaningOutcome(branch="context_completion", dialogue=out,
                                provenance=provenance)
-
-    new_turns = [copy.deepcopy(t) for t in backfilled]
-    if synthesize_backfill and synth is not None:
-        for t in new_turns:
-            if t.audio is None:
-                t.audio = synth.synthesize(t.text, t.speaker_id)
 
     out = copy.deepcopy(dialogue)
     out.turns = new_turns + out.turns

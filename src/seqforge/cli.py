@@ -27,14 +27,6 @@ def _jobs_default() -> int:
         return 1
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally across processes."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4)))
-
-
 class UsageError(Exception):
     pass
 
@@ -100,12 +92,93 @@ def cmd_validate(args) -> int:
 
 
 # --------------------------------------------------------------------------
+# corpus compilers: parse -> gate on rejects -> ordered map -> publish
+# --------------------------------------------------------------------------
+
+class _Failed(str):
+    """Message of a record whose error fails the whole command (exit 1)."""
+
+
+_worker: tuple = ()  # (fn, state), set only inside pool workers
+
+
+def _init_worker(fn, state) -> None:
+    global _worker
+    _worker = (fn, state)
+
+
+def _run_in_worker(task):
+    fn, state = _worker
+    return fn(state, task)
+
+
+def _gate(rejects) -> bool:
+    """Report parse rejects; a corpus with any of them compiles nothing."""
+    for r in rejects:
+        print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
+    return not rejects
+
+
+def _compile(fn, state, tasks, jobs: int) -> list | None:
+    """Ordered map of fn(state, task) over tasks, then the gate.
+
+    Under a pool, fn and its shared state reach each worker once through the
+    initializer, so a task carries only its own record. Returns the rows, or
+    None after reporting the rejects or else the first failure.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        rows = [fn(state, task) for task in tasks]
+    else:
+        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(fn, state)) as pool:
+            rows = pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
+    failed = next((row for row in rows if isinstance(row, _Failed)), None)
+    if not _gate([row for row in rows if isinstance(row, corpus.Reject)]):
+        return None
+    if failed is not None:
+        print(failed, file=sys.stderr)
+        return None
+    return rows
+
+
+def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> None:
+    """Write each body to <path>.tmp, move it into place, then write the sidecar.
+
+    The first body is the command's output: it gets the sidecar and, with
+    header, the manifest as its first line. Until the moves, every existing
+    output stays as it was.
+    """
+    for k, (path, lines) in enumerate(bodies.items()):
+        with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+            if header and k == 0:
+                fh.write(man.to_json() + "\n")
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+    for path in bodies:
+        os.replace(f"{path}.tmp", path)
+    man.write_sidecar(next(iter(bodies)))
+
+
+def _manifest(args, config: dict, counts: dict) -> RunManifest:
+    return RunManifest(command=_manifest_command(args.argv), master_seed=args.seed,
+                       config=config, input_digests={args.corpus: file_digest(args.corpus)},
+                       counts=counts)
+
+
+# --------------------------------------------------------------------------
 # build-thinker
 # --------------------------------------------------------------------------
 
-def _compile_thinker_line(task) -> tuple[str, int, int]:
-    dialogue, policy, seed, masks = task
-    seq = thinker_mod.interleave_dialogue(dialogue, policy, seed, masked_spans=masks)
+def _thinker_record(state, task):
+    policy, seed, masks = state
+    dialogue = corpus.parse_line(*task)
+    if isinstance(dialogue, corpus.Reject):
+        return dialogue
+    try:
+        seq = thinker_mod.interleave_dialogue(dialogue, policy, seed,
+                                              masked_spans=masks.get(dialogue.id))
+    except thinker_mod.CompileError as exc:
+        return _Failed(f"compile error: {exc}")
     n_targets = sum(1 for e in seq.elements if e.loss_target)
     return thinker_mod.serialize_sequence(seq), len(seq.elements), n_targets
 
@@ -126,39 +199,19 @@ def _load_masks(path) -> dict[str, list]:
 def cmd_build_thinker(args) -> int:
     _apply_config_defaults(args, {"seed": int},
                            {"p_user": (float, 0.5), "p_assistant": (float, 0.5)})
-    result = corpus.parse_corpus(args.corpus)
-    if result.rejects:
-        for r in result.rejects:
-            print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
-        return 1
+    lines = list(corpus.iter_lines(args.corpus))
     policy = thinker_mod.InterleavePolicy(
         p_user_speech=args.p_user, p_assistant_segment_speech=args.p_assistant)
     masks = _load_masks(args.masks) if args.masks else {}
-    tasks = [(d, policy, args.seed, masks.get(d.id)) for d in result.dialogues]
-    try:
-        compiled = _pmap(_compile_thinker_line, tasks, args.jobs)
-    except thinker_mod.CompileError as exc:
-        print(f"compile error: {exc}", file=sys.stderr)
+    rows = _compile(_thinker_record, (policy, args.seed, masks), lines, args.jobs)
+    if rows is None:
         return 1
-
-    lines = [line for line, _, _ in compiled]
-    man = RunManifest(
-        command=_manifest_command(args.argv),
-        master_seed=args.seed,
-        config={"policy": policy.to_json_dict(), "masks": bool(args.masks)},
-        input_digests={args.corpus: file_digest(args.corpus)},
-        counts={"dialogues": len(result.dialogues), "sequences": len(lines),
-                "elements": sum(n for _, n, _ in compiled),
-                "loss_targets": sum(n for _, _, n in compiled)},
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(man.to_json())
-        fh.write("\n")
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    man.write_sidecar(args.out)
-    print(f"wrote {len(lines)} sequences to {args.out}")
+    man = _manifest(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
+                    {"dialogues": len(rows), "sequences": len(rows),
+                     "elements": sum(n for _, n, _ in rows),
+                     "loss_targets": sum(n for _, _, n in rows)})
+    _publish(man, {args.out: [line for line, _, _ in rows]}, header=True)
+    print(f"wrote {len(rows)} sequences to {args.out}")
     return 0
 
 
@@ -166,9 +219,10 @@ def cmd_build_thinker(args) -> int:
 # build-talker
 # --------------------------------------------------------------------------
 
-def _compile_talker_line(task) -> tuple[str | None, str | None]:
-    """Returns (line, skip_reason)."""
-    dialogue, mode, ratio, seed, index = task
+def _talker_record(state, position):
+    """(line, None) for a compiled dialogue, (None, reason) for a skipped one."""
+    mode, ratio, seed, index, dialogues = state
+    dialogue = dialogues[position]
     assistant_turns = [t for t in dialogue.turns if t.role == "assistant"]
     if mode == "dialogue":
         speaker = assistant_turns[0].speaker_id if assistant_turns else dialogue.turns[0].speaker_id
@@ -178,7 +232,10 @@ def _compile_talker_line(task) -> tuple[str | None, str | None]:
         ref = talker_mod.select_reference(speaker, index, dialogue.id, seed)
     except talker_mod.NoReferenceError as exc:
         return None, str(exc)
-    seq = talker_mod.assemble(dialogue, mode, ratio, seed, ref)
+    try:
+        seq = talker_mod.assemble(dialogue, mode, ratio, seed, ref)
+    except talker_mod.AssembleError as exc:
+        return _Failed(f"assemble error: {exc}")
     return talker_mod.serialize_sequence(seq), None
 
 
@@ -187,39 +244,24 @@ def cmd_build_talker(args) -> int:
                            {"mode": (str, "dialogue"), "ratio": (str, "5:15")})
     if args.mode not in talker_mod.MODES:
         raise UsageError(f"unknown mode {args.mode!r}")
+    # The reference index spans the corpus: tasks are positions in the parsed list.
     result = corpus.parse_corpus(args.corpus)
-    if result.rejects:
-        for r in result.rejects:
-            print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
+    if not _gate(result.rejects):
         return 1
     ratio = talker_mod.StreamRatio.parse(args.ratio)
     index = talker_mod.build_reference_index(result.dialogues)
-    tasks = [(d, args.mode, ratio, args.seed, index) for d in result.dialogues]
-    try:
-        results = _pmap(_compile_talker_line, tasks, args.jobs)
-    except talker_mod.AssembleError as exc:
-        print(f"assemble error: {exc}", file=sys.stderr)
+    rows = _compile(_talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
+                    range(len(result.dialogues)), args.jobs)
+    if rows is None:
         return 1
-
-    lines = [line for line, _ in results if line is not None]
-    skipped = [reason for _, reason in results if reason is not None]
+    lines = [line for line, _ in rows if line is not None]
+    skipped = [reason for _, reason in rows if reason is not None]
     for reason in skipped:
         print(f"skip: {reason}", file=sys.stderr)
-    man = RunManifest(
-        command=_manifest_command(args.argv),
-        master_seed=args.seed,
-        config={"mode": args.mode, "ratio": str(ratio)},
-        input_digests={args.corpus: file_digest(args.corpus)},
-        counts={"dialogues": len(result.dialogues), "sequences": len(lines),
-                "skipped_no_reference": len(skipped)},
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(man.to_json())
-        fh.write("\n")
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    man.write_sidecar(args.out)
+    man = _manifest(args, {"mode": args.mode, "ratio": str(ratio)},
+                    {"dialogues": len(rows), "sequences": len(lines),
+                     "skipped_no_reference": len(skipped)})
+    _publish(man, {args.out: lines}, header=True)
     print(f"wrote {len(lines)} sequences to {args.out} ({len(skipped)} skipped)")
     return 0
 
@@ -240,10 +282,11 @@ def _make_clients(args):
             cleaning.HttpSynthClient(cfg["synth_url"], timeout))
 
 
-def _clean_one(task):
-    dialogue, seed, retries, client_kind = task
-    corrector = cleaning.MockCorrector()
-    synth = cleaning.MockSynth()
+def _clean_record(state, task):
+    corrector, synth, seed, retries = state
+    dialogue = corpus.parse_line(*task)
+    if isinstance(dialogue, corpus.Reject):
+        return dialogue
     outcome = cleaning.clean_dialogue(dialogue, corrector, synth, seed=seed, retries=retries)
     return (corpus.serialize_dialogue(outcome.dialogue),
             json.dumps(cleaning.outcome_to_dict(outcome), ensure_ascii=False,
@@ -254,51 +297,21 @@ def _clean_one(task):
 def cmd_clean(args) -> int:
     _apply_config_defaults(args, {}, {"client": (str, "mock"), "seed": (int, 0),
                                       "retries": (int, cleaning.DEFAULT_RETRIES)})
-    result = corpus.parse_corpus(args.corpus)
-    if result.rejects:
-        for r in result.rejects:
-            print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
+    if args.retries < 1:
+        raise UsageError(f"--retries must be >= 1, got {args.retries}")
+    lines = list(corpus.iter_lines(args.corpus))
+    corrector, synth = _make_clients(args)
+    rows = _compile(_clean_record, (corrector, synth, args.seed, args.retries), lines,
+                    args.jobs)
+    if rows is None:
         return 1
-    if args.client == "mock" and args.jobs > 1:
-        rows = _pmap(_clean_one, [(d, args.seed, args.retries, "mock")
-                                  for d in result.dialogues], args.jobs)
-    else:
-        corrector, synth = _make_clients(args)
-        rows = []
-        for d in result.dialogues:
-            outcome = cleaning.clean_dialogue(d, corrector, synth,
-                                              seed=args.seed, retries=args.retries)
-            rows.append((corpus.serialize_dialogue(outcome.dialogue),
-                         json.dumps(cleaning.outcome_to_dict(outcome), ensure_ascii=False,
-                                    separators=(",", ":")),
-                         outcome.status))
-
-    outcomes_path = f"{args.out}.outcomes.jsonl"
-    deferred_path = f"{args.out}.deferred.jsonl"
-    n_deferred = 0
-    with open(args.out, "w", encoding="utf-8") as corpus_fh, \
-            open(outcomes_path, "w", encoding="utf-8") as outcome_fh, \
-            open(deferred_path, "w", encoding="utf-8") as deferred_fh:
-        for corpus_line, outcome_line, status in rows:
-            corpus_fh.write(corpus_line)
-            corpus_fh.write("\n")
-            outcome_fh.write(outcome_line)
-            outcome_fh.write("\n")
-            if status == "deferred":
-                deferred_fh.write(outcome_line)
-                deferred_fh.write("\n")
-                n_deferred += 1
-
-    man = RunManifest(
-        command=_manifest_command(args.argv),
-        master_seed=args.seed,
-        config={"client": args.client, "retries": args.retries},
-        input_digests={args.corpus: file_digest(args.corpus)},
-        counts={"dialogues": len(result.dialogues), "deferred": n_deferred},
-    )
-    man.write_sidecar(args.out)
-    print(f"cleaned {len(result.dialogues)} dialogues -> {args.out} "
-          f"({n_deferred} deferred)")
+    deferred = [outcome for _, outcome, status in rows if status == "deferred"]
+    man = _manifest(args, {"client": args.client, "retries": args.retries},
+                    {"dialogues": len(rows), "deferred": len(deferred)})
+    _publish(man, {args.out: [line for line, _, _ in rows],
+                   f"{args.out}.outcomes.jsonl": [outcome for _, outcome, _ in rows],
+                   f"{args.out}.deferred.jsonl": deferred}, header=False)
+    print(f"cleaned {len(rows)} dialogues -> {args.out} ({len(deferred)} deferred)")
     return 0
 
 
@@ -555,7 +568,7 @@ def run(argv: list[str] | None = None) -> int:
     args.argv = ["forge"] + argv
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"forge: error: {exc}", file=sys.stderr)
         return 2
 

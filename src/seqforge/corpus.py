@@ -245,29 +245,37 @@ def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
     return Dialogue(id=did, turns=turns, language=language, source=source, quality_flags=flags)
 
 
+def iter_lines(path):
+    """Yield (line number, stripped text) of each non-blank line; unreadable files raise."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if stripped := line.strip():
+                yield line_no, stripped
+
+
+def parse_line(line_no: int, line: str) -> Dialogue | Reject:
+    """Parse one corpus line; a malformed line comes back as its Reject."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return Reject(line_no, f"invalid JSON: {exc.msg}")
+    try:
+        return parse_dialogue(doc, path="dialogue")
+    except SchemaError as exc:
+        return Reject(line_no, str(exc))
+
+
 def parse_corpus(path) -> ParseResult:
     """Parse a line-delimited corpus file.
 
     Malformed lines go to the rejects report with line number and reason;
     they are never silently dropped. Unreadable files raise.
     """
-    dialogues: list[Dialogue] = []
-    rejects: list[Reject] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                doc = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                rejects.append(Reject(line_no, f"invalid JSON: {exc.msg}"))
-                continue
-            try:
-                dialogues.append(parse_dialogue(doc, path="dialogue"))
-            except SchemaError as exc:
-                rejects.append(Reject(line_no, str(exc)))
-    return ParseResult(dialogues=dialogues, rejects=rejects)
+    result = ParseResult(dialogues=[], rejects=[])
+    for line_no, line in iter_lines(path):
+        item = parse_line(line_no, line)
+        (result.rejects if isinstance(item, Reject) else result.dialogues).append(item)
+    return result
 
 
 # --------------------------------------------------------------------------

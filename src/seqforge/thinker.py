@@ -29,21 +29,19 @@ class CompileError(ValueError):
 class InterleavePolicy:
     p_user_speech: float = 0.5
     p_assistant_segment_speech: float = 0.5
-    final_segment_text: bool = True
 
     def __post_init__(self):
         for name in ("p_user_speech", "p_assistant_segment_speech"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if not self.final_segment_text:
-            raise ValueError("final_segment_text is fixed to True")
 
     def to_json_dict(self) -> dict:
+        # Final segments are always text; the key keeps config hashes stable.
         return {
             "p_user_speech": self.p_user_speech,
             "p_assistant_segment_speech": self.p_assistant_segment_speech,
-            "final_segment_text": self.final_segment_text,
+            "final_segment_text": True,
         }
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from seqforge import corpus as corpus_mod
+from seqforge.cleaning import ClientError
 from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue,
                              QualityFlag, Turn)
 
@@ -65,3 +66,28 @@ def jl(tmp_path):
         return path
 
     return write
+
+
+class FlakyClient:
+    """Fails the first n calls of an inner cleaning client."""
+
+    def __init__(self, inner, fail_calls: int):
+        self.inner = inner
+        self.remaining_failures = fail_calls
+
+    def _maybe_fail(self):
+        if self.remaining_failures > 0:
+            self.remaining_failures -= 1
+            raise ClientError("injected fault")
+
+    def correct(self, text, context):
+        self._maybe_fail()
+        return self.inner.correct(text, context)
+
+    def backfill(self, dialogue):
+        self._maybe_fail()
+        return self.inner.backfill(dialogue)
+
+    def synthesize(self, text, speaker_id):
+        self._maybe_fail()
+        return self.inner.synthesize(text, speaker_id)

@@ -8,15 +8,15 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from seqforge import cleaning, synthetic, thinker
-from seqforge.cleaning import (ClientError, FlakyClient, HttpCorrectorClient,
-                               HttpSynthClient, MockCorrector, MockSynth,
-                               apply_context_completion, apply_logic_correction,
-                               apply_masking, clean_dialogue, route,
-                               run_pipeline)
+from seqforge.cleaning import (HttpCorrectorClient, HttpSynthClient,
+                               MockCorrector, MockSynth, apply_context_completion,
+                               apply_logic_correction, apply_masking,
+                               clean_dialogue, route, run_pipeline)
+from seqforge.cli import run
 from seqforge.corpus import (Dialogue, QualityFlag, Turn, serialize_dialogue,
-                             validate_dialogue)
+                             validate_dialogue, write_corpus)
 
-from conftest import make_dialogue
+from conftest import FlakyClient, make_dialogue
 
 
 def flagged(kind, spans=None, **kw):
@@ -106,6 +106,12 @@ def test_transient_failure_recovers_within_retry_budget():
     assert [p["ok"] for p in correct_calls] == [False, False, True]
 
 
+def test_retries_below_one_is_a_value_error():
+    d = flagged("logic_contradiction_correctable")
+    with pytest.raises(ValueError, match="retries must be >= 1"):
+        apply_logic_correction(d, MockCorrector(), MockSynth(), retries=0)
+
+
 def test_provenance_attributes_every_mutation():
     d = flagged("logic_contradiction_correctable", n_turns=4)
     out = apply_logic_correction(d, MockCorrector(suffix="!"), MockSynth())
@@ -174,7 +180,8 @@ def test_backfill_repairs_assistant_initial_fragment():
     assert out.status == "applied"
     assert validate_dialogue(out.dialogue).ok
     assert [t.text for t in out.dialogue.turns[1:]] == [t.text for t in d.turns]
-    assert out.dialogue.turns[0].audio is None  # text-only by default
+    backfilled = out.dialogue.turns[0]
+    assert backfilled.audio == MockSynth().synthesize(backfilled.text, backfilled.speaker_id)
 
 
 def test_empty_backfill_is_passthrough_equivalent():
@@ -198,14 +205,6 @@ def test_backfill_breaking_alternation_is_rejected():
     assert out.status == "rejected"
     assert "turns[1].role" in out.detail
     assert serialize_dialogue(out.dialogue) == before
-
-
-def test_backfill_optional_synthesis():
-    d = flagged("missing_context", spans=[], n_turns=4, truncate_first_turn=True)
-    out = apply_context_completion(d, MockCorrector(), MockSynth(),
-                                   synthesize_backfill=True)
-    assert out.dialogue.turns[0].audio is not None
-    assert validate_dialogue(out.dialogue).ok
 
 
 # --------------------------------------------------------------------------
@@ -291,3 +290,23 @@ def test_http_client_error_becomes_deferral(http_service):
     out = apply_logic_correction(d, corrector, MockSynth(), retries=2)
     assert out.status == "deferred"
     assert "failed" in out.detail
+
+
+def test_clean_cli_over_http_is_invariant_to_jobs(http_service, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    dialogues = [flagged(kind, n_turns=4) for kind in
+                 (None, "logic_contradiction_correctable", "logic_contradiction_severe")] * 3
+    for k, d in enumerate(dialogues):
+        d.id = f"d{k}"
+    write_corpus(dialogues, "corpus.jsonl")
+    with open("http.json", "w", encoding="utf-8") as fh:
+        json.dump({"corrector_url": http_service, "synth_url": http_service}, fh)
+    outputs = []
+    for jobs in ("1", "2"):
+        assert run(["clean", "--corpus", "corpus.jsonl", "--client", "http",
+                    "--config", "http.json", "--out", "c.jsonl", "--jobs", jobs]) == 0
+        outputs.append([(tmp_path / name).read_bytes() for name in
+                        ("c.jsonl", "c.jsonl.outcomes.jsonl", "c.jsonl.deferred.jsonl",
+                         "c.jsonl.manifest.json")])
+    assert outputs[0] == outputs[1]
+    assert b"[http]" in outputs[0][0]

@@ -232,3 +232,58 @@ def test_compile_error_exits_1(tmp_path, capsys):
                 "--p-user", "1.0", "--out", str(out)])
     assert code == 1
     assert "no audio" in capsys.readouterr().err
+
+
+def test_clean_backfill_feeds_build_thinker_speech(tmp_path):
+    dialogues = [synthetic.synth_dialogue(2, k, n_turns=4, truncate_first_turn=True,
+                                          flag_kind="missing_context") for k in range(4)]
+    path = write_corpus(tmp_path, dialogues)
+    cleaned = tmp_path / "cleaned.jsonl"
+    assert run(["clean", "--corpus", str(path), "--out", str(cleaned)]) == 0
+    assert run(["build-thinker", "--corpus", str(cleaned), "--seed", "1",
+                "--p-user", "1.0", "--masks", str(cleaned) + ".outcomes.jsonl",
+                "--out", str(tmp_path / "thinker.jsonl")]) == 0
+
+
+def test_clean_retries_below_one_exits_2(tmp_path, capsys):
+    path = write_corpus(tmp_path, synthetic.synth_corpus(1, 6))
+    assert run(["clean", "--corpus", str(path), "--retries", "0",
+                "--out", str(tmp_path / "c.jsonl")]) == 2
+    assert "forge: error: --retries must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["--corpus", "--masks", "--config"])
+def test_missing_input_file_exits_2(tmp_path, capsys, missing):
+    path = write_corpus(tmp_path, synthetic.synth_corpus(1, 6))
+    config = tmp_path / "c.json"
+    config.write_text("{}")
+    inputs = {"--corpus": path, "--masks": path, "--config": config}
+    inputs[missing] = tmp_path / "absent.jsonl"
+    argv = ["build-thinker", "--seed", "1", "--out", str(tmp_path / "t.jsonl")]
+    for flag, value in inputs.items():
+        argv += [flag, str(value)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("forge: error: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("reject, compile_error", [(True, False), (False, True), (True, True)])
+def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
+                                                       compile_error, jobs):
+    dialogues = synthetic.synth_corpus(6, 3)
+    if compile_error:
+        dialogues[4] = make_dialogue("d", with_audio=False)
+    path = write_corpus(tmp_path, dialogues)
+    if reject:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "x"}\n')
+    out = tmp_path / "t.jsonl"
+    out.write_text("previous run\n", encoding="utf-8")
+    assert run(["build-thinker", "--corpus", str(path), "--seed", "1", "--p-user", "1.0",
+                "--out", str(out), "--jobs", jobs]) == 1
+    assert out.read_text(encoding="utf-8") == "previous run\n"
+    assert not list(tmp_path.glob("*.tmp"))
+    # Rejects are reported alone, as before any record compiles.
+    err = capsys.readouterr().err
+    assert ("reject line 7:" in err) == reject
+    assert ("compile error:" in err) == (compile_error and not reject)

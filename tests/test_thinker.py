@@ -167,5 +167,3 @@ def test_manifest_carries_seed_policy_and_config_hash():
 def test_policy_validates_probabilities():
     with pytest.raises(ValueError):
         InterleavePolicy(p_user_speech=1.5)
-    with pytest.raises(ValueError):
-        InterleavePolicy(final_segment_text=False)
