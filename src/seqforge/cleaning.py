@@ -25,8 +25,6 @@ from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, Turn
 from seqforge.reporting import ValidationReport
 from seqforge.seeding import DetRng, derive_seed
 
-BRANCHES = ("logic_correction", "information_preservation", "context_completion", "passthrough")
-
 DEFAULT_RETRIES = 3
 
 
@@ -352,13 +350,6 @@ def clean_dialogue(
     if branch == "context_completion":
         return apply_context_completion(dialogue, corrector, synth, seed=seed, retries=retries)
     return apply_logic_correction(dialogue, corrector, synth, seed=seed, retries=retries)
-
-
-def run_pipeline(dialogues, corrector, synth, seed: int = 0,
-                 retries: int = DEFAULT_RETRIES) -> list[CleaningOutcome]:
-    """Clean a corpus dialogue by dialogue, preserving input order."""
-    return [clean_dialogue(d, corrector, synth, seed=seed, retries=retries)
-            for d in dialogues]
 
 
 def outcome_to_dict(outcome: CleaningOutcome) -> dict:

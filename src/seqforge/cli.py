@@ -11,9 +11,7 @@ import multiprocessing
 import os
 import sys
 
-import numpy as np
-
-from seqforge import __version__, cleaning, corpus, losses, metrics, schedule
+from seqforge import __version__, cleaning, corpus, metrics, schedule
 from seqforge import talker as talker_mod
 from seqforge import templates as templates_mod
 from seqforge import thinker as thinker_mod
@@ -31,27 +29,45 @@ class UsageError(Exception):
     pass
 
 
+def _load_config(path) -> dict:
+    """The --config file's JSON object; anything else is a usage error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"--config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"--config {path} must hold a JSON object")
+    return cfg
+
+
+def _config_value(cfg: dict, name: str, cast: type):
+    try:
+        return cast(cfg[name])
+    except (TypeError, ValueError):
+        raise UsageError(f"--config field {name!r} is not a valid {cast.__name__}: "
+                         f"{cfg[name]!r}") from None
+
+
 def _apply_config_defaults(args, required: dict[str, type],
-                           optional: dict[str, tuple[type, object]] = {}) -> None:
+                           optional: dict[str, tuple[type, object]] = {}) -> dict:
     """Resolve flag values: explicit flag > --config JSON file > built-in default.
 
     Required fields without a flag or config value are a usage error.
+    Returns the config (empty without --config).
     """
-    if not getattr(args, "config", None):
-        cfg = {}
-    else:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     for name, cast in required.items():
         if getattr(args, name, None) is None and name in cfg:
-            setattr(args, name, cast(cfg[name]))
+            setattr(args, name, _config_value(cfg, name, cast))
     for name, (cast, default) in optional.items():
         if getattr(args, name, None) is None:
-            setattr(args, name, cast(cfg[name]) if name in cfg else default)
+            setattr(args, name, _config_value(cfg, name, cast) if name in cfg else default)
     missing = [name for name in required if getattr(args, name, None) is None]
     if missing:
         flags = ", ".join("--" + m.replace("_", "-") for m in missing)
         raise UsageError(f"missing {flags} (pass the flag or set it in --config)")
+    return cfg
 
 
 def _manifest_command(argv: list[str]) -> str:
@@ -199,9 +215,12 @@ def _load_masks(path) -> dict[str, list]:
 def cmd_build_thinker(args) -> int:
     _apply_config_defaults(args, {"seed": int},
                            {"p_user": (float, 0.5), "p_assistant": (float, 0.5)})
+    try:
+        policy = thinker_mod.InterleavePolicy(
+            p_user_speech=args.p_user, p_assistant_segment_speech=args.p_assistant)
+    except ValueError as exc:
+        raise UsageError(f"--p-user/--p-assistant: {exc}") from None
     lines = list(corpus.iter_lines(args.corpus))
-    policy = thinker_mod.InterleavePolicy(
-        p_user_speech=args.p_user, p_assistant_segment_speech=args.p_assistant)
     masks = _load_masks(args.masks) if args.masks else {}
     rows = _compile(_thinker_record, (policy, args.seed, masks), lines, args.jobs)
     if rows is None:
@@ -244,11 +263,14 @@ def cmd_build_talker(args) -> int:
                            {"mode": (str, "dialogue"), "ratio": (str, "5:15")})
     if args.mode not in talker_mod.MODES:
         raise UsageError(f"unknown mode {args.mode!r}")
+    try:
+        ratio = talker_mod.StreamRatio.parse(args.ratio)
+    except ValueError:
+        raise UsageError(f"--ratio must be N:M with N, M >= 1, got {args.ratio!r}") from None
     # The reference index spans the corpus: tasks are positions in the parsed list.
     result = corpus.parse_corpus(args.corpus)
     if not _gate(result.rejects):
         return 1
-    ratio = talker_mod.StreamRatio.parse(args.ratio)
     index = talker_mod.build_reference_index(result.dialogues)
     rows = _compile(_talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
                     range(len(result.dialogues)), args.jobs)
@@ -270,14 +292,15 @@ def cmd_build_talker(args) -> int:
 # clean
 # --------------------------------------------------------------------------
 
-def _make_clients(args):
+def _make_clients(args, cfg: dict):
     if args.client == "mock":
         return cleaning.MockCorrector(), cleaning.MockSynth()
-    if not args.config:
-        raise UsageError("--client http needs --config with endpoint URLs")
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    timeout = float(cfg.get("timeout_s", 10.0))
+    if args.client != "http":
+        raise UsageError(f"unknown client {args.client!r}")
+    missing = [key for key in ("corrector_url", "synth_url") if key not in cfg]
+    if missing:
+        raise UsageError(f"--client http needs {' and '.join(missing)} in --config")
+    timeout = _config_value(cfg, "timeout_s", float) if "timeout_s" in cfg else 10.0
     return (cleaning.HttpCorrectorClient(cfg["corrector_url"], timeout),
             cleaning.HttpSynthClient(cfg["synth_url"], timeout))
 
@@ -295,12 +318,12 @@ def _clean_record(state, task):
 
 
 def cmd_clean(args) -> int:
-    _apply_config_defaults(args, {}, {"client": (str, "mock"), "seed": (int, 0),
-                                      "retries": (int, cleaning.DEFAULT_RETRIES)})
+    cfg = _apply_config_defaults(args, {}, {"client": (str, "mock"), "seed": (int, 0),
+                                            "retries": (int, cleaning.DEFAULT_RETRIES)})
     if args.retries < 1:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     lines = list(corpus.iter_lines(args.corpus))
-    corrector, synth = _make_clients(args)
+    corrector, synth = _make_clients(args, cfg)
     rows = _compile(_clean_record, (corrector, synth, args.seed, args.retries), lines,
                     args.jobs)
     if rows is None:
@@ -325,7 +348,10 @@ def cmd_plan(args) -> int:
         print(schedule.plan_to_json(plan))
         return 0
     if args.plan_cmd == "directive":
-        d = schedule.directive_at(plan, args.stage, args.step, args.total)
+        try:
+            d = schedule.directive_at(plan, args.stage, args.step, args.total)
+        except (KeyError, ValueError) as exc:  # unknown stage, step out of range
+            raise UsageError(exc.args[0]) from None
         print(json.dumps({
             "stage": d.stage_id, "step": d.step, "phase": d.phase_index,
             "trainable": sorted(d.trainable), "lr": d.lr,
@@ -345,6 +371,10 @@ def cmd_plan(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_loss_check(args) -> int:
+    import numpy as np  # only this command needs numpy; the data path starts faster without
+
+    from seqforge import losses
+
     rng = np.random.default_rng(args.seed)
     worst_ce = 0.0
     worst_kl = 0.0

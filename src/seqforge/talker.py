@@ -29,12 +29,8 @@ STREAM_SPEECH = "speech"
 MODES = ("dialogue", "long_text", "standard_sentence")
 
 
-def load_special_tokens(path=None) -> dict[str, int]:
-    if path is None:
-        raw = resources.files("seqforge.data").joinpath("special_tokens.json").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
+def load_special_tokens() -> dict[str, int]:
+    raw = resources.files("seqforge.data").joinpath("special_tokens.json").read_text("utf-8")
     doc = json.loads(raw)
     tokens = {str(k): int(v) for k, v in doc["tokens"].items()}
     ids = list(tokens.values())
@@ -186,23 +182,34 @@ def text_ids_for(text: str) -> list[int]:
 # assembly
 # --------------------------------------------------------------------------
 
-def _emit_runs(tokens, mask, content, loss_on_speech: bool, specials) -> None:
-    """Append interleaved content, inserting a shift token at stream switches."""
-    prev_stream = None
-    for stream, tid in content:
-        if prev_stream is not None and stream != prev_stream:
-            shift = specials["TEXT_SHIFT"] if stream == STREAM_TEXT else specials["SPEECH_SHIFT"]
-            tokens.append((STREAM_SPECIAL, shift))
-            mask.append(False)
-        tokens.append((stream, tid))
-        mask.append(loss_on_speech and stream == STREAM_SPEECH)
-        prev_stream = stream
-
-
-def _pick_ratio(base: StreamRatio, choices, rng) -> StreamRatio:
-    if not choices:
-        return base
-    return choices[rng.below(len(choices))]
+def _blocks(dialogue: Dialogue, mode: str, ratio: StreamRatio) -> list[tuple[int, list, bool]]:
+    """The mode's blocks, each (role token, interleaved content, loss on speech)."""
+    role_assistant = SPECIAL_TOKENS["ROLE_ASSISTANT"]
+    if mode != "dialogue":
+        # One assistant block over every turn; standard_sentence has exactly one.
+        text_ids: list[int] = []
+        speech_ids: list[int] = []
+        for i, turn in enumerate(dialogue.turns):
+            if turn.audio is None:
+                raise AssembleError(f"long_text turn {i} has no audio" if mode == "long_text"
+                                    else "standard_sentence utterance has no audio")
+            text_ids.extend(text_ids_for(turn.text))
+            speech_ids.extend(turn.audio.token_ids)
+        return [(role_assistant, stream_interleave(text_ids, speech_ids, ratio), True)]
+    blocks = []
+    for i, turn in enumerate(dialogue.turns):
+        if turn.role == "assistant":
+            if turn.audio is None:
+                raise AssembleError(f"assistant turn {i} has no audio")
+            blocks.append((role_assistant, stream_interleave(
+                text_ids_for(turn.text), turn.audio.token_ids, ratio), True))
+        elif turn.audio is not None:
+            blocks.append((SPECIAL_TOKENS["ROLE_USER"],
+                           [(STREAM_SPEECH, t) for t in turn.audio.token_ids], False))
+        else:
+            blocks.append((SPECIAL_TOKENS["ROLE_USER"],
+                           [(STREAM_TEXT, t) for t in text_ids_for(turn.text)], False))
+    return blocks
 
 
 def assemble(
@@ -211,14 +218,12 @@ def assemble(
     ratio: StreamRatio,
     seed: int,
     reference: ReferenceSegment,
-    ratio_choices: list[StreamRatio] | None = None,
 ) -> TalkerSequence:
     """Build one talker sequence in the given organization mode.
 
     dialogue mode needs dyadic role structure (>= 2 speakers); long_text a
     single speaker; standard_sentence exactly one utterance. Assistant-side
-    (target-voice) turns must carry audio. When ratio_choices is given, the
-    per-block interleave ratio is a seeded draw from it.
+    (target-voice) turns must carry audio.
     """
     if mode not in MODES:
         raise AssembleError(f"unknown mode {mode!r}")
@@ -234,62 +239,28 @@ def assemble(
     if reference.dialogue_id == dialogue.id:
         raise AssembleError("reference audio must come from an independent sample")
 
-    rng = DetRng(derive_seed(seed, dialogue.id, "talker"))
     specials = SPECIAL_TOKENS
+    shift_to = {STREAM_TEXT: (STREAM_SPECIAL, specials["TEXT_SHIFT"]),
+                STREAM_SPEECH: (STREAM_SPECIAL, specials["SPEECH_SHIFT"])}
+    eos = (STREAM_SPECIAL, specials["EOS"])
     tokens: list[tuple[str, int]] = [(STREAM_SPECIAL, specials["REF_START"])]
-    mask: list[bool] = [False]
-    for tid in reference.span.token_ids:
-        tokens.append((STREAM_SPEECH, tid))
-        mask.append(False)
+    tokens.extend((STREAM_SPEECH, tid) for tid in reference.span.token_ids)
     tokens.append((STREAM_SPECIAL, specials["REF_END"]))
-    mask.append(False)
-
-    def close_block():
-        tokens.append((STREAM_SPECIAL, specials["EOS"]))
+    mask = [False] * len(tokens)
+    for role, content, loss_on_speech in _blocks(dialogue, mode, ratio):
+        tokens.append((STREAM_SPECIAL, role))
         mask.append(False)
-
-    if mode == "long_text":
-        text_ids: list[int] = []
-        speech_ids: list[int] = []
-        for i, turn in enumerate(dialogue.turns):
-            if turn.audio is None:
-                raise AssembleError(f"long_text turn {i} has no audio")
-            text_ids.extend(text_ids_for(turn.text))
-            speech_ids.extend(turn.audio.token_ids)
-        tokens.append((STREAM_SPECIAL, specials["ROLE_ASSISTANT"]))
-        mask.append(False)
-        content = stream_interleave(text_ids, speech_ids, _pick_ratio(ratio, ratio_choices, rng))
-        _emit_runs(tokens, mask, content, loss_on_speech=True, specials=specials)
-        close_block()
-    elif mode == "standard_sentence":
-        turn = dialogue.turns[0]
-        if turn.audio is None:
-            raise AssembleError("standard_sentence utterance has no audio")
-        tokens.append((STREAM_SPECIAL, specials["ROLE_ASSISTANT"]))
-        mask.append(False)
-        content = stream_interleave(text_ids_for(turn.text), turn.audio.token_ids,
-                                    _pick_ratio(ratio, ratio_choices, rng))
-        _emit_runs(tokens, mask, content, loss_on_speech=True, specials=specials)
-        close_block()
-    else:
-        for i, turn in enumerate(dialogue.turns):
-            if turn.role == "assistant":
-                if turn.audio is None:
-                    raise AssembleError(f"assistant turn {i} has no audio")
-                tokens.append((STREAM_SPECIAL, specials["ROLE_ASSISTANT"]))
+        prev_stream = None
+        for item in content:
+            stream = item[0]
+            if stream != prev_stream and prev_stream is not None:
+                tokens.append(shift_to[stream])
                 mask.append(False)
-                content = stream_interleave(text_ids_for(turn.text), turn.audio.token_ids,
-                                            _pick_ratio(ratio, ratio_choices, rng))
-                _emit_runs(tokens, mask, content, loss_on_speech=True, specials=specials)
-            else:
-                tokens.append((STREAM_SPECIAL, specials["ROLE_USER"]))
-                mask.append(False)
-                if turn.audio is not None:
-                    content = [(STREAM_SPEECH, t) for t in turn.audio.token_ids]
-                else:
-                    content = [(STREAM_TEXT, t) for t in text_ids_for(turn.text)]
-                _emit_runs(tokens, mask, content, loss_on_speech=False, specials=specials)
-            close_block()
+            tokens.append(item)
+            mask.append(loss_on_speech and stream == STREAM_SPEECH)
+            prev_stream = stream
+        tokens.append(eos)
+        mask.append(False)
 
     manifest = {
         "dialogue_id": dialogue.id,
@@ -383,7 +354,7 @@ def parse_sequence(tokens: list[tuple[str, int]]) -> ParsedTalker:
 def sequence_to_dict(seq: TalkerSequence) -> dict:
     return {
         "mode": seq.mode,
-        "tokens": [[s, t] for s, t in seq.tokens],
+        "tokens": seq.tokens,  # (stream, id) tuples encode as JSON arrays
         "speech_loss_mask": [1 if b else 0 for b in seq.speech_loss_mask],
         "manifest": seq.manifest,
     }

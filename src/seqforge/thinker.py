@@ -10,6 +10,7 @@ Determinism contract: the per-dialogue random stream is derived from
 (one per user turn, one per non-final assistant segment, in sequence order).
 Outputs are therefore invariant under sharding and worker count.
 """
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -70,6 +71,7 @@ class Segment:
     tokens: list[int] | None
 
 
+@functools.cache  # the policy is frozen: one hash per policy, not per dialogue
 def policy_config_hash(policy: InterleavePolicy) -> str:
     blob = json.dumps(policy.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

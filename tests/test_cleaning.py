@@ -11,7 +11,7 @@ from seqforge import cleaning, synthetic, thinker
 from seqforge.cleaning import (HttpCorrectorClient, HttpSynthClient,
                                MockCorrector, MockSynth, apply_context_completion,
                                apply_logic_correction, apply_masking,
-                               clean_dialogue, route, run_pipeline)
+                               clean_dialogue, route)
 from seqforge.cli import run
 from seqforge.corpus import (Dialogue, QualityFlag, Turn, serialize_dialogue,
                              validate_dialogue, write_corpus)
@@ -213,7 +213,7 @@ def test_backfill_breaking_alternation_is_rejected():
 
 def test_pipeline_idempotent_on_clean_dialogues():
     dialogues = [flagged(None), flagged("clean")]
-    outcomes = run_pipeline(dialogues, MockCorrector(), MockSynth())
+    outcomes = [clean_dialogue(d, MockCorrector(), MockSynth()) for d in dialogues]
     for d, out in zip(dialogues, outcomes):
         assert out.branch == "passthrough"
         assert serialize_dialogue(out.dialogue) == serialize_dialogue(d)
@@ -228,7 +228,7 @@ def test_pipeline_outputs_validate():
         flagged("logic_contradiction_severe"),
         flagged("missing_context", spans=[], n_turns=4, truncate_first_turn=True),
     ]
-    outcomes = run_pipeline(dialogues, MockCorrector(), MockSynth())
+    outcomes = [clean_dialogue(d, MockCorrector(), MockSynth()) for d in dialogues]
     assert [o.branch for o in outcomes] == [
         "passthrough", "logic_correction", "information_preservation",
         "context_completion"]
@@ -273,6 +273,7 @@ def http_service():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_clients_round_trip(http_service):

@@ -1,10 +1,14 @@
 """CLI wiring: exit codes, manifests, determinism, integration paths."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from seqforge import cli, synthetic
 from seqforge import corpus as corpus_mod
-from seqforge import synthetic
 from seqforge.cli import run
 
 from conftest import make_dialogue
@@ -287,3 +291,39 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
     err = capsys.readouterr().err
     assert ("reject line 7:" in err) == reject
     assert ("compile error:" in err) == (compile_error and not reject)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["build-thinker", "--seed", "1", "--p-user", "1.5"], None, "--p-user/--p-assistant"),
+    (["build-talker", "--seed", "1", "--ratio", "5"], None, "--ratio must be N:M"),
+    (["build-thinker", "--seed", "1"], "{not json", "is not valid JSON"),
+    (["clean", "--client", "http"], '{"synth_url": "http://127.0.0.1:1"}', "corrector_url"),
+    (["plan", "directive", "--stage", "bogus", "--step", "1"], None, "stage 'bogus'"),
+    (["plan", "directive", "--stage", "s1", "--step", "0"], None, "step must be in"),
+    (["build-thinker"], '{"seed": "abc"}', "'seed' is not a valid int"),
+    (["build-thinker", "--seed", "1"], "[]", "must hold a JSON object"),
+    (["clean"], '{"client": "bogus"}', "unknown client 'bogus'"),
+], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
+        "config-array", "config-client"])
+def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, argv, config,
+                                                      message):
+    if argv[0] != "plan":
+        path = write_corpus(tmp_path, synthetic.synth_corpus(2, 6))
+        argv = argv + ["--corpus", str(path), "--out", str(tmp_path / "o.jsonl")]
+    if config is not None:
+        (tmp_path / "c.json").write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(tmp_path / "c.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("forge: error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # A fresh interpreter: this one has numpy loaded by other test modules.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, seqforge.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

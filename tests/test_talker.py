@@ -279,12 +279,3 @@ def test_reference_leakage_freedom_over_corpus():
         ref = select_reference("spk_a", index, d.id, 77)
         assert ref.dialogue_id != d.id
 
-
-def test_ratio_choices_draw_is_deterministic_and_parses():
-    dialogues = corpus_with_shared_speakers(3, n_turns=4)
-    ref = _reference_for(dialogues, dialogues[0])
-    choices = [StreamRatio(2, 6), StreamRatio(4, 12)]
-    a = assemble(dialogues[0], "dialogue", StreamRatio(5, 15), 3, ref, ratio_choices=choices)
-    b = assemble(dialogues[0], "dialogue", StreamRatio(5, 15), 3, ref, ratio_choices=choices)
-    assert a.tokens == b.tokens
-    parse_sequence(a.tokens)
