@@ -1,20 +1,13 @@
-"""Optional build of the compiled kernel extension.
+"""Optional build of the compiled kernel extension from the shipped C source.
 
-The package works without it (a pure-Python fallback is selected at import);
-building the extension speeds up the hot paths:
+The package works without it (``seqforge.kernels`` falls back to the
+pure-Python kernels when ``_ckernels`` does not import); with a C compiler
+the extension builds as part of the install, or in place with:
 
     python setup.py build_ext --inplace
 """
-from setuptools import setup
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/seqforge/_ckernels.pyx"],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("seqforge._ckernels", ["src/seqforge/_ckernels.c"], optional=True),
+])

@@ -1,4 +1,6 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
+# _ckernels.c is generated from this file; after editing it, regenerate with
+# Cython >= 3:  cythonize src/seqforge/_ckernels.pyx
 """Compiled kernels: edit-distance DP and the seeded hash/RNG primitives.
 
 Bit-for-bit equivalent to ``_pykernels``; selected automatically at import

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from seqforge.reporting import ValidationReport
+from seqforge.reporting import SchemaError, ValidationReport
 from seqforge.seeding import DetRng, derive_seed
 
 _OTHER_RE = re.compile(r"^other\((.*)\)$", re.DOTALL)
@@ -116,22 +116,46 @@ class CaptionRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "CaptionRecord":
-        sp = doc.get("speaker_profile") or {}
-        pr = doc.get("prosody") or {}
-        pl = doc.get("paralinguistics") or {}
-        env = doc.get("environment") or {}
+    def from_json_dict(cls, doc: dict, path: str = "caption") -> "CaptionRecord":
+        """Structural parse of the ``to_json_dict`` layout. Raises SchemaError.
+
+        An absent group or field is unset. A group is an object or null, a
+        single tag a string or null, a multi-tag field an array of strings.
+        """
+        def group(key: str | None) -> tuple[dict, str]:
+            if key is None:
+                return doc, path
+            value = doc.get(key)
+            if value is not None and type(value) is not dict:
+                raise SchemaError(f"{path}.{key}: expected object")
+            return value or {}, f"{path}.{key}"
+
+        def one(group_key: str, key: str) -> str | None:
+            g, where = group(group_key)
+            value = g.get(key)
+            if value is not None and type(value) is not str:
+                raise SchemaError(f"{where}.{key}: expected string or null, "
+                                  f"got {type(value).__name__}")
+            return value
+
+        def many(group_key: str | None, key: str) -> tuple[str, ...]:
+            g, where = group(group_key)
+            value = g.get(key, [])
+            if type(value) is not list or not set(map(type, value)) <= {str}:
+                raise SchemaError(f"{where}.{key}: expected array of strings")
+            return tuple(value)
+
         return cls(
-            gender_age=sp.get("gender_age"),
-            accent=sp.get("accent"),
-            emotion=pr.get("emotion"),
-            tone=pr.get("tone"),
-            speech_rate=pr.get("speech_rate"),
-            vocalizations=tuple(pl.get("vocalizations") or ()),
-            affective_burst=tuple(pl.get("affective_burst") or ()),
-            vocal_pathology=tuple(doc.get("pathology") or ()),
-            acoustic_scene=env.get("acoustic_scene"),
-            sound_events=tuple(env.get("sound_events") or ()),
+            gender_age=one("speaker_profile", "gender_age"),
+            accent=one("speaker_profile", "accent"),
+            emotion=one("prosody", "emotion"),
+            tone=one("prosody", "tone"),
+            speech_rate=one("prosody", "speech_rate"),
+            vocalizations=many("paralinguistics", "vocalizations"),
+            affective_burst=many("paralinguistics", "affective_burst"),
+            vocal_pathology=many(None, "pathology"),
+            acoustic_scene=one("environment", "acoustic_scene"),
+            sound_events=many("environment", "sound_events"),
         )
 
 

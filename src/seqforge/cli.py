@@ -41,12 +41,19 @@ def _load_config(path) -> dict:
     return cfg
 
 
+# JSON types a config value may have, by the type of its flag: a float flag
+# also takes an integer, but a bool, a float or a string is never an int.
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 def _config_value(cfg: dict, name: str, cast: type):
-    try:
-        return cast(cfg[name])
-    except (TypeError, ValueError):
-        raise UsageError(f"--config field {name!r} is not a valid {cast.__name__}: "
-                         f"{cfg[name]!r}") from None
+    value = cfg[name]
+    if type(value) in _CONFIG_TYPES[cast]:
+        try:
+            return cast(value)
+        except OverflowError:  # an integer too large for a float flag
+            pass
+    raise UsageError(f"--config field {name!r} is not a valid {cast.__name__}: {value!r}")
 
 
 def _apply_config_defaults(args, required: dict[str, type],
@@ -176,7 +183,9 @@ def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> No
 
 
 def _manifest(args, config: dict, counts: dict) -> RunManifest:
-    return RunManifest(command=_manifest_command(args.argv), master_seed=args.seed,
+    # stats takes no --seed; its manifest records master_seed null
+    return RunManifest(command=_manifest_command(args.argv),
+                       master_seed=getattr(args, "seed", None),
                        config=config, input_digests={args.corpus: file_digest(args.corpus)},
                        counts=counts)
 
@@ -469,13 +478,8 @@ def cmd_stats(args) -> int:
     blob = json.dumps(doc, ensure_ascii=False, indent=2)
     print(blob)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-            fh.write("\n")
-        man = RunManifest(command=_manifest_command(args.argv), master_seed=None, config={},
-                          input_digests={args.corpus: file_digest(args.corpus)},
-                          counts={"dialogues": len(result.dialogues)})
-        man.write_sidecar(args.out)
+        _publish(_manifest(args, {}, {"dialogues": len(result.dialogues)}),
+                 {args.out: [blob]}, header=False)
     return 0
 
 

@@ -13,8 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from seqforge.captions import CaptionRecord
-from seqforge.reporting import ValidationReport
+from seqforge.captions import CaptionRecord, default_taxonomy, validate_caption
+from seqforge.reporting import SchemaError, ValidationReport
 
 LANGUAGES = ("zh", "en", "ja", "ko", "other")
 SOURCES = ("real_life", "synthetic", "podcast", "audiobook", "short_utterance")
@@ -95,10 +95,6 @@ class ParseResult:
     rejects: list[Reject]
 
 
-class SchemaError(ValueError):
-    pass
-
-
 # --------------------------------------------------------------------------
 # frame / token arithmetic
 # --------------------------------------------------------------------------
@@ -158,7 +154,7 @@ def _expect_list(value, path: str) -> list:
 
 def _expect_pair(value, path: str) -> tuple[int, int]:
     value = _expect_list(value, path)
-    if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+    if len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int:
         raise SchemaError(f"{path}: expected [int, int]")
     return value[0], value[1]
 
@@ -167,7 +163,7 @@ def _parse_audio(doc, path: str) -> AudioTokenSpan:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected object")
     ids = _expect_list(_require(doc, "token_ids", path), f"{path}.token_ids")
-    if not all(isinstance(t, int) and not isinstance(t, bool) for t in ids):
+    if not set(map(type, ids)) <= {int}:  # exact: a bool is not a token id
         raise SchemaError(f"{path}.token_ids: expected integers")
     rate = _require(doc, "frame_rate_hz", path)
     dur = _require(doc, "duration_s", path)
@@ -183,7 +179,7 @@ def _parse_alignment(docs, path: str) -> list[AlignmentSpan]:
         if not isinstance(item, dict):
             raise SchemaError(f"{p}: expected object")
         index = _require(item, "index", p)
-        if not isinstance(index, int) or isinstance(index, bool):
+        if type(index) is not int:
             raise SchemaError(f"{p}.index: expected integer")
         spans.append(
             AlignmentSpan(
@@ -206,7 +202,7 @@ def _parse_flag(doc, path: str) -> QualityFlag:
         if len(item) != 2:
             raise SchemaError(f"{p}: expected [turn_index, [start, end]]")
         turn_index = item[0]
-        if not isinstance(turn_index, int) or isinstance(turn_index, bool):
+        if type(turn_index) is not int:
             raise SchemaError(f"{p}: turn index must be an integer")
         spans.append((turn_index, _expect_pair(item[1], f"{p}[1]")))
     return QualityFlag(kind=kind, spans=spans)
@@ -226,7 +222,7 @@ def _parse_turn(doc, path: str) -> Turn:
     if doc.get("caption") is not None:
         if not isinstance(doc["caption"], dict):
             raise SchemaError(f"{path}.caption: expected object")
-        caption = CaptionRecord.from_json_dict(doc["caption"])
+        caption = CaptionRecord.from_json_dict(doc["caption"], f"{path}.caption")
     return Turn(role=role, speaker_id=speaker, text=text, audio=audio,
                 alignment=alignment, caption=caption)
 
@@ -398,6 +394,9 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
         if turn.audio is not None:
             _validate_audio(report, turn.audio, f"{path}.audio")
         _validate_alignment(report, turn, path)
+        if turn.caption is not None:
+            for v in validate_caption(turn.caption, default_taxonomy()).violations:
+                report.add(f"{path}.caption.{v.path}", v.message)
     for k, flag in enumerate(d.quality_flags):
         path = f"quality_flags[{k}]"
         if flag.kind == "logic_contradiction_severe" and not flag.spans:

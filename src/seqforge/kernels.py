@@ -1,19 +1,13 @@
 """Kernel backend selection.
 
-The compiled extension (``seqforge._ckernels``) is used when it has been
-built; otherwise the pure-Python fallback is selected. Set
-``FORGE_PURE_PYTHON=1`` to force the fallback, e.g. for benchmarking.
-Both backends are bit-for-bit equivalent.
+The compiled extension (``seqforge._ckernels``) is used when it imports;
+otherwise the pure-Python kernels are. Both backends are bit-for-bit
+equivalent.
 """
-import os
-
-if os.environ.get("FORGE_PURE_PYTHON"):
+try:
+    from seqforge import _ckernels as _impl  # type: ignore[attr-defined]
+except ImportError:
     from seqforge import _pykernels as _impl
-else:
-    try:
-        from seqforge import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from seqforge import _pykernels as _impl
 
 BACKEND: str = _impl.BACKEND
 mix64 = _impl.mix64

@@ -1,5 +1,9 @@
-"""Validation report shared by corpus and caption checks."""
+"""Validation report and structural parse error shared by corpus and caption checks."""
 from dataclasses import dataclass, field
+
+
+class SchemaError(ValueError):
+    """Input whose structure (field presence or JSON type) cannot be parsed."""
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ Determinism contract: the per-dialogue random stream is derived from
 Outputs are therefore invariant under sharding and worker count.
 """
 import functools
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 from seqforge.corpus import Dialogue, Turn
+from seqforge.manifest import config_hash
 from seqforge.seeding import DetRng, derive_seed
 
 TEXT = "text"
@@ -73,8 +73,7 @@ class Segment:
 
 @functools.cache  # the policy is frozen: one hash per policy, not per dialogue
 def policy_config_hash(policy: InterleavePolicy) -> str:
-    blob = json.dumps(policy.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return config_hash(policy.to_json_dict())
 
 
 def segment_assistant(turn: Turn) -> list[Segment]:

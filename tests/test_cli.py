@@ -303,8 +303,14 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
     (["build-thinker"], '{"seed": "abc"}', "'seed' is not a valid int"),
     (["build-thinker", "--seed", "1"], "[]", "must hold a JSON object"),
     (["clean"], '{"client": "bogus"}', "unknown client 'bogus'"),
+    (["build-thinker"], '{"seed": 1.5}', "'seed' is not a valid int: 1.5"),
+    (["build-thinker", "--seed", "1"], '{"p_user": true}', "'p_user' is not a valid float"),
+    (["build-thinker"], '{"seed": "7"}', "'seed' is not a valid int: '7'"),
+    (["build-thinker", "--seed", "1"], '{"p_user": 1%s}' % ("0" * 400),
+     "'p_user' is not a valid float"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
-        "config-array", "config-client"])
+        "config-array", "config-client", "config-int-float", "config-float-bool",
+        "config-int-string", "config-float-overflow"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, argv, config,
                                                       message):
     if argv[0] != "plan":

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from seqforge import corpus
+from seqforge.captions import CaptionRecord
 from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue,
                              QualityFlag, Turn, downsample_frames,
                              parse_corpus, tokens_for_hours, validate_dialogue)
@@ -103,6 +104,38 @@ def test_parse_rejects_invalid_json_and_bad_enum(corpus_file):
     assert "language" in result.rejects[1].reason
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("token_ids", [1, True], "dialogue.turns[0].audio.token_ids: expected integers"),
+    ("token_ids", [1, 2.0], "dialogue.turns[0].audio.token_ids: expected integers"),
+    ("text_range", [0, True], "dialogue.turns[0].alignment[0].text_range: expected [int, int]"),
+], ids=["token-bool", "token-float", "range-bool"])
+def test_parse_rejects_non_int_token_ids_and_ranges(field, value, reason):
+    doc = corpus.dialogue_to_dict(make_dialogue("d"))
+    turn = doc["turns"][0]
+    (turn["audio"] if field == "token_ids" else turn["alignment"][0])[field] = value
+    assert corpus.parse_line(1, json.dumps(doc)) == corpus.Reject(1, reason)
+
+
+@pytest.mark.parametrize("group, field, value, reason", [
+    ("paralinguistics", "vocalizations", "laugh", "expected array of strings"),
+    ("environment", "sound_events", ["rain", 3], "expected array of strings"),
+    ("prosody", "emotion", ["Happy"], "expected string or null, got list"),
+    ("prosody", None, "calm", "expected object"),
+], ids=["multi-string", "multi-mixed", "single-array", "group-string"])
+def test_parse_rejects_mistyped_caption_fields(group, field, value, reason):
+    d = make_dialogue("d")
+    d.turns[0].caption = CaptionRecord()
+    doc = corpus.dialogue_to_dict(d)
+    caption = doc["turns"][0]["caption"]
+    if field is None:
+        caption[group] = value
+    else:
+        caption[group][field] = value
+    where = group if field is None else f"{group}.{field}"
+    assert corpus.parse_line(1, json.dumps(doc)) == corpus.Reject(
+        1, f"dialogue.turns[0].caption.{where}: {reason}")
+
+
 def test_parse_unreadable_file_raises(tmp_path):
     with pytest.raises(OSError):
         parse_corpus(tmp_path / "missing.jsonl")
@@ -168,6 +201,14 @@ def test_validate_flag_rules():
     d.quality_flags = [QualityFlag(kind="clean", spans=[(0, (0, 2))])]
     assert any("must not carry spans" in v.message
                for v in validate_dialogue(d).violations)
+
+
+def test_validate_checks_captions_against_the_taxonomy():
+    d = make_dialogue("d")
+    d.turns[1].caption = CaptionRecord(emotion="Happy", vocalizations=("laugh", "Sighing"))
+    report = validate_dialogue(d)
+    assert [str(v) for v in report.violations] == [
+        "turns[1].caption.vocalizations[1]: tag 'laugh' not in Vocalizations vocabulary"]
 
 
 def test_validate_corpus_duplicate_ids():

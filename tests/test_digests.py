@@ -1,4 +1,4 @@
-"""Frozen output digests for clean, build-thinker --masks and build-talker.
+"""Frozen output digests for clean, build-thinker --masks, build-talker and stats.
 
 Criterion 9 only compares runs with each other, so a change that alters the
 bytes the same way on every run would still pass it. These pins do not move
@@ -36,6 +36,10 @@ EXPECTED = {
         "68bce4ab748b3fb49e5c0a441fbb33a41139deeb3f306afc6c24c7bbd906cdcd",
     "talker.jsonl.manifest.json":
         "5d56a005af264ecab6dcf96648e61a87e906ef37c8a112dc0b620b4a5ed58205",
+    "stats.json":
+        "f3c7f3f7f248b88786d359afa710f9cbd7894aad2bc465fe061c95173e859b07",
+    "stats.json.manifest.json":
+        "27b806cf6f60bd395ad0e6a24a970c64c65ae6c3689714b8073d63e083afac3b",
 }
 
 _COMMAND = re.compile(rb'^\{"command":"(?:[^"\\]|\\.)*",')
@@ -75,6 +79,7 @@ def _digests(jobs: str) -> dict[str, str]:
     assert run(["build-talker", "--corpus", "corpus.jsonl", "--seed", "5",
                 "--mode", "dialogue", "--ratio", "5:15",
                 "--out", "talker.jsonl", "--jobs", jobs]) == 0
+    assert run(["stats", "--corpus", "corpus.jsonl", "--out", "stats.json"]) == 0
     digests = {}
     for name in EXPECTED:
         path, _, part = name.partition(":")

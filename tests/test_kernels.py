@@ -1,15 +1,46 @@
 """Backend parity and primitive behaviour of the kernel layer."""
+import importlib.util
+import os
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from seqforge import _pykernels
 from seqforge import kernels
 
-try:
-    from seqforge import _ckernels
-except ImportError:
-    _ckernels = None
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _c_compiler() -> str | None:
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(cc.split()[0])
+
+
+@pytest.fixture(scope="session")
+def ckernels(tmp_path_factory):
+    """The extension built by `setup.py build_ext` into a temporary directory.
+
+    setup.py marks the extension optional, so a failed compile only warns and
+    exits 0: the missing module is what fails the test.
+    """
+    if _c_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path_factory.mktemp("ckernels")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True)
+    built = list((out / "lib" / "seqforge").glob("_ckernels.*"))
+    assert build.returncode == 0 and built, build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location("seqforge._ckernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_reported():
@@ -30,19 +61,26 @@ def test_hash_bytes64_distinct_inputs():
     assert len(seen) == 1000
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
-def test_compiled_matches_pure():
+def test_compiled_matches_pure(ckernels):
+    assert ckernels.BACKEND == "c"
     rng = random.Random(0)
     for _ in range(500):
         x = rng.getrandbits(64)
-        assert _ckernels.mix64(x) == _pykernels.mix64(x)
-        assert _ckernels.next_u64(x) == _pykernels.next_u64(x)
+        assert ckernels.mix64(x) == _pykernels.mix64(x)
+        assert ckernels.next_u64(x) == _pykernels.next_u64(x)
         data = bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 64)))
-        assert _ckernels.hash_bytes64(data, x) == _pykernels.hash_bytes64(data, x)
+        assert ckernels.hash_bytes64(data, x) == _pykernels.hash_bytes64(data, x)
     for _ in range(1000):
         a = [rng.randrange(5) for _ in range(rng.randrange(0, 14))]
         b = [rng.randrange(5) for _ in range(rng.randrange(0, 14))]
-        assert _ckernels.edit_ops(a, b) == _pykernels.edit_ops(a, b)
+        assert ckernels.edit_ops(a, b) == _pykernels.edit_ops(a, b)
+    # Eval-sized pairs: a 60-200 symbol reference and a hypothesis with ~10% edits.
+    for _ in range(20):
+        a = [rng.randrange(30) for _ in range(rng.randrange(60, 201))]
+        b = [rng.randrange(30) if rng.random() < 0.1 else x for x in a
+             if rng.random() >= 0.05]
+        assert ckernels.edit_ops(a, b) == _pykernels.edit_ops(a, b)
+        assert ckernels.edit_ops(a, a[::-1]) == _pykernels.edit_ops(a, a[::-1])
 
 
 def test_edit_ops_empty_cases():
