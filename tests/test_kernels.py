@@ -81,9 +81,79 @@ def test_compiled_matches_pure(ckernels):
              if rng.random() >= 0.05]
         assert ckernels.edit_ops(a, b) == _pykernels.edit_ops(a, b)
         assert ckernels.edit_ops(a, a[::-1]) == _pykernels.edit_ops(a, a[::-1])
+    # Unrelated pairs (the distance spans most of the matrix) and skewed lengths.
+    for _ in range(20):
+        a = [rng.randrange(30) for _ in range(rng.randrange(0, 201))]
+        b = [rng.randrange(30) for _ in range(rng.randrange(0, 201))]
+        assert ckernels.edit_ops(a, b) == _pykernels.edit_ops(a, b)
+        short = [rng.randrange(30) for _ in range(rng.randrange(1, 3))]
+        assert ckernels.edit_ops(short, a) == _pykernels.edit_ops(short, a)
+        assert ckernels.edit_ops(a, short) == _pykernels.edit_ops(a, short)
 
 
 def test_edit_ops_empty_cases():
     assert _pykernels.edit_ops([], []) == (0, 0, 0)
     assert _pykernels.edit_ops([], [1, 2]) == (0, 2, 0)
     assert _pykernels.edit_ops([1, 2, 3], []) == (0, 0, 3)
+
+
+def _reference_edit_ops(ref, hyp):
+    """Full-matrix DP over (distance, substitutions, insertions, deletions).
+
+    The lexicographic minimum prefers the lower distance, then the fewer
+    substitutions; I and D then follow from I - D = len(hyp) - len(ref).
+    """
+    row = [(j, 0, j, 0) for j in range(len(hyp) + 1)]
+    for i, a in enumerate(ref, 1):
+        prev, row = row, [(i, 0, 0, i)]
+        for j, b in enumerate(hyp, 1):
+            d, s, ins, dels = prev[j - 1]
+            diag = (d, s, ins, dels) if a == b else (d + 1, s + 1, ins, dels)
+            d, s, ins, dels = prev[j]
+            up = (d + 1, s, ins, dels + 1)
+            d, s, ins, dels = row[j - 1]
+            left = (d + 1, s, ins + 1, dels)
+            row.append(min(diag, up, left))
+    _, subs, ins, dels = row[-1]
+    return subs, ins, dels
+
+
+def _edited(rng, seq, alphabet, rate):
+    """seq with about `rate` of its symbols substituted, deleted or followed by an insert."""
+    out = []
+    for x in seq:
+        roll = rng.random()
+        if roll < rate / 3:
+            out.append(rng.randrange(alphabet))
+        elif roll < 2 * rate / 3:
+            continue
+        elif roll < rate:
+            out += [x, rng.randrange(alphabet)]
+        else:
+            out.append(x)
+    return out
+
+
+def _oracle_pairs(rng, alphabet):
+    def word(lo, hi):
+        return [rng.randrange(alphabet) for _ in range(rng.randrange(lo, hi + 1))]
+
+    for _ in range(200):  # short pairs cover the empty and one-symbol edges
+        yield word(0, 10), word(0, 10)
+    for _ in range(6):
+        yield word(0, 250), word(0, 250)  # unrelated, any lengths
+        a = word(0, 250)
+        yield a, _edited(rng, a, alphabet, 0.1)  # near: ~10% edits
+        yield a, a
+        yield a, a[::-1]
+        yield word(1, 1), word(200, 200)  # skewed lengths
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 5, 30])
+def test_edit_ops_matches_full_matrix_reference(alphabet):
+    rng = random.Random(alphabet)
+    for a, b in _oracle_pairs(rng, alphabet):
+        s, i, d = _pykernels.edit_ops(a, b)
+        assert (s, i, d) == _reference_edit_ops(a, b), (a, b)
+        # Argument swap: S stays, I and D exchange.
+        assert _pykernels.edit_ops(b, a) == (s, d, i), (a, b)
