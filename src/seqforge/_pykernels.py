@@ -35,12 +35,52 @@ def hash_bytes64(data: bytes, seed: int) -> int:
     return mix64(h)
 
 
+def _distance(ref: list[int], hyp: list[int]) -> int:
+    """Unit-cost edit distance by the bit-vector recurrence over ``ref``.
+
+    Myers (1999, J. ACM 46(3)) in its global form: bit i of ``vp``/``vn``
+    says the current DP column rises/falls from row i to row i + 1, and one
+    column step is a handful of operations on ``len(ref)``-bit Python ints.
+    ``ref`` must not be empty.
+    """
+    peq: dict[int, int] = {}
+    for i, a in enumerate(ref):
+        peq[a] = peq.get(a, 0) | 1 << i
+    full = (1 << len(ref)) - 1
+    last = 1 << (len(ref) - 1)
+    vp, vn = full, 0
+    dist = len(ref)
+    for b in hyp:
+        x = peq.get(b, 0) | vn
+        d0 = (((x & vp) + vp) ^ vp) | x
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = hp << 1 | 1  # the top row rises by one per column
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & full
+        vn = d0 & hp & full
+    return dist
+
+
 def edit_ops(ref: list[int], hyp: list[int]) -> tuple[int, int, int]:
     """Minimal-cost edit decomposition between two id sequences.
 
     Unit costs. Among minimal-cost alignments the one with the fewest
     substitutions is chosen, which makes the (S, I, D) decomposition
     symmetric under argument swap (S stays, I and D exchange).
+
+    Two steps. The bit-vector distance ``k`` (``_distance``) sizes a band;
+    one two-row DP over (distance, substitutions) restricted to that band
+    gives the result. A path through diagonal ``t = j - i`` costs at least
+    ``|t| + |(m - n) - t|``, so every alignment of cost ``k`` lies on the
+    diagonals where that sum is at most ``k`` (Ukkonen 1985, Inf. Control
+    64): the band holds every optimal alignment, and the fewest-substitutions
+    tie-break among them is as exact as over the full matrix. The work is
+    about ``len(ref) * (k + 1)`` cells instead of ``len(ref) * len(hyp)``.
 
     Returns (substitutions, insertions, deletions).
     """
@@ -51,36 +91,45 @@ def edit_ops(ref: list[int], hyp: list[int]) -> tuple[int, int, int]:
     if m == 0:
         return 0, 0, n
 
-    # Two-row DP over (distance, substitutions), lexicographic minimum.
-    dist_prev = list(range(m + 1))
-    subs_prev = [0] * (m + 1)
-    dist_cur = [0] * (m + 1)
-    subs_cur = [0] * (m + 1)
-
+    skew = m - n
+    slack = (_distance(ref, hyp) - abs(skew)) // 2
+    lo = min(0, skew) - slack
+    hi = max(0, skew) + slack
+    # A cell's (distance, substitutions) packed as one key, distance * w +
+    # substitutions (substitutions < w), so the lexicographic minimum is <.
+    w = n + m + 1
+    w_sub = w + 1
+    inf = w * w
+    # row[t - lo] is the key of the cell on diagonal t of the current row;
+    # row[hi - lo + 1] stays inf and stands for the cells above the band.
+    row = [inf] * (hi - lo + 2)
+    for t in range(min(hi, m) + 1):
+        row[t - lo] = t * w
     for i in range(1, n + 1):
-        ri = ref[i - 1]
-        dist_cur[0] = i
-        subs_cur[0] = 0
-        for j in range(1, m + 1):
-            cost = 0 if ri == hyp[j - 1] else 1
-            best_d = dist_prev[j - 1] + cost
-            best_s = subs_prev[j - 1] + cost
-            d = dist_prev[j] + 1
-            if d < best_d or (d == best_d and subs_prev[j] < best_s):
-                best_d = d
-                best_s = subs_prev[j]
-            d = dist_cur[j - 1] + 1
-            if d < best_d or (d == best_d and subs_cur[j - 1] < best_s):
-                best_d = d
-                best_s = subs_cur[j - 1]
-            dist_cur[j] = best_d
-            subs_cur[j] = best_s
-        dist_prev, dist_cur = dist_cur, dist_prev
-        subs_prev, subs_cur = subs_cur, subs_prev
+        a = ref[i - 1]
+        first = max(lo, 1 - i)
+        if first > lo:  # column 0 is in the band: i deletions
+            left = row[first - 1 - lo] = i * w
+        else:
+            left = inf
+        # In place: row[p] still holds the diagonal neighbour (row i - 1,
+        # same t) and row[p + 1] the one above (row i - 1, t + 1).
+        p = first - lo
+        for b in hyp[i + first - 1:i + min(hi, m - i)]:
+            key = row[p]
+            if b != a:
+                key += w_sub
+            gap = row[p + 1]
+            if left < gap:
+                gap = left
+            gap += w
+            if gap < key:
+                key = gap
+            row[p] = left = key
+            p += 1
 
-    dist = dist_prev[m]
-    subs = subs_prev[m]
+    dist, subs = divmod(row[skew - lo], w)
     # Any alignment satisfies I - D = m - n and S + I + D = dist.
-    ins = (dist - subs + (m - n)) // 2
-    dels = (dist - subs - (m - n)) // 2
+    ins = (dist - subs + skew) // 2
+    dels = (dist - subs - skew) // 2
     return subs, ins, dels

@@ -18,15 +18,21 @@ from seqforge import thinker as thinker_mod
 from seqforge.manifest import RunManifest, file_digest
 
 
-def _jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("FORGE_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 class UsageError(Exception):
     pass
+
+
+def _jobs(flag: int | None) -> int:
+    """--jobs, else FORGE_JOBS, else 1; anything but a positive integer is a usage error."""
+    name, raw = ("--jobs", flag) if flag is not None else \
+        ("FORGE_JOBS", os.environ.get("FORGE_JOBS", "1"))
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(f"{name} must be a positive integer, got {raw!r}")
+    return jobs
 
 
 def _load_config(path) -> dict:
@@ -415,8 +421,7 @@ def cmd_loss_check(args) -> int:
 # --------------------------------------------------------------------------
 
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    return [line.rstrip("\n") for line in corpus.read_lines(path)]
 
 
 def cmd_eval(args) -> int:
@@ -424,7 +429,8 @@ def cmd_eval(args) -> int:
         refs = _read_lines(args.ref)
         hyps = _read_lines(args.hyp)
         if len(refs) != len(hyps):
-            print(f"ref has {len(refs)} lines but hyp has {len(hyps)}", file=sys.stderr)
+            print(f"forge: error: ref has {len(refs)} lines but hyp has {len(hyps)}",
+                  file=sys.stderr)
             return 1
         rate = metrics.corpus_error_rate(list(zip(refs, hyps)), mode=args.eval_cmd,
                                          lang=args.lang, normalize=not args.raw)
@@ -521,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", help="outcomes file from `forge clean`")
     p.add_argument("--config", help="JSON file with flag defaults (flags win)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=int, help="worker processes (default: FORGE_JOBS or 1)")
     p.set_defaults(func=cmd_build_thinker)
 
     p = sub.add_parser("build-talker", help="assemble speech-generator sequences")
@@ -531,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON file with flag defaults (flags win)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=int, help="worker processes (default: FORGE_JOBS or 1)")
     p.set_defaults(func=cmd_build_talker)
 
     p = sub.add_parser("clean", help="run the three-branch cleaning pipeline")
@@ -542,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--retries", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=int, help="worker processes (default: FORGE_JOBS or 1)")
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("plan", help="inspect the training schedule")
@@ -601,8 +607,14 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     args.argv = ["forge"] + argv
     try:
+        if hasattr(args, "jobs"):
+            args.jobs = _jobs(args.jobs)
         return args.func(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except corpus.NotUtf8Error as exc:
+        print(f"forge: error: {exc}", file=sys.stderr)
+        return 1
+    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:  # a flag value, or a path that cannot be read
         print(f"forge: error: {exc}", file=sys.stderr)
         return 2
 

@@ -241,12 +241,42 @@ def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
     return Dialogue(id=did, turns=turns, language=language, source=source, quality_flags=flags)
 
 
+class NotUtf8Error(ValueError):
+    """An input file holds bytes that are not UTF-8."""
+
+    def __init__(self, path, line_no: int):
+        super().__init__(f"{path}: line {line_no} is not valid UTF-8")
+
+
+def _first_non_utf8_line(path) -> int:
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+    # which then fails to encode.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    raise AssertionError(f"{path} decodes as UTF-8")
+
+
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file; unreadable files raise.
+
+    Bytes that are not UTF-8 raise NotUtf8Error naming the first such line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        raise NotUtf8Error(path, _first_non_utf8_line(path)) from None
+
+
 def iter_lines(path):
     """Yield (line number, stripped text) of each non-blank line; unreadable files raise."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if stripped := line.strip():
-                yield line_no, stripped
+    for line_no, line in enumerate(read_lines(path), 1):
+        if stripped := line.strip():
+            yield line_no, stripped
 
 
 def parse_line(line_no: int, line: str) -> Dialogue | Reject:

@@ -256,18 +256,62 @@ def test_clean_retries_below_one_exits_2(tmp_path, capsys):
     assert "forge: error: --retries must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("missing", ["--corpus", "--masks", "--config"])
-def test_missing_input_file_exits_2(tmp_path, capsys, missing):
+@pytest.mark.parametrize("missing, directory", [
+    ("--corpus", False), ("--masks", False), ("--config", False),
+    ("--corpus", True), ("--masks", True), ("--config", True), ("--hyp", True),
+], ids=["--corpus", "--masks", "--config",
+        "--corpus-directory", "--masks-directory", "--config-directory", "--hyp-directory"])
+def test_missing_input_file_exits_2(tmp_path, capsys, missing, directory):
+    """An absent file, or a directory given as an input file, is a usage error."""
     path = write_corpus(tmp_path, synthetic.synth_corpus(1, 6))
     config = tmp_path / "c.json"
     config.write_text("{}")
-    inputs = {"--corpus": path, "--masks": path, "--config": config}
-    inputs[missing] = tmp_path / "absent.jsonl"
-    argv = ["build-thinker", "--seed", "1", "--out", str(tmp_path / "t.jsonl")]
-    for flag, value in inputs.items():
-        argv += [flag, str(value)]
+    unreadable = tmp_path / "absent.jsonl"
+    if directory:
+        unreadable.mkdir()
+    if missing == "--hyp":
+        argv = ["eval", "cer", "--ref", str(path), "--hyp", str(unreadable)]
+    else:
+        inputs = {"--corpus": path, "--masks": path, "--config": config}
+        inputs[missing] = unreadable
+        argv = ["build-thinker", "--seed", "1", "--out", str(tmp_path / "t.jsonl")]
+        for flag, value in inputs.items():
+            argv += [flag, str(value)]
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("forge: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("forge: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "build-thinker"])
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, command):
+    path = write_corpus(tmp_path, synthetic.synth_corpus(40, 6))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[29] = lines[29].replace(b'"', b'"\xff', 1)  # past the first read buffer
+    path.write_bytes(b"".join(lines))
+    out = tmp_path / "o.jsonl"
+    if command == "eval":
+        ref = tmp_path / "ref.txt"
+        ref.write_text("x\n" * len(lines), encoding="utf-8")
+        argv = ["eval", "cer", "--ref", str(ref), "--hyp", str(path)]
+    elif command == "validate":
+        argv = ["validate", "--corpus", str(path)]
+    else:
+        argv = ["build-thinker", "--seed", "1", "--corpus", str(path), "--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"forge: error: {path}: line 30 is not valid UTF-8\n"
+    assert captured.out == ""
+    assert not list(tmp_path.glob("o.jsonl*"))
+
+
+def test_eval_line_count_mismatch_exits_1(tmp_path, capsys):
+    ref = tmp_path / "ref.txt"
+    hyp = tmp_path / "hyp.txt"
+    ref.write_text("a\n", encoding="utf-8")
+    hyp.write_text("a\nb\n", encoding="utf-8")
+    assert run(["eval", "cer", "--ref", str(ref), "--hyp", str(hyp)]) == 1
+    assert capsys.readouterr().err == "forge: error: ref has 1 lines but hyp has 2\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -308,11 +352,21 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
     (["build-thinker"], '{"seed": "7"}', "'seed' is not a valid int: '7'"),
     (["build-thinker", "--seed", "1"], '{"p_user": 1%s}' % ("0" * 400),
      "'p_user' is not a valid float"),
+    (["build-thinker", "--seed", "1", "--jobs", "-5"], None,
+     "--jobs must be a positive integer, got -5"),
+    (["FORGE_JOBS=abc", "build-talker", "--seed", "1"], None,
+     "FORGE_JOBS must be a positive integer, got 'abc'"),
+    (["FORGE_JOBS=0", "clean"], None, "FORGE_JOBS must be a positive integer, got '0'"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
         "config-array", "config-client", "config-int-float", "config-float-bool",
-        "config-int-string", "config-float-overflow"])
-def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, argv, config,
-                                                      message):
+        "config-int-string", "config-float-overflow", "jobs-negative", "env-jobs-text",
+        "env-jobs-zero"])
+def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
+                                                      config, message):
+    while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     if argv[0] != "plan":
         path = write_corpus(tmp_path, synthetic.synth_corpus(2, 6))
         argv = argv + ["--corpus", str(path), "--out", str(tmp_path / "o.jsonl")]
