@@ -24,8 +24,10 @@ class UsageError(Exception):
 
 def _jobs(flag: int | None) -> int:
     """--jobs, else FORGE_JOBS, else 1; anything but a positive integer is a usage error."""
-    name, raw = ("--jobs", flag) if flag is not None else \
-        ("FORGE_JOBS", os.environ.get("FORGE_JOBS", "1"))
+    if flag is not None:
+        name, raw = "--jobs", flag
+    else:
+        name, raw = "FORGE_JOBS", os.environ.get("FORGE_JOBS", "1")
     try:
         jobs = int(raw)
     except ValueError:

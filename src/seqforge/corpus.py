@@ -11,6 +11,7 @@ corpora and serialization is byte-stable.
 """
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from seqforge.captions import CaptionRecord, default_taxonomy, validate_caption
@@ -248,16 +249,8 @@ class NotUtf8Error(ValueError):
         super().__init__(f"{path}: line {line_no} is not valid UTF-8")
 
 
-def _first_non_utf8_line(path) -> int:
-    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
-    # which then fails to encode.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return line_no
-    raise AssertionError(f"{path} decodes as UTF-8")
+# Under errors="surrogateescape" each byte that is not UTF-8 decodes to one of these.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def read_lines(path):
@@ -269,7 +262,10 @@ def read_lines(path):
         with open(path, encoding="utf-8") as fh:
             yield from fh
     except UnicodeDecodeError:
-        raise NotUtf8Error(path, _first_non_utf8_line(path)) from None
+        # Decoding fails a whole buffer at a time: re-read to find the line.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            line_no = next(n for n, line in enumerate(fh, 1) if _ESCAPED_BYTE.search(line))
+        raise NotUtf8Error(path, line_no) from None
 
 
 def iter_lines(path):

@@ -1,8 +1,9 @@
 """Kernel backend selection.
 
 The compiled extension (``seqforge._ckernels``) is used when it imports;
-otherwise the pure-Python kernels are. Both backends are bit-for-bit
-equivalent.
+otherwise the pure-Python kernels are. Both backends return bit-for-bit
+equal results. Only the pure-Python ``edit_ops`` is banded (its cost
+scales with length x distance); the compiled one fills the full matrix.
 """
 try:
     from seqforge import _ckernels as _impl  # type: ignore[attr-defined]
