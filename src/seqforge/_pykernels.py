@@ -74,8 +74,8 @@ def edit_ops(ref: list[int], hyp: list[int]) -> tuple[int, int, int]:
     symmetric under argument swap (S stays, I and D exchange).
 
     Two steps. The bit-vector distance ``k`` (``_distance``) sizes a band;
-    one two-row DP over (distance, substitutions) restricted to that band
-    gives the result. A path through diagonal ``t = j - i`` costs at least
+    one DP over (distance, substitutions), restricted to that band and kept
+    in a single row updated in place, gives the result. A path through diagonal ``t = j - i`` costs at least
     ``|t| + |(m - n) - t|``, so every alignment of cost ``k`` lies on the
     diagonals where that sum is at most ``k`` (Ukkonen 1985, Inf. Control
     64): the band holds every optimal alignment, and the fewest-substitutions
