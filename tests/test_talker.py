@@ -1,16 +1,20 @@
 """Talker sequences: reference selection, layout grammar, stream interleave."""
+import json
+import random
 from collections import Counter
 
 import pytest
 
 from seqforge import synthetic
+from seqforge.seeding import DetRng, derive_seed
 from seqforge.talker import (SPECIAL_TOKENS, AssembleError, NoReferenceError,
-                             StreamRatio, TalkerParseError, assemble,
-                             build_reference_index, parse_sequence,
-                             select_reference, stream_interleave, text_ids_for)
+                             ReferenceSegment, StreamRatio, TalkerParseError,
+                             assemble, build_reference_index, parse_sequence,
+                             select_reference, serialize_sequence,
+                             stream_interleave, text_ids_for)
 
 from conftest import make_dialogue, make_turn
-from seqforge.corpus import Dialogue
+from seqforge.corpus import AudioTokenSpan, Dialogue, Turn
 
 
 def corpus_with_shared_speakers(n=6, seed=7, **kw):
@@ -59,6 +63,54 @@ def test_selection_montecarlo_near_uniform():
     assert len(counts) == 4
     for did, c in counts.items():
         assert abs(c / 10_000 - 0.25) < 0.02, (did, c)
+
+
+def _list_reference_pick(speaker_id, index, current_sample_id, seed):
+    """The pick by its definition: a seeded draw over the speaker's segments
+    that do not belong to the current sample, in index order."""
+    candidates = [seg for seg in index.get(speaker_id, ())
+                  if seg.dialogue_id != current_sample_id]
+    if not candidates:
+        raise NoReferenceError(speaker_id)
+    rng = DetRng(derive_seed(seed, speaker_id, current_sample_id, "reference"))
+    return candidates[rng.below(len(candidates))]
+
+
+def test_select_reference_matches_the_list_definition():
+    rng = random.Random(11)
+    dialogues = synthetic.synth_corpus(40, 13, n_turns=5)
+    for d in dialogues:
+        for t in d.turns:
+            # spk_many speaks in every dialogue; the rest share a small pool.
+            t.speaker_id = "spk_many" if t.role == "assistant" else f"spk{rng.randrange(4)}"
+    # The same id on lines that are not adjacent: one sample spread over the index.
+    for k in (3, 17, 18, 31):
+        dialogues[k].id = "dup"
+    dialogues[22].id = "dup2"
+    dialogues[9].id = "dup2"
+    # A voice heard only in the current sample has no independent segment.
+    dialogues[25].turns[0].speaker_id = "spk_solo"
+    dialogues[25].turns[2].speaker_id = "spk_solo"
+    index = build_reference_index(dialogues)
+    speakers = sorted(index) + ["spk_missing"]
+    ids = sorted({d.id for d in dialogues}) + ["not-in-corpus"]
+    raised = 0
+    for seed in range(25):
+        for did in ids:
+            for speaker in speakers:
+                try:
+                    want = _list_reference_pick(speaker, index, did, seed)
+                except NoReferenceError:
+                    with pytest.raises(NoReferenceError):
+                        select_reference(speaker, index, did, seed)
+                    raised += 1
+                    continue
+                assert select_reference(speaker, index, did, seed) is want, \
+                    (seed, did, speaker)
+    # spk_missing raises for every sample, spk_solo only for its own.
+    assert raised == 25 * (len(ids) + 1)
+    with pytest.raises(NoReferenceError):
+        select_reference("spk_solo", index, dialogues[25].id, 4)
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +291,49 @@ def test_parse_assemble_round_trip_randomized(mode, kwargs):
         assert seq.manifest["ref_origin"][0] != d.id
         checked += 1
     assert checked == 1000
+
+
+_TEXTS = ("", "ok", "hello there", "naïve café", "早上好，明天一起", "emoji 🎵 \\ \"q\"",
+          "tab\tnew\nline")
+
+
+def _random_dialogue(rng, mode, k):
+    """A dialogue for mode with random texts, audio and user-turn layouts."""
+    def turn(role, speaker, audio=True):
+        text = rng.choice(_TEXTS)
+        ids = [rng.randrange(5000) for _ in range(rng.randrange(0, 40))] if audio else None
+        return Turn(role=role, speaker_id=speaker, text=text,
+                    audio=AudioTokenSpan(ids, 12.5, len(ids) / 12.5) if audio else None)
+    did = f"对话-{k}-ü"
+    if mode == "standard_sentence":
+        return Dialogue(id=did, turns=[turn("user", "说话人")])
+    if mode == "long_text":
+        return Dialogue(id=did, turns=[turn(("user", "assistant")[i % 2], "说话人")
+                                       for i in range(rng.randrange(1, 5))])
+    turns = []
+    for i in range(rng.randrange(2, 7)):
+        if i % 2:
+            turns.append(turn("assistant", "spk_a"))
+        else:  # user turns: with audio, or text only
+            turns.append(turn("user", "spk_ü", audio=rng.random() < 0.5))
+    return Dialogue(id=did, turns=turns)
+
+
+@pytest.mark.parametrize("mode", ["dialogue", "long_text", "standard_sentence"])
+@pytest.mark.parametrize("ratio", ["1:1", "5:15", "3:2"])
+def test_serialize_sequence_equals_json_dumps_of_the_token_form(mode, ratio):
+    rng = random.Random(f"{mode}/{ratio}")
+    for k in range(60):
+        d = _random_dialogue(rng, mode, k)
+        ref_ids = [rng.randrange(5000) for _ in range(rng.randrange(1, 30))]
+        ref = ReferenceSegment("参考-ß", rng.randrange(4), "spk_a",
+                               AudioTokenSpan(ref_ids, 12.5, len(ref_ids) / 12.5))
+        seq = assemble(d, mode, StreamRatio.parse(ratio), rng.randrange(100), ref)
+        want = json.dumps({"mode": seq.mode, "tokens": seq.tokens,
+                           "speech_loss_mask": [1 if b else 0 for b in seq.speech_loss_mask],
+                           "manifest": seq.manifest},
+                          ensure_ascii=False, separators=(",", ":"))
+        assert serialize_sequence(seq) == want, (mode, ratio, k)
 
 
 def test_parse_error_when_ref_end_missing():
