@@ -27,10 +27,6 @@ def other(text: str) -> str:
     return f"other({text})"
 
 
-def is_other(tag: str) -> bool:
-    return _OTHER_RE.match(tag) is not None
-
-
 def other_payload(tag: str) -> str | None:
     m = _OTHER_RE.match(tag)
     return m.group(1) if m else None

@@ -6,6 +6,7 @@ header line in sequence outputs, plus a .manifest.json sidecar). All
 randomness flows from --seed; worker count never changes output bytes.
 """
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -37,13 +38,21 @@ def _jobs(flag: int | None) -> int:
     return jobs
 
 
+@contextlib.contextmanager
+def _side_input(flag: str, path):
+    """Report a side-input file that is not UTF-8 or not JSON as a usage error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{flag} {path} is not valid UTF-8 (byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{flag} {path} is not valid JSON: {exc}") from None
+
+
 def _load_config(path) -> dict:
     """The --config file's JSON object; anything else is a usage error."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--config {path} is not valid JSON: {exc}") from None
+    with _side_input("--config", path), open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path} must hold a JSON object")
     return cfg
@@ -218,14 +227,19 @@ def _thinker_record(state, task):
 
 def _load_masks(path) -> dict[str, list]:
     masks: dict[str, list] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if doc.get("masked_spans"):
-                masks[doc["dialogue_id"]] = [(ti, tuple(rng)) for ti, rng in doc["masked_spans"]]
+    with _side_input("--masks", path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+        start = 0
+        for line in text.split("\n"):
+            if line.strip():
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:  # report the position in the file
+                    raise json.JSONDecodeError(exc.msg, text, start + exc.pos) from None
+                if doc.get("masked_spans"):
+                    masks[doc["dialogue_id"]] = [(ti, tuple(rng))
+                                                 for ti, rng in doc["masked_spans"]]
+            start += len(line) + 1
     return masks
 
 
@@ -259,17 +273,12 @@ def _talker_record(state, position):
     """(line, None) for a compiled dialogue, (None, reason) for a skipped one."""
     mode, ratio, seed, index, dialogues = state
     dialogue = dialogues[position]
-    assistant_turns = [t for t in dialogue.turns if t.role == "assistant"]
-    if mode == "dialogue":
-        speaker = assistant_turns[0].speaker_id if assistant_turns else dialogue.turns[0].speaker_id
-    else:
-        speaker = dialogue.turns[0].speaker_id
     try:
+        speaker = talker_mod.reference_speaker(dialogue, mode)
         ref = talker_mod.select_reference(speaker, index, dialogue.id, seed)
+        seq = talker_mod.assemble(dialogue, mode, ratio, seed, ref)
     except talker_mod.NoReferenceError as exc:
         return None, str(exc)
-    try:
-        seq = talker_mod.assemble(dialogue, mode, ratio, seed, ref)
     except talker_mod.AssembleError as exc:
         return _Failed(f"assemble error: {exc}")
     return talker_mod.serialize_sequence(seq), None
@@ -375,7 +384,7 @@ def cmd_plan(args) -> int:
             "budget_remaining": d.budget_remaining,
         }, ensure_ascii=False, indent=2))
         return 0
-    with open(args.stats, encoding="utf-8") as fh:
+    with _side_input("--stats", args.stats), open(args.stats, encoding="utf-8") as fh:
         stats_doc = json.load(fh)
     stats = stats_doc.get("budget_stats", stats_doc)
     rows = schedule.budget_check(plan, stats)
@@ -496,7 +505,8 @@ def cmd_stats(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_templates(args) -> int:
-    registry = templates_mod.load_task_registry(args.registry)
+    with _side_input("--registry", args.registry):
+        registry = templates_mod.load_task_registry(args.registry)
     if args.task not in registry:
         print(f"unknown task {args.task!r}; registry has {sorted(registry)}", file=sys.stderr)
         return 1

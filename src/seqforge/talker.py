@@ -11,12 +11,19 @@ a segment of the training sample itself. Assistant content is emitted as a
 repeating n-text/m-speech interleave so synthesis can start from partial
 text; a run-level shift token marks every stream switch.
 
+A sequence is held as runs, each (stream, ids, loss): one stream and one
+loss flag over a slice of ids. The per-token (stream, id) list and the
+speech loss mask are derived from the runs, and serialize_sequence writes
+the runs straight to text, byte-identical to json.dumps of the per-token
+form.
+
 Special-token ids are negative so they can never collide with the opaque
 non-negative speech/text id spaces. Text ids are Unicode scalar values of
 the turn text (tokenizer-free symbolic stand-in).
 """
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 from seqforge.corpus import AudioTokenSpan, Dialogue
@@ -88,9 +95,16 @@ class ReferenceSegment:
 @dataclass
 class TalkerSequence:
     mode: str
-    tokens: list[tuple[str, int]]
-    speech_loss_mask: list[bool]
+    runs: list[tuple[str, list[int], bool]]  # (stream, ids, loss on every id), none empty
     manifest: dict = field(default_factory=dict)
+
+    @cached_property
+    def tokens(self) -> list[tuple[str, int]]:
+        return [(stream, tid) for stream, ids, _ in self.runs for tid in ids]
+
+    @cached_property
+    def speech_loss_mask(self) -> list[bool]:
+        return [loss for _, ids, loss in self.runs for _ in ids]
 
 
 @dataclass
@@ -110,21 +124,44 @@ class ParsedTalker:
 # reference selection
 # --------------------------------------------------------------------------
 
-def build_reference_index(dialogues) -> dict[str, list[ReferenceSegment]]:
-    """speaker_id -> all audio segments in the corpus, in stable order."""
-    index: dict[str, list[ReferenceSegment]] = {}
+class ReferenceIndex(dict):
+    """speaker_id -> all audio segments in the corpus, in stable order.
+
+    own[(speaker_id, dialogue_id)] lists, ascending, the positions of that
+    dialogue's segments in the speaker's list.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.own: dict[tuple[str, str], list[int]] = {}
+
+
+def build_reference_index(dialogues) -> ReferenceIndex:
+    index = ReferenceIndex()
     for d in dialogues:
         for i, turn in enumerate(d.turns):
             if turn.audio is not None:
-                index.setdefault(turn.speaker_id, []).append(
-                    ReferenceSegment(d.id, i, turn.speaker_id, turn.audio)
-                )
+                segments = index.setdefault(turn.speaker_id, [])
+                index.own.setdefault((turn.speaker_id, d.id), []).append(len(segments))
+                segments.append(ReferenceSegment(d.id, i, turn.speaker_id, turn.audio))
     return index
+
+
+def reference_speaker(dialogue: Dialogue, mode: str) -> str:
+    """The voice the reference must match: in dialogue mode the first
+    assistant turn's speaker, else (and in the other modes) the first turn's."""
+    if not dialogue.turns:
+        raise AssembleError(f"dialogue {dialogue.id!r} has no turns")
+    if mode == "dialogue":
+        for turn in dialogue.turns:
+            if turn.role == "assistant":
+                return turn.speaker_id
+    return dialogue.turns[0].speaker_id
 
 
 def select_reference(
     speaker_id: str,
-    index: dict[str, list[ReferenceSegment]],
+    index: ReferenceIndex,
     current_sample_id: str,
     seed: int,
 ) -> ReferenceSegment:
@@ -132,46 +169,58 @@ def select_reference(
 
     Segments belonging to the current sample are excluded entirely; a speaker
     with no independent segment raises NoReferenceError (callers skip and log
-    the sample rather than self-referencing).
+    the sample rather than self-referencing). The draw k indexes the
+    speaker's other segments in index order; it is mapped to a position in
+    the full list by stepping past the sample's own positions.
     """
-    candidates = [seg for seg in index.get(speaker_id, ())
-                  if seg.dialogue_id != current_sample_id]
-    if not candidates:
+    segments = index.get(speaker_id, ())
+    own = index.own.get((speaker_id, current_sample_id), ())
+    if len(segments) == len(own):
         raise NoReferenceError(
             f"speaker {speaker_id!r} has no independent segment outside "
             f"sample {current_sample_id!r}"
         )
     rng = DetRng(derive_seed(seed, speaker_id, current_sample_id, "reference"))
-    return candidates[rng.below(len(candidates))]
+    k = rng.below(len(segments) - len(own))
+    for position in own:
+        if position > k:
+            break
+        k += 1
+    return segments[k]
 
 
 # --------------------------------------------------------------------------
 # stream interleaving
 # --------------------------------------------------------------------------
 
+def _interleave_runs(text_ids: list[int], speech_ids: list[int], ratio: StreamRatio):
+    """Yield (stream, ids) runs merging two id streams as repeating
+    n-text/m-speech runs; no run is empty.
+
+    When one stream is exhausted the remainder of the other is emitted
+    contiguously. Both streams keep their internal order; nothing is lost.
+    """
+    ti, si = 0, 0
+    nt, ns = len(text_ids), len(speech_ids)
+    while ti < nt or si < ns:
+        take = min(ratio.n_text, nt - ti) if si < ns else nt - ti
+        if take:
+            yield STREAM_TEXT, text_ids[ti:ti + take]
+            ti += take
+        take = min(ratio.m_speech, ns - si) if ti < nt else ns - si
+        if take:
+            yield STREAM_SPEECH, speech_ids[si:si + take]
+            si += take
+
+
 def stream_interleave(
     text_ids: list[int],
     speech_ids: list[int],
     ratio: StreamRatio,
 ) -> list[tuple[str, int]]:
-    """Merge two id streams as repeating n-text/m-speech runs.
-
-    When one stream is exhausted the remainder of the other is emitted
-    contiguously. Both streams keep their internal order; nothing is lost.
-    """
-    out: list[tuple[str, int]] = []
-    ti, si = 0, 0
-    nt, ns = len(text_ids), len(speech_ids)
-    while ti < nt or si < ns:
-        take = min(ratio.n_text, nt - ti) if si < ns else nt - ti
-        for _ in range(take):
-            out.append((STREAM_TEXT, text_ids[ti]))
-            ti += 1
-        take = min(ratio.m_speech, ns - si) if ti < nt else ns - si
-        for _ in range(take):
-            out.append((STREAM_SPEECH, speech_ids[si]))
-            si += 1
-    return out
+    """_interleave_runs flattened to (stream, id) tokens."""
+    return [(stream, tid) for stream, ids in _interleave_runs(text_ids, speech_ids, ratio)
+            for tid in ids]
 
 
 def text_ids_for(text: str) -> list[int]:
@@ -183,7 +232,7 @@ def text_ids_for(text: str) -> list[int]:
 # --------------------------------------------------------------------------
 
 def _blocks(dialogue: Dialogue, mode: str, ratio: StreamRatio) -> list[tuple[int, list, bool]]:
-    """The mode's blocks, each (role token, interleaved content, loss on speech)."""
+    """The mode's blocks, each (role token, content runs, loss on speech)."""
     role_assistant = SPECIAL_TOKENS["ROLE_ASSISTANT"]
     if mode != "dialogue":
         # One assistant block over every turn; standard_sentence has exactly one.
@@ -195,20 +244,20 @@ def _blocks(dialogue: Dialogue, mode: str, ratio: StreamRatio) -> list[tuple[int
                                     else "standard_sentence utterance has no audio")
             text_ids.extend(text_ids_for(turn.text))
             speech_ids.extend(turn.audio.token_ids)
-        return [(role_assistant, stream_interleave(text_ids, speech_ids, ratio), True)]
+        return [(role_assistant, _interleave_runs(text_ids, speech_ids, ratio), True)]
     blocks = []
     for i, turn in enumerate(dialogue.turns):
         if turn.role == "assistant":
             if turn.audio is None:
                 raise AssembleError(f"assistant turn {i} has no audio")
-            blocks.append((role_assistant, stream_interleave(
+            blocks.append((role_assistant, _interleave_runs(
                 text_ids_for(turn.text), turn.audio.token_ids, ratio), True))
         elif turn.audio is not None:
             blocks.append((SPECIAL_TOKENS["ROLE_USER"],
-                           [(STREAM_SPEECH, t) for t in turn.audio.token_ids], False))
+                           [(STREAM_SPEECH, turn.audio.token_ids)], False))
         else:
             blocks.append((SPECIAL_TOKENS["ROLE_USER"],
-                           [(STREAM_TEXT, t) for t in text_ids_for(turn.text)], False))
+                           [(STREAM_TEXT, text_ids_for(turn.text))], False))
     return blocks
 
 
@@ -240,27 +289,24 @@ def assemble(
         raise AssembleError("reference audio must come from an independent sample")
 
     specials = SPECIAL_TOKENS
-    shift_to = {STREAM_TEXT: (STREAM_SPECIAL, specials["TEXT_SHIFT"]),
-                STREAM_SPEECH: (STREAM_SPECIAL, specials["SPEECH_SHIFT"])}
-    eos = (STREAM_SPECIAL, specials["EOS"])
-    tokens: list[tuple[str, int]] = [(STREAM_SPECIAL, specials["REF_START"])]
-    tokens.extend((STREAM_SPEECH, tid) for tid in reference.span.token_ids)
-    tokens.append((STREAM_SPECIAL, specials["REF_END"]))
-    mask = [False] * len(tokens)
+    shift_to = {STREAM_TEXT: (STREAM_SPECIAL, [specials["TEXT_SHIFT"]], False),
+                STREAM_SPEECH: (STREAM_SPECIAL, [specials["SPEECH_SHIFT"]], False)}
+    eos = (STREAM_SPECIAL, [specials["EOS"]], False)
+    runs: list[tuple[str, list[int], bool]] = [(STREAM_SPECIAL, [specials["REF_START"]], False)]
+    if reference.span.token_ids:
+        runs.append((STREAM_SPEECH, reference.span.token_ids, False))
+    runs.append((STREAM_SPECIAL, [specials["REF_END"]], False))
     for role, content, loss_on_speech in _blocks(dialogue, mode, ratio):
-        tokens.append((STREAM_SPECIAL, role))
-        mask.append(False)
+        runs.append((STREAM_SPECIAL, [role], False))
         prev_stream = None
-        for item in content:
-            stream = item[0]
+        for stream, ids in content:
+            if not ids:  # a user turn with empty text
+                continue
             if stream != prev_stream and prev_stream is not None:
-                tokens.append(shift_to[stream])
-                mask.append(False)
-            tokens.append(item)
-            mask.append(loss_on_speech and stream == STREAM_SPEECH)
+                runs.append(shift_to[stream])
+            runs.append((stream, ids, loss_on_speech and stream == STREAM_SPEECH))
             prev_stream = stream
-        tokens.append(eos)
-        mask.append(False)
+        runs.append(eos)
 
     manifest = {
         "dialogue_id": dialogue.id,
@@ -269,7 +315,7 @@ def assemble(
         "seed": seed,
         "ref_origin": [reference.dialogue_id, reference.turn_index],
     }
-    return TalkerSequence(mode=mode, tokens=tokens, speech_loss_mask=mask, manifest=manifest)
+    return TalkerSequence(mode=mode, runs=runs, manifest=manifest)
 
 
 # --------------------------------------------------------------------------
@@ -351,14 +397,22 @@ def parse_sequence(tokens: list[tuple[str, int]]) -> ParsedTalker:
     return ParsedTalker(ref=ref, blocks=blocks)
 
 
-def sequence_to_dict(seq: TalkerSequence) -> dict:
-    return {
-        "mode": seq.mode,
-        "tokens": seq.tokens,  # (stream, id) tuples encode as JSON arrays
-        "speech_loss_mask": [1 if b else 0 for b in seq.speech_loss_mask],
-        "manifest": seq.manifest,
-    }
+def _dumps(value) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+# One token as JSON with its trailing comma, by stream, for %-formatting a whole run.
+_TOKEN_FORMAT = {stream: f'["{stream}",%d],' for stream in (STREAM_SPECIAL, STREAM_TEXT,
+                                                             STREAM_SPEECH)}
 
 
 def serialize_sequence(seq: TalkerSequence) -> str:
-    return json.dumps(sequence_to_dict(seq), ensure_ascii=False, separators=(",", ":"))
+    """One JSON line {mode, tokens, speech_loss_mask, manifest}, written run by run.
+
+    Byte-identical to json.dumps(..., ensure_ascii=False, separators=(",", ":"))
+    of the per-token form: tokens as [stream, id] arrays, the mask as 0/1.
+    """
+    tokens = "".join(_TOKEN_FORMAT[stream] * len(ids) % tuple(ids) for stream, ids, _ in seq.runs)
+    mask = "".join(("1," if loss else "0,") * len(ids) for _, ids, loss in seq.runs)
+    return (f'{{"mode":{_dumps(seq.mode)},"tokens":[{tokens[:-1]}],'
+            f'"speech_loss_mask":[{mask[:-1]}],"manifest":{_dumps(seq.manifest)}}}')

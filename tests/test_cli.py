@@ -89,6 +89,21 @@ def test_build_talker_runs_and_skips_singletons(tmp_path, capsys):
     assert header["config"]["ratio"] == "5:15"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_build_talker_dialogue_without_turns_exits_1(tmp_path, capsys, jobs):
+    dialogues = synthetic.synth_corpus(4, 3)
+    for d in dialogues:
+        for t in d.turns:
+            t.speaker_id = "u" if t.role == "user" else "a"
+    dialogues.insert(2, corpus_mod.Dialogue(id="empty", turns=[]))
+    path = write_corpus(tmp_path, dialogues)
+    out = tmp_path / "talker.jsonl"
+    assert run(["build-talker", "--corpus", str(path), "--seed", "3", "--mode", "dialogue",
+                "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == "assemble error: dialogue 'empty' has no turns\n"
+    assert not list(tmp_path.glob("talker.jsonl*"))
+
+
 def test_clean_mock_writes_outcomes_and_deferred(tmp_path):
     dialogues = [
         synthetic.synth_dialogue(1, 0, flag_kind="clean"),
@@ -357,25 +372,38 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
     (["FORGE_JOBS=abc", "build-talker", "--seed", "1"], None,
      "FORGE_JOBS must be a positive integer, got 'abc'"),
     (["FORGE_JOBS=0", "clean"], None, "FORGE_JOBS must be a positive integer, got '0'"),
+    (["build-thinker", "--seed", "1", "--masks", "BAD"], None,
+     "bad.json is not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 2 column 2"),
+    (["plan", "budget", "--stats", "BAD"], None,
+     "bad.json is not valid JSON: Extra data: line 2 column 1"),
+    (["templates", "expand", "--task", "t", "--registry", "BAD"], None,
+     "bad.json is not valid JSON: Extra data: line 2 column 1"),
+    (["build-thinker"], b'{"seed": "\xff"}', "c.json is not valid UTF-8 (byte 10)"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
         "config-array", "config-client", "config-int-float", "config-float-bool",
         "config-int-string", "config-float-overflow", "jobs-negative", "env-jobs-text",
-        "env-jobs-zero"])
+        "env-jobs-zero", "masks-json", "stats-json", "registry-json", "config-utf8"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
         argv = argv[1:]
-    if argv[0] != "plan":
+    if argv[0] not in ("plan", "templates"):
         path = write_corpus(tmp_path, synthetic.synth_corpus(2, 6))
         argv = argv + ["--corpus", str(path), "--out", str(tmp_path / "o.jsonl")]
+    # BAD names a side-input file whose second line is not JSON.
+    (tmp_path / "bad.json").write_text('{"dialogue_id": "x"}\n{not json', encoding="utf-8")
+    argv = [str(tmp_path / "bad.json") if arg == "BAD" else arg for arg in argv]
     if config is not None:
-        (tmp_path / "c.json").write_text(config, encoding="utf-8")
+        raw = config if isinstance(config, bytes) else config.encode("utf-8")
+        (tmp_path / "c.json").write_bytes(raw)
         argv = argv + ["--config", str(tmp_path / "c.json")]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("forge: error: ") and message in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "o.jsonl").exists()
 
