@@ -95,7 +95,7 @@ class ReferenceSegment:
 @dataclass
 class TalkerSequence:
     mode: str
-    runs: list[tuple[str, list[int], bool]]  # (stream, ids, loss on every id), none empty
+    runs: list[tuple[str, list[int], bool]]  # (stream, ids, loss on every id)
     manifest: dict = field(default_factory=dict)
 
     @cached_property
@@ -292,16 +292,14 @@ def assemble(
     shift_to = {STREAM_TEXT: (STREAM_SPECIAL, [specials["TEXT_SHIFT"]], False),
                 STREAM_SPEECH: (STREAM_SPECIAL, [specials["SPEECH_SHIFT"]], False)}
     eos = (STREAM_SPECIAL, [specials["EOS"]], False)
-    runs: list[tuple[str, list[int], bool]] = [(STREAM_SPECIAL, [specials["REF_START"]], False)]
-    if reference.span.token_ids:
-        runs.append((STREAM_SPEECH, reference.span.token_ids, False))
-    runs.append((STREAM_SPECIAL, [specials["REF_END"]], False))
+    runs: list[tuple[str, list[int], bool]] = [
+        (STREAM_SPECIAL, [specials["REF_START"]], False),
+        (STREAM_SPEECH, reference.span.token_ids, False),
+        (STREAM_SPECIAL, [specials["REF_END"]], False)]
     for role, content, loss_on_speech in _blocks(dialogue, mode, ratio):
         runs.append((STREAM_SPECIAL, [role], False))
         prev_stream = None
         for stream, ids in content:
-            if not ids:  # a user turn with empty text
-                continue
             if stream != prev_stream and prev_stream is not None:
                 runs.append(shift_to[stream])
             runs.append((stream, ids, loss_on_speech and stream == STREAM_SPEECH))
