@@ -1,4 +1,6 @@
 """Corpus model: parsing, serialization, arithmetic, validation."""
+import collections
+import copy
 import json
 import random
 
@@ -134,6 +136,225 @@ def test_parse_rejects_mistyped_caption_fields(group, field, value, reason):
     where = group if field is None else f"{group}.{field}"
     assert corpus.parse_line(1, json.dumps(doc)) == corpus.Reject(
         1, f"dialogue.turns[0].caption.{where}: {reason}")
+
+
+def _base_doc() -> dict:
+    """Two turns with audio and alignment, one flag with one span."""
+    d = make_dialogue("d")
+    d.quality_flags = [QualityFlag("logic_contradiction_correctable", [(1, (0, 2))])]
+    return corpus.dialogue_to_dict(d)
+
+
+_DELETE = object()
+
+_LANGS = "['zh', 'en', 'ja', 'ko', 'other']"
+_FLAGS = ("['logic_contradiction_correctable', 'logic_contradiction_severe', "
+          "'missing_context', 'clean']")
+_T0, _F0 = "dialogue.turns[0]", "dialogue.quality_flags[0]"
+
+# (keys to the mutated value, new value or _DELETE, exact reject reason):
+# one row per branch of the path-reporting checks, at every level.
+REJECTS = [
+    # dialogue
+    ((), [], "dialogue: expected object"),
+    (("id",), _DELETE, "dialogue: missing field 'id'"),
+    (("id",), 7, "dialogue.id: expected string, got int"),
+    (("language",), _DELETE, "dialogue: missing field 'language'"),
+    (("language",), None, "dialogue.language: expected string, got NoneType"),
+    (("language",), "klingon", f"dialogue.language: 'klingon' not one of {_LANGS}"),
+    (("source",), _DELETE, "dialogue: missing field 'source'"),
+    (("source",), "radio", "dialogue.source: 'radio' not one of ['real_life', 'synthetic', "
+                           "'podcast', 'audiobook', 'short_utterance']"),
+    (("quality_flags",), {}, "dialogue.quality_flags: expected array, got dict"),
+    (("quality_flags",), None, "dialogue.quality_flags: expected array, got NoneType"),
+    (("turns",), _DELETE, "dialogue: missing field 'turns'"),
+    (("turns",), "t", "dialogue.turns: expected array, got str"),
+    # flag
+    (("quality_flags", 0), "clean", f"{_F0}: expected object"),
+    (("quality_flags", 0, "kind"), _DELETE, f"{_F0}: missing field 'kind'"),
+    (("quality_flags", 0, "kind"), 3, f"{_F0}.kind: expected string, got int"),
+    (("quality_flags", 0, "kind"), "bogus", f"{_F0}.kind: 'bogus' not one of {_FLAGS}"),
+    (("quality_flags", 0, "spans"), None, f"{_F0}.spans: expected array, got NoneType"),
+    # flag span
+    (("quality_flags", 0, "spans", 0), 1, f"{_F0}.spans[0]: expected array, got int"),
+    (("quality_flags", 0, "spans", 0), [1], f"{_F0}.spans[0]: expected [turn_index, [start, end]]"),
+    (("quality_flags", 0, "spans", 0, 0), "1", f"{_F0}.spans[0]: turn index must be an integer"),
+    (("quality_flags", 0, "spans", 0, 0), True, f"{_F0}.spans[0]: turn index must be an integer"),
+    (("quality_flags", 0, "spans", 0, 1), "0:2", f"{_F0}.spans[0][1]: expected array, got str"),
+    (("quality_flags", 0, "spans", 0, 1), [0, 2.0], f"{_F0}.spans[0][1]: expected [int, int]"),
+    (("quality_flags", 0, "spans", 0, 1), [0], f"{_F0}.spans[0][1]: expected [int, int]"),
+    # turn
+    (("turns", 0), None, f"{_T0}: expected object"),
+    (("turns", 1, "role"), _DELETE, "dialogue.turns[1]: missing field 'role'"),
+    (("turns", 0, "role"), 0, f"{_T0}.role: expected string, got int"),
+    (("turns", 0, "role"), "system", f"{_T0}.role: 'system' not one of ['user', 'assistant']"),
+    (("turns", 0, "speaker_id"), _DELETE, f"{_T0}: missing field 'speaker_id'"),
+    (("turns", 0, "speaker_id"), 5, f"{_T0}.speaker_id: expected string, got int"),
+    (("turns", 0, "text"), _DELETE, f"{_T0}: missing field 'text'"),
+    (("turns", 0, "text"), ["hi"], f"{_T0}.text: expected string, got list"),
+    (("turns", 0, "alignment"), {}, f"{_T0}.alignment: expected array, got dict"),
+    (("turns", 0, "caption"), "calm", f"{_T0}.caption: expected object"),
+    (("turns", 1, "caption"), {"prosody": []}, "dialogue.turns[1].caption.prosody: expected object"),
+    # audio
+    (("turns", 0, "audio"), [1, 2], f"{_T0}.audio: expected object"),
+    (("turns", 0, "audio", "token_ids"), _DELETE, f"{_T0}.audio: missing field 'token_ids'"),
+    (("turns", 0, "audio", "token_ids"), "12", f"{_T0}.audio.token_ids: expected array, got str"),
+    (("turns", 0, "audio", "token_ids"), [1, "2"], f"{_T0}.audio.token_ids: expected integers"),
+    (("turns", 0, "audio", "frame_rate_hz"), _DELETE, f"{_T0}.audio: missing field 'frame_rate_hz'"),
+    (("turns", 0, "audio", "duration_s"), _DELETE, f"{_T0}.audio: missing field 'duration_s'"),
+    (("turns", 0, "audio", "frame_rate_hz"), "12.5",
+     f"{_T0}.audio: frame_rate_hz/duration_s must be numbers"),
+    (("turns", 0, "audio", "duration_s"), None,
+     f"{_T0}.audio: frame_rate_hz/duration_s must be numbers"),
+    # alignment
+    (("turns", 0, "alignment", 0), [0, 1], f"{_T0}.alignment[0]: expected object"),
+    (("turns", 0, "alignment", 0, "index"), _DELETE, f"{_T0}.alignment[0]: missing field 'index'"),
+    (("turns", 0, "alignment", 0, "index"), 0.0, f"{_T0}.alignment[0].index: expected integer"),
+    (("turns", 0, "alignment", 0, "index"), False, f"{_T0}.alignment[0].index: expected integer"),
+    (("turns", 0, "alignment", 0, "text_range"), _DELETE,
+     f"{_T0}.alignment[0]: missing field 'text_range'"),
+    (("turns", 0, "alignment", 0, "text_range"), "0-5",
+     f"{_T0}.alignment[0].text_range: expected array, got str"),
+    (("turns", 0, "alignment", 0, "text_range"), [0, 5, 6],
+     f"{_T0}.alignment[0].text_range: expected [int, int]"),
+    (("turns", 0, "alignment", 0, "audio_range"), _DELETE,
+     f"{_T0}.alignment[0]: missing field 'audio_range'"),
+    (("turns", 0, "alignment", 0, "audio_range"), [0, None],
+     f"{_T0}.alignment[0].audio_range: expected [int, int]"),
+]
+
+
+def _mutant(keys, value) -> dict:
+    doc = _base_doc()
+    if not keys:
+        return value
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("keys, value, reason", REJECTS,
+                         ids=[f"{'.'.join(map(str, k)) or 'doc'}={'del' if v is _DELETE else v!r}"
+                              for k, v, _ in REJECTS])
+def test_parse_reject_reason_is_exact(keys, value, reason):
+    doc = _mutant(keys, value)
+    assert corpus.parse_line(3, json.dumps(doc)) == corpus.Reject(3, reason)
+
+
+def test_parse_reports_the_first_error_in_document_order():
+    doc = _mutant(("turns", 1, "caption"), {"prosody": []})
+    doc["turns"][0]["text"] = 5                   # an earlier turn fails first
+    assert corpus.parse_line(1, json.dumps(doc)).reason == f"{_T0}.text: expected string, got int"
+    doc["quality_flags"][0]["kind"] = "bogus"     # flags are checked before turns
+    assert corpus.parse_line(1, json.dumps(doc)).reason.startswith(f"{_F0}.kind:")
+    doc["id"] = None                              # and the dialogue fields before flags
+    assert corpus.parse_line(1, json.dumps(doc)).reason == "dialogue.id: expected string, got NoneType"
+
+
+@pytest.mark.parametrize("keys, value", [(("turns", 0, "text"), 5),
+                                         (("turns", 1, "caption"), {"prosody": []})])
+def test_parse_reject_reason_uses_the_given_path(keys, value):
+    with pytest.raises(corpus.SchemaError) as err:
+        corpus.parse_dialogue(_mutant(keys, value), path="line7")
+    assert str(err.value).startswith("line7.turns[")
+
+
+class _Str(str):
+    pass
+
+
+def _accepted_variants():
+    """(document, expected dialogue) pairs outside the canonical serialized form."""
+    base = make_dialogue("d")
+    base.quality_flags = [QualityFlag("logic_contradiction_correctable", [(1, (0, 2))])]
+    out = []
+
+    def variant(edit, expect):
+        doc = _base_doc()
+        edit(doc)
+        d = copy.deepcopy(base)
+        expect(d)
+        out.append((doc, d))
+
+    def set_audio(key, value):
+        return lambda doc: doc["turns"][0]["audio"].__setitem__(key, value)
+
+    for key, value in (("frame_rate_hz", True), ("frame_rate_hz", 25), ("duration_s", 0),
+                       ("duration_s", False)):
+        variant(set_audio(key, value),
+                lambda d, key=key, value=value: setattr(d.turns[0].audio, key, float(value)))
+    variant(set_audio("token_ids", []), lambda d: setattr(d.turns[0].audio, "token_ids", []))
+
+    def extra_keys(doc):
+        doc["extra"] = {"nested": [1]}
+        doc["quality_flags"][0]["note"] = None
+        doc["turns"][0]["lang"] = "en"
+        doc["turns"][0]["audio"]["codec"] = "x"
+        doc["turns"][0]["alignment"][0]["conf"] = 0.9
+    variant(extra_keys, lambda d: None)
+
+    def omit_optional(doc):
+        del doc["quality_flags"]
+        del doc["turns"][0]["alignment"]
+        del doc["turns"][1]["audio"]
+        doc["turns"][0]["caption"] = None
+    variant(omit_optional, lambda d: (setattr(d, "quality_flags", []),
+                                      setattr(d.turns[0], "alignment", []),
+                                      setattr(d.turns[1], "audio", None)))
+
+    def null_audio_and_no_spans(doc):
+        doc["turns"][0]["audio"] = None
+        del doc["quality_flags"][0]["spans"]
+    variant(null_audio_and_no_spans, lambda d: (setattr(d.turns[0], "audio", None),
+                                                setattr(d.quality_flags[0], "spans", [])))
+
+    def captions(doc):
+        doc["turns"][0]["caption"] = {"prosody": {"emotion": "Happy"}, "pathology": ["Hoarse"]}
+        doc["turns"][1]["caption"] = {}
+    variant(captions, lambda d: (
+        setattr(d.turns[0], "caption", CaptionRecord(emotion="Happy", vocal_pathology=("Hoarse",))),
+        setattr(d.turns[1], "caption", CaptionRecord())))
+
+    def str_subclasses(doc):
+        doc["id"] = _Str("d")
+        doc["language"] = _Str("en")
+        doc["turns"][0]["text"] = _Str(doc["turns"][0]["text"])
+        doc["quality_flags"][0]["kind"] = _Str(doc["quality_flags"][0]["kind"])
+    variant(str_subclasses, lambda d: None)
+
+    def dict_subclasses(doc):
+        doc["turns"][1] = collections.OrderedDict(doc["turns"][1])
+        doc["turns"][0]["audio"] = collections.OrderedDict(doc["turns"][0]["audio"])
+    variant(dict_subclasses, lambda d: None)
+    return out
+
+
+def test_parse_accepts_the_documented_variants():
+    for doc, expected in _accepted_variants():
+        assert corpus.parse_dialogue(doc) == expected, doc
+        assert corpus.parse_dialogue(collections.OrderedDict(doc)) == expected
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"with_captions": True, "flag_kind": "logic_contradiction_severe"},
+    {"n_turns": 4, "segments_per_assistant": 1, "flag_kind": "missing_context",
+     "truncate_first_turn": True},
+    {"n_turns": 3, "with_audio": False, "flag_kind": "clean", "language": "zh",
+     "source": "podcast"},
+    {"n_turns": 1, "flag_kind": "logic_contradiction_correctable", "language": "other"},
+])
+def test_parse_of_a_serialized_corpus_builds_equal_objects(kwargs):
+    for d in synthetic.synth_corpus(40, 23, **kwargs):
+        parsed = corpus.parse_dialogue(json.loads(corpus.serialize_dialogue(d)))
+        assert parsed == d
+        assert type(parsed.turns[0].alignment) is list
+        if parsed.turns[0].audio is not None:
+            assert type(parsed.turns[0].audio.frame_rate_hz) is float
 
 
 def test_parse_unreadable_file_raises(tmp_path):
