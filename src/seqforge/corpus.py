@@ -5,6 +5,13 @@ strictly structural (field presence, types, enum membership); semantic
 invariants (role alternation, alignment partitions, token/duration bounds)
 are checked separately by ``validate_dialogue`` and never raise.
 
+``parse_dialogue`` first tries one pass that accepts only the common exact
+shape (exact ``dict``/``list``/``str``/``int``/``float`` types, enum values
+looked up in frozensets) and builds no path strings. Any other document,
+the malformed ones included, goes to the checked parse, which reports the
+first offending field by its path; reject texts therefore come from one
+place, and both parses build equal objects where both accept.
+
 Serialization is canonical: fixed key order, compact separators, sorted
 multi-tag sets. ``parse -> serialize -> parse`` is the identity on valid
 corpora and serialization is byte-stable.
@@ -228,8 +235,118 @@ def _parse_turn(doc, path: str) -> Turn:
                 alignment=alignment, caption=caption)
 
 
+_LANGUAGE_SET = frozenset(LANGUAGES)
+_SOURCE_SET = frozenset(SOURCES)
+_ROLE_SET = frozenset(ROLES)
+_FLAG_KIND_SET = frozenset(FLAG_KINDS)
+_INT = {int}
+
+
+def _parse_exact(doc, path: str) -> Dialogue | None:
+    """The parse of a document of the common exact shape, else None.
+
+    Every container is an exact dict or list, every string an exact str and
+    every number an exact int or float, and no check builds a path string.
+    It accepts a subset of what the checked parse accepts and builds equal
+    objects; a caption goes through the checked caption parse.
+    """
+    if type(doc) is not dict:
+        return None
+    did = doc.get("id")
+    language = doc.get("language")
+    source = doc.get("source")
+    if (type(did) is not str or type(language) is not str or language not in _LANGUAGE_SET
+            or type(source) is not str or source not in _SOURCE_SET):
+        return None
+    raw_flags = doc.get("quality_flags", [])
+    if type(raw_flags) is not list:
+        return None
+    flags = []
+    for raw in raw_flags:
+        if type(raw) is not dict:
+            return None
+        kind = raw.get("kind")
+        raw_spans = raw.get("spans", [])
+        if type(kind) is not str or kind not in _FLAG_KIND_SET or type(raw_spans) is not list:
+            return None
+        spans = []
+        for item in raw_spans:
+            if type(item) is not list or len(item) != 2 or type(item[0]) is not int:
+                return None
+            rng = item[1]
+            if type(rng) is not list or len(rng) != 2:
+                return None
+            start, end = rng
+            if type(start) is not int or type(end) is not int:
+                return None
+            spans.append((item[0], (start, end)))
+        flags.append(QualityFlag(kind, spans))
+    raw_turns = doc.get("turns")
+    if type(raw_turns) is not list:
+        return None
+    turns = []
+    for k, raw in enumerate(raw_turns):
+        if type(raw) is not dict:
+            return None
+        role = raw.get("role")
+        speaker = raw.get("speaker_id")
+        text = raw.get("text")
+        if (type(role) is not str or role not in _ROLE_SET or type(speaker) is not str
+                or type(text) is not str):
+            return None
+        audio = raw.get("audio")
+        if audio is not None:
+            if type(audio) is not dict:
+                return None
+            ids = audio.get("token_ids")
+            rate = audio.get("frame_rate_hz")
+            dur = audio.get("duration_s")
+            if (type(ids) is not list or not set(map(type, ids)) <= _INT
+                    or (type(rate) is not float and type(rate) is not int)
+                    or (type(dur) is not float and type(dur) is not int)):
+                return None
+            audio = AudioTokenSpan(list(ids), float(rate), float(dur))
+        raw_alignment = raw.get("alignment", [])
+        if type(raw_alignment) is not list:
+            return None
+        alignment = []
+        for item in raw_alignment:
+            if type(item) is not dict:
+                return None
+            index = item.get("index")
+            text_range = item.get("text_range")
+            audio_range = item.get("audio_range")
+            if (type(index) is not int or type(text_range) is not list or len(text_range) != 2
+                    or type(audio_range) is not list or len(audio_range) != 2):
+                return None
+            ts, te = text_range
+            aus, aue = audio_range
+            if (type(ts) is not int or type(te) is not int or type(aus) is not int
+                    or type(aue) is not int):
+                return None
+            alignment.append(AlignmentSpan((ts, te), (aus, aue), index))
+        caption = raw.get("caption")
+        if caption is not None:
+            if type(caption) is not dict:
+                return None
+            # Everything before this caption passed, so its error is the first one.
+            caption = CaptionRecord.from_json_dict(caption, f"{path}.turns[{k}].caption")
+        turns.append(Turn(role, speaker, text, audio, alignment, caption))
+    return Dialogue(did, turns, language, source, flags)
+
+
 def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
-    """Structural parse of one dialogue object. Raises SchemaError."""
+    """Structural parse of one dialogue object. Raises SchemaError.
+
+    The exact-shape parse handles the common document; anything else goes
+    through the checked parse, which names the first offending field.
+    """
+    dialogue = _parse_exact(doc, path)
+    return dialogue if dialogue is not None else _parse_checked(doc, path)
+
+
+def _parse_checked(doc, path: str) -> Dialogue:
+    """Path-reporting structural parse: the reference the exact parse agrees with."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected object")
     did = _expect_str(_require(doc, "id", path), f"{path}.id")
