@@ -12,12 +12,9 @@ External clients are synchronous request/response with bounded retries;
 a failed call defers the whole dialogue with zero mutations. Deterministic
 mock clients ship with the toolkit so the full pipeline runs offline.
 """
-import copy
 import hashlib
 import json
-import urllib.error
-import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from seqforge import corpus as corpus_mod
@@ -96,6 +93,9 @@ class MockSynth:
 
 
 def _post_json(url: str, payload: dict, timeout: float) -> dict:
+    import urllib.error  # only the HTTP clients need it; the mock path starts faster without
+    import urllib.request
+
     body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
     req = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
     try:
@@ -251,15 +251,14 @@ def apply_logic_correction(
         return CleaningOutcome(branch="logic_correction", dialogue=dialogue,
                                provenance=provenance, status="deferred", detail=str(exc))
 
-    out = copy.deepcopy(dialogue)
+    # Unchanged turns and flags are shared with the input, which is never mutated.
+    turns = list(dialogue.turns)
     for i, (corrected, audio) in replacements.items():
-        turn = out.turns[i]
-        turn.text = corrected
-        turn.audio = audio
-        turn.alignment = [AlignmentSpan(text_range=(0, len(corrected)),
-                                        audio_range=(0, audio.n_tokens), index=0)]
-    out.quality_flags = [f for f in out.quality_flags
-                         if f.kind != "logic_contradiction_correctable"]
+        turns[i] = replace(turns[i], text=corrected, audio=audio, alignment=[
+            AlignmentSpan(text_range=(0, len(corrected)), audio_range=(0, audio.n_tokens),
+                          index=0)])
+    out = replace(dialogue, turns=turns, quality_flags=[
+        f for f in dialogue.quality_flags if f.kind != "logic_contradiction_correctable"])
     return CleaningOutcome(branch="logic_correction", dialogue=out, provenance=provenance)
 
 
@@ -298,30 +297,28 @@ def apply_context_completion(
             provenance, "backfill", None,
             lambda: corrector.backfill(dialogue),
             {"dialogue": dialogue.id}, retries)
-        new_turns = [copy.deepcopy(t) for t in backfilled]
-        for i, t in enumerate(new_turns):
+        new_turns = []
+        for i, t in enumerate(backfilled):
             if t.audio is None:
-                t.audio = _call_with_retry(
+                t = replace(t, audio=_call_with_retry(
                     provenance, "synthesize", i,
                     lambda t=t: synth.synthesize(t.text, t.speaker_id),
-                    {"text": t.text, "speaker_id": t.speaker_id}, retries)
+                    {"text": t.text, "speaker_id": t.speaker_id}, retries))
+            new_turns.append(t)
     except ClientError as exc:
         return CleaningOutcome(branch="context_completion", dialogue=dialogue,
                                provenance=provenance, status="deferred", detail=str(exc))
 
-    if not new_turns:
-        out = copy.deepcopy(dialogue)
-        out.quality_flags = [f for f in out.quality_flags if f.kind != "missing_context"]
+    flags = [f for f in dialogue.quality_flags if f.kind != "missing_context"]
+    offset = len(new_turns)
+    if offset:
+        # Flag spans address turns by index; shift them past the prepended turns.
+        flags = [replace(f, spans=[(ti + offset, rng) for ti, rng in f.spans]) for f in flags]
+    # The input's turns are shared, never mutated.
+    out = replace(dialogue, turns=new_turns + dialogue.turns, quality_flags=flags)
+    if not offset:
         return CleaningOutcome(branch="context_completion", dialogue=out,
                                provenance=provenance)
-
-    out = copy.deepcopy(dialogue)
-    out.turns = new_turns + out.turns
-    out.quality_flags = [f for f in out.quality_flags if f.kind != "missing_context"]
-    # Flag spans address turns by index; shift them past the prepended turns.
-    offset = len(new_turns)
-    for flag in out.quality_flags:
-        flag.spans = [(ti + offset, rng) for ti, rng in flag.spans]
 
     report = ValidationReport()
     for i, turn in enumerate(out.turns):

@@ -122,6 +122,42 @@ def test_provenance_attributes_every_mutation():
     assert mutated == logged
 
 
+@pytest.mark.parametrize("spans", [None, []], ids=["flagged-turn", "every-assistant-turn"])
+def test_logic_correction_replaces_turns_and_never_mutates_its_input(spans):
+    d = flagged("logic_contradiction_correctable", spans=spans, n_turns=4)
+    d.quality_flags.append(QualityFlag(kind="clean"))
+    before = serialize_dialogue(d)
+    turns, flags = list(d.turns), list(d.quality_flags)
+    out = apply_logic_correction(d, MockCorrector(suffix=" (fixed)"), MockSynth()).dialogue
+    assert serialize_dialogue(d) == before
+    assert d.turns == turns and d.quality_flags == flags
+    replaced = {i for i, t in enumerate(out.turns) if t.text.endswith(" (fixed)")}
+    assert replaced == ({1} if spans is None else {1, 3})
+    for i, (old, new) in enumerate(zip(d.turns, out.turns)):
+        assert (new is not old) == (i in replaced)
+    assert out.turns is not d.turns
+    assert out.quality_flags is not d.quality_flags
+    assert [f.kind for f in out.quality_flags] == ["clean"]
+
+
+def test_context_completion_never_mutates_its_input():
+    d = flagged("missing_context", spans=[], n_turns=4, truncate_first_turn=True)
+    d.quality_flags.append(QualityFlag(kind="logic_contradiction_severe", spans=[(0, (0, 1))]))
+    before = serialize_dialogue(d)
+    out = apply_context_completion(d, MockCorrector(), MockSynth()).dialogue
+    assert serialize_dialogue(d) == before
+    assert out.turns[1:] == d.turns and out.turns is not d.turns
+    assert out.quality_flags is not d.quality_flags
+    assert [f.spans for f in out.quality_flags] == [[(1, (0, 1))]]
+    assert d.quality_flags[1].spans == [(0, (0, 1))]
+    # Without a backfill only the flag list changes.
+    d = flagged("missing_context", spans=[])
+    before = serialize_dialogue(d)
+    out = apply_context_completion(d, MockCorrector(), MockSynth()).dialogue
+    assert serialize_dialogue(d) == before
+    assert out.quality_flags == [] and out.quality_flags is not d.quality_flags
+
+
 # --------------------------------------------------------------------------
 # masking
 # --------------------------------------------------------------------------
