@@ -8,15 +8,15 @@ randomness flows from --seed; worker count never changes output bytes.
 import argparse
 import contextlib
 import json
-import multiprocessing
 import os
 import sys
 
-from seqforge import __version__, cleaning, corpus, metrics, schedule
-from seqforge import talker as talker_mod
-from seqforge import templates as templates_mod
-from seqforge import thinker as thinker_mod
+from seqforge import __version__, corpus
 from seqforge.manifest import RunManifest, file_digest
+from seqforge.reporting import SchemaError
+
+# Each command imports the modules only it needs, so every command starts
+# without loading the others (numpy for loss-check, urllib for HTTP clients).
 
 
 class UsageError(Exception):
@@ -40,13 +40,16 @@ def _jobs(flag: int | None) -> int:
 
 @contextlib.contextmanager
 def _side_input(flag: str, path):
-    """Report a side-input file that is not UTF-8 or not JSON as a usage error naming it."""
+    """Report a side-input file that is not UTF-8, not JSON or of the wrong
+    shape (a SchemaError) as a usage error naming it."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise UsageError(f"{flag} {path} is not valid UTF-8 (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag} {path} is not valid JSON: {exc}") from None
+    except SchemaError as exc:
+        raise UsageError(f"{flag} {path}: {exc}") from None
 
 
 def _load_config(path) -> dict:
@@ -169,6 +172,8 @@ def _compile(fn, state, tasks, jobs: int) -> list | None:
     if jobs <= 1 or len(tasks) <= 1:
         rows = [fn(state, task) for task in tasks]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(fn, state)) as pool:
             rows = pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
     failed = next((row for row in rows if isinstance(row, _Failed)), None)
@@ -212,6 +217,8 @@ def _manifest(args, config: dict, counts: dict) -> RunManifest:
 # --------------------------------------------------------------------------
 
 def _thinker_record(state, task):
+    from seqforge import thinker as thinker_mod
+
     policy, seed, masks = state
     dialogue = corpus.parse_line(*task)
     if isinstance(dialogue, corpus.Reject):
@@ -225,25 +232,40 @@ def _thinker_record(state, task):
     return thinker_mod.serialize_sequence(seq), len(seq.elements), n_targets
 
 
+def _is_mask_span(span) -> bool:
+    """Whether span is [turn_index, [start, end]] with integers throughout."""
+    return (type(span) is list and len(span) == 2 and type(span[0]) is int
+            and type(span[1]) is list and len(span[1]) == 2 and set(map(type, span[1])) <= {int})
+
+
 def _load_masks(path) -> dict[str, list]:
+    """dialogue id -> masked spans, from the outcome lines of `forge clean`."""
     masks: dict[str, list] = {}
     with _side_input("--masks", path), open(path, encoding="utf-8") as fh:
         text = fh.read()
         start = 0
-        for line in text.split("\n"):
+        for line_no, line in enumerate(text.split("\n"), 1):
             if line.strip():
                 try:
                     doc = json.loads(line)
                 except json.JSONDecodeError as exc:  # report the position in the file
                     raise json.JSONDecodeError(exc.msg, text, start + exc.pos) from None
-                if doc.get("masked_spans"):
-                    masks[doc["dialogue_id"]] = [(ti, tuple(rng))
-                                                 for ti, rng in doc["masked_spans"]]
+                if type(doc) is not dict:
+                    raise SchemaError(f"line {line_no}: expected a cleaning outcome object")
+                spans = doc.get("masked_spans")
+                if spans:
+                    if (type(doc.get("dialogue_id")) is not str or type(spans) is not list
+                            or not all(map(_is_mask_span, spans))):
+                        raise SchemaError(f"line {line_no}: expected a string dialogue_id and "
+                                          f"masked_spans [[turn, [start, end]], ...]")
+                    masks[doc["dialogue_id"]] = [(ti, tuple(rng)) for ti, rng in spans]
             start += len(line) + 1
     return masks
 
 
 def cmd_build_thinker(args) -> int:
+    from seqforge import thinker as thinker_mod
+
     _apply_config_defaults(args, {"seed": int},
                            {"p_user": (float, 0.5), "p_assistant": (float, 0.5)})
     try:
@@ -271,6 +293,8 @@ def cmd_build_thinker(args) -> int:
 
 def _talker_record(state, position):
     """(line, None) for a compiled dialogue, (None, reason) for a skipped one."""
+    from seqforge import talker as talker_mod
+
     mode, ratio, seed, index, dialogues = state
     dialogue = dialogues[position]
     try:
@@ -285,6 +309,8 @@ def _talker_record(state, position):
 
 
 def cmd_build_talker(args) -> int:
+    from seqforge import talker as talker_mod
+
     _apply_config_defaults(args, {"seed": int},
                            {"mode": (str, "dialogue"), "ratio": (str, "5:15")})
     if args.mode not in talker_mod.MODES:
@@ -319,6 +345,8 @@ def cmd_build_talker(args) -> int:
 # --------------------------------------------------------------------------
 
 def _make_clients(args, cfg: dict):
+    from seqforge import cleaning
+
     if args.client == "mock":
         return cleaning.MockCorrector(), cleaning.MockSynth()
     if args.client != "http":
@@ -332,6 +360,8 @@ def _make_clients(args, cfg: dict):
 
 
 def _clean_record(state, task):
+    from seqforge import cleaning
+
     corrector, synth, seed, retries = state
     dialogue = corpus.parse_line(*task)
     if isinstance(dialogue, corpus.Reject):
@@ -344,6 +374,8 @@ def _clean_record(state, task):
 
 
 def cmd_clean(args) -> int:
+    from seqforge import cleaning
+
     cfg = _apply_config_defaults(args, {}, {"client": (str, "mock"), "seed": (int, 0),
                                             "retries": (int, cleaning.DEFAULT_RETRIES)})
     if args.retries < 1:
@@ -369,6 +401,8 @@ def cmd_clean(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_plan(args) -> int:
+    from seqforge import schedule
+
     plan = schedule.build_default_plan()
     if args.plan_cmd == "show":
         print(schedule.plan_to_json(plan))
@@ -385,11 +419,31 @@ def cmd_plan(args) -> int:
         }, ensure_ascii=False, indent=2))
         return 0
     with _side_input("--stats", args.stats), open(args.stats, encoding="utf-8") as fh:
-        stats_doc = json.load(fh)
-    stats = stats_doc.get("budget_stats", stats_doc)
+        stats = _budget_stats(json.load(fh), plan)
     rows = schedule.budget_check(plan, stats)
     print(json.dumps([row.__dict__ for row in rows], ensure_ascii=False, indent=2))
     return 0 if all(r.status in ("pass", "missing", "unit_mismatch") for r in rows) else 1
+
+
+def _budget_stats(doc, plan) -> dict:
+    """The budget stats of a `forge stats` report (or the bare stats object).
+
+    Each entry that the plan budgets must be {"amount": number >= 0, "unit": one of
+    BUDGET_UNITS}; another shape raises SchemaError.
+    """
+    from seqforge import schedule
+
+    stats = doc.get("budget_stats", doc) if type(doc) is dict else doc
+    if type(stats) is not dict:
+        raise SchemaError("expected a JSON object of budget stats")
+    for data_class in sorted({c for stage in plan for c in stage.token_budget}):
+        entry = stats.get(data_class)
+        if entry is not None and not (
+                type(entry) is dict and type(entry.get("amount")) in (int, float)
+                and entry["amount"] >= 0 and entry.get("unit") in schedule.BUDGET_UNITS):
+            raise SchemaError(f"{data_class}: expected {{\"amount\": number >= 0, "
+                              f"\"unit\": one of {list(schedule.BUDGET_UNITS)}}}")
+    return stats
 
 
 # --------------------------------------------------------------------------
@@ -436,6 +490,8 @@ def _read_lines(path) -> list[str]:
 
 
 def cmd_eval(args) -> int:
+    from seqforge import metrics
+
     if args.eval_cmd in ("cer", "wer"):
         refs = _read_lines(args.ref)
         hyps = _read_lines(args.hyp)
@@ -505,6 +561,8 @@ def cmd_stats(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_templates(args) -> int:
+    from seqforge import templates as templates_mod
+
     with _side_input("--registry", args.registry):
         registry = templates_mod.load_task_registry(args.registry)
     if args.task not in registry:
@@ -544,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-talker", help="assemble speech-generator sequences")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=talker_mod.MODES)
+    p.add_argument("--mode", help="dialogue, long_text or standard_sentence")
     p.add_argument("--ratio")
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON file with flag defaults (flags win)")

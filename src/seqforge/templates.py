@@ -9,6 +9,7 @@ is stable.
 import json
 from dataclasses import dataclass, field
 
+from seqforge.reporting import SchemaError
 from seqforge.seeding import DetRng, derive_seed
 
 # Fixed instruction for the only-yes adherence probe; must stay bit-exact.
@@ -141,17 +142,36 @@ def build_only_yes_set(audio_ids: list[str]) -> list[tuple[str, str]]:
     return [(aid, ONLY_YES_INSTRUCTION) for aid in audio_ids]
 
 
+def _is_str_list(value) -> bool:
+    return type(value) is list and set(map(type, value)) <= {str}
+
+
 def load_task_registry(path) -> dict[str, TaskSpec]:
-    """Task registry file: JSON map task_id -> {languages, slots}."""
+    """Task registry file: JSON map task_id -> {languages, slots}.
+
+    A file of another shape raises SchemaError naming the offending task.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if type(doc) is not dict:
+        raise SchemaError("expected a JSON object of tasks")
     registry: dict[str, TaskSpec] = {}
     for task_id, body in doc.items():
-        slots = [Slot(alternatives=list(s["alternatives"]), optional=bool(s.get("optional", False)))
-                 for s in body["slots"]]
-        registry[task_id] = TaskSpec(
-            task_id=task_id,
-            languages=tuple(body.get("languages", ("en",))),
-            slot_grammar=slots,
-        )
+        if (type(body) is not dict or type(body.get("slots")) is not list
+                or not _is_str_list(body.get("languages", []))
+                or not all(type(s) is dict and _is_str_list(s.get("alternatives"))
+                           for s in body["slots"])):
+            raise SchemaError(f"task {task_id!r}: expected {{\"languages\": [string], "
+                              f"\"slots\": [{{\"alternatives\": [string], "
+                              f"\"optional\": bool}}]}}")
+        try:
+            registry[task_id] = TaskSpec(
+                task_id=task_id,
+                languages=tuple(body.get("languages", ("en",))),
+                slot_grammar=[Slot(alternatives=list(s["alternatives"]),
+                                   optional=bool(s.get("optional", False)))
+                              for s in body["slots"]],
+            )
+        except ValueError as exc:  # an empty slot or grammar
+            raise SchemaError(f"task {task_id!r}: {exc}") from None
     return registry

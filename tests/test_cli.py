@@ -380,10 +380,25 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
     (["templates", "expand", "--task", "t", "--registry", "BAD"], None,
      "bad.json is not valid JSON: Extra data: line 2 column 1"),
     (["build-thinker"], b'{"seed": "\xff"}', "c.json is not valid UTF-8 (byte 10)"),
+    (["build-thinker", "--seed", "1", "--masks", '@{"dialogue_id": "x"}\n[]'], None,
+     "side.json: line 2: expected a cleaning outcome object"),
+    (["build-thinker", "--seed", "1", "--masks", '@{"dialogue_id": 1, "masked_spans": [[0]]}'],
+     None, "side.json: line 1: expected a string dialogue_id and masked_spans"),
+    (["plan", "budget", "--stats", "@[]"], None,
+     "side.json: expected a JSON object of budget stats"),
+    (["plan", "budget", "--stats", '@{"budget_stats": {"speech": {"amount": 1}}}'], None,
+     "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of"),
+    (["templates", "expand", "--task", "t", "--registry", '@{"t": {}}'], None,
+     "side.json: task 't': expected {\"languages\": [string], \"slots\""),
+    (["templates", "expand", "--task", "t", "--registry", '@{"t": {"slots": []}}'], None,
+     "side.json: task 't': task needs at least one slot"),
+    (["build-talker", "--seed", "1", "--mode", "bogus"], None, "unknown mode 'bogus'"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
         "config-array", "config-client", "config-int-float", "config-float-bool",
         "config-int-string", "config-float-overflow", "jobs-negative", "env-jobs-text",
-        "env-jobs-zero", "masks-json", "stats-json", "registry-json", "config-utf8"])
+        "env-jobs-zero", "masks-json", "stats-json", "registry-json", "config-utf8",
+        "masks-line-array", "masks-spans-shape", "stats-array", "stats-entry-shape",
+        "registry-no-slots", "registry-empty-slots", "mode-unknown"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
@@ -393,9 +408,14 @@ def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypa
     if argv[0] not in ("plan", "templates"):
         path = write_corpus(tmp_path, synthetic.synth_corpus(2, 6))
         argv = argv + ["--corpus", str(path), "--out", str(tmp_path / "o.jsonl")]
-    # BAD names a side-input file whose second line is not JSON.
+    # BAD names a side-input file whose second line is not JSON; @TEXT names
+    # a side-input file holding TEXT.
     (tmp_path / "bad.json").write_text('{"dialogue_id": "x"}\n{not json', encoding="utf-8")
     argv = [str(tmp_path / "bad.json") if arg == "BAD" else arg for arg in argv]
+    for k, arg in enumerate(argv):
+        if arg.startswith("@"):
+            (tmp_path / "side.json").write_text(arg[1:], encoding="utf-8")
+            argv[k] = str(tmp_path / "side.json")
     if config is not None:
         raw = config if isinstance(config, bytes) else config.encode("utf-8")
         (tmp_path / "c.json").write_bytes(raw)
@@ -409,9 +429,15 @@ def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypa
 
 
 def test_importing_the_cli_does_not_load_numpy():
-    # A fresh interpreter: this one has numpy loaded by other test modules.
+    # A fresh interpreter: this one has these loaded by other test modules.
+    # Each command imports what only it needs.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, seqforge.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = "import sys, seqforge.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert "seqforge.cli" in loaded
+    assert loaded.isdisjoint({"numpy", "urllib.request", "multiprocessing", "seqforge.cleaning",
+                              "seqforge.thinker", "seqforge.talker", "seqforge.metrics",
+                              "seqforge.schedule", "seqforge.templates"})
