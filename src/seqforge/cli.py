@@ -15,8 +15,8 @@ from seqforge import __version__, corpus
 from seqforge.manifest import RunManifest, file_digest
 from seqforge.reporting import SchemaError
 
-# Each command imports the modules only it needs, so every command starts
-# without loading the others (numpy for loss-check, urllib for HTTP clients).
+# Each command imports the modules only it needs, so no command pays for
+# loading the others' (numpy for loss-check, multiprocessing for --jobs > 1).
 
 
 class UsageError(Exception):
@@ -419,31 +419,14 @@ def cmd_plan(args) -> int:
         }, ensure_ascii=False, indent=2))
         return 0
     with _side_input("--stats", args.stats), open(args.stats, encoding="utf-8") as fh:
-        stats = _budget_stats(json.load(fh), plan)
-    rows = schedule.budget_check(plan, stats)
+        doc = json.load(fh)
+        # a `forge stats` report, or its budget_stats object alone
+        stats = doc.get("budget_stats", doc) if type(doc) is dict else doc
+        if type(stats) is not dict:
+            raise SchemaError("expected a JSON object of budget stats")
+        rows = schedule.budget_check(plan, stats)
     print(json.dumps([row.__dict__ for row in rows], ensure_ascii=False, indent=2))
     return 0 if all(r.status in ("pass", "missing", "unit_mismatch") for r in rows) else 1
-
-
-def _budget_stats(doc, plan) -> dict:
-    """The budget stats of a `forge stats` report (or the bare stats object).
-
-    Each entry that the plan budgets must be {"amount": number >= 0, "unit": one of
-    BUDGET_UNITS}; another shape raises SchemaError.
-    """
-    from seqforge import schedule
-
-    stats = doc.get("budget_stats", doc) if type(doc) is dict else doc
-    if type(stats) is not dict:
-        raise SchemaError("expected a JSON object of budget stats")
-    for data_class in sorted({c for stage in plan for c in stage.token_budget}):
-        entry = stats.get(data_class)
-        if entry is not None and not (
-                type(entry) is dict and type(entry.get("amount")) in (int, float)
-                and entry["amount"] >= 0 and entry.get("unit") in schedule.BUDGET_UNITS):
-            raise SchemaError(f"{data_class}: expected {{\"amount\": number >= 0, "
-                              f"\"unit\": one of {list(schedule.BUDGET_UNITS)}}}")
-    return stats
 
 
 # --------------------------------------------------------------------------

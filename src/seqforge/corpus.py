@@ -239,7 +239,6 @@ _LANGUAGE_SET = frozenset(LANGUAGES)
 _SOURCE_SET = frozenset(SOURCES)
 _ROLE_SET = frozenset(ROLES)
 _FLAG_KIND_SET = frozenset(FLAG_KINDS)
-_INT = {int}
 
 
 def _parse_exact(doc, path: str) -> Dialogue | None:
@@ -301,7 +300,7 @@ def _parse_exact(doc, path: str) -> Dialogue | None:
             ids = audio.get("token_ids")
             rate = audio.get("frame_rate_hz")
             dur = audio.get("duration_s")
-            if (type(ids) is not list or not set(map(type, ids)) <= _INT
+            if (type(ids) is not list or not set(map(type, ids)) <= {int}
                     or (type(rate) is not float and type(rate) is not int)
                     or (type(dur) is not float and type(dur) is not int)):
                 return None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from seqforge.corpus import tokens_for_hours
+from seqforge.reporting import SchemaError
 
 PARAM_GROUPS = ("audio_encoder", "audio_adapter", "thinker", "talker")
 
@@ -221,9 +222,10 @@ def budget_check(plan: list[StageSpec], stats: dict[str, dict],
                  tolerance: float = BUDGET_TOLERANCE) -> list[BudgetRow]:
     """Compare declared budgets against corpus statistics.
 
-    stats maps data-class -> {"amount": x, "unit": "hours"|"tokens"}.
-    Hours convert at rate_hz; a class absent from stats yields a "missing"
-    row rather than failing the whole check.
+    stats maps data-class -> {"amount": x >= 0, "unit": one of BUDGET_UNITS};
+    an entry of another shape raises SchemaError. Hours convert at rate_hz;
+    a class absent from stats yields a "missing" row rather than failing
+    the whole check.
     """
     rows: list[BudgetRow] = []
     for stage in plan:
@@ -233,6 +235,10 @@ def budget_check(plan: list[StageSpec], stats: dict[str, dict],
             if entry is None:
                 rows.append(BudgetRow(stage.stage_id, cls, declared_tokens, None, None, "missing"))
                 continue
+            if not (type(entry) is dict and type(entry.get("amount")) in (int, float)
+                    and entry["amount"] >= 0 and entry.get("unit") in BUDGET_UNITS):
+                raise SchemaError(f"{cls}: expected {{\"amount\": number >= 0, "
+                                  f"\"unit\": one of {list(BUDGET_UNITS)}}}")
             derived = _as_tokens(Budget(float(entry["amount"]), entry["unit"]), rate_hz)
             if declared_tokens is None or derived is None:
                 rows.append(BudgetRow(stage.stage_id, cls, declared_tokens, derived,

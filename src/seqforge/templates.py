@@ -160,7 +160,7 @@ def load_task_registry(path) -> dict[str, TaskSpec]:
         if (type(body) is not dict or type(body.get("slots")) is not list
                 or not _is_str_list(body.get("languages", []))
                 or not all(type(s) is dict and _is_str_list(s.get("alternatives"))
-                           for s in body["slots"])):
+                           and type(s.get("optional", False)) is bool for s in body["slots"])):
             raise SchemaError(f"task {task_id!r}: expected {{\"languages\": [string], "
                               f"\"slots\": [{{\"alternatives\": [string], "
                               f"\"optional\": bool}}]}}")
@@ -169,7 +169,7 @@ def load_task_registry(path) -> dict[str, TaskSpec]:
                 task_id=task_id,
                 languages=tuple(body.get("languages", ("en",))),
                 slot_grammar=[Slot(alternatives=list(s["alternatives"]),
-                                   optional=bool(s.get("optional", False)))
+                                   optional=s.get("optional", False))
                               for s in body["slots"]],
             )
         except ValueError as exc:  # an empty slot or grammar

@@ -390,6 +390,9 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
      "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of"),
     (["templates", "expand", "--task", "t", "--registry", '@{"t": {}}'], None,
      "side.json: task 't': expected {\"languages\": [string], \"slots\""),
+    (["templates", "expand", "--task", "t", "--registry",
+      '@{"t": {"slots": [{"alternatives": ["a"], "optional": "no"}]}}'], None,
+     "side.json: task 't': expected {\"languages\": [string], \"slots\""),
     (["templates", "expand", "--task", "t", "--registry", '@{"t": {"slots": []}}'], None,
      "side.json: task 't': task needs at least one slot"),
     (["build-talker", "--seed", "1", "--mode", "bogus"], None, "unknown mode 'bogus'"),
@@ -398,7 +401,8 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
         "config-int-string", "config-float-overflow", "jobs-negative", "env-jobs-text",
         "env-jobs-zero", "masks-json", "stats-json", "registry-json", "config-utf8",
         "masks-line-array", "masks-spans-shape", "stats-array", "stats-entry-shape",
-        "registry-no-slots", "registry-empty-slots", "mode-unknown"])
+        "registry-no-slots", "registry-optional-string", "registry-empty-slots",
+        "mode-unknown"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
