@@ -191,6 +191,29 @@ def test_eval_cer_and_only_yes(tmp_path, capsys):
     assert doc["passes"] == 3 and doc["accuracy"] == pytest.approx(0.75)
 
 
+EVAL_REF = "Hello, world!\nthe cat sat\n\n今天天气很好。\n?!\n"
+EVAL_HYP = "hello word\nthe cat sat on\nextra\n今天天汽好\n\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["eval", "cer"], {"metric": "cer", "utterances": 5, "errors": 11,
+                       "reference_length": 28, "rate": 0.39285714285714285}),
+    (["eval", "wer"], {"metric": "wer", "utterances": 5, "errors": 4,
+                       "reference_length": 6, "rate": 0.6666666666666666}),
+    (["eval", "wer", "--lang", "zh"], {"metric": "wer", "utterances": 5, "errors": 10,
+                                       "reference_length": 25, "rate": 0.4}),
+    (["eval", "cer", "--raw"], {"metric": "cer", "utterances": 5, "errors": 17,
+                                "reference_length": 33, "rate": 0.5151515151515151}),
+])
+def test_eval_error_rate_stdout_is_pinned(tmp_path, capsys, argv, expected):
+    ref = tmp_path / "ref.txt"
+    hyp = tmp_path / "hyp.txt"
+    ref.write_text(EVAL_REF, encoding="utf-8")
+    hyp.write_text(EVAL_HYP, encoding="utf-8")
+    assert run(argv + ["--ref", str(ref), "--hyp", str(hyp)]) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_templates_expand_cli(tmp_path, capsys):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({

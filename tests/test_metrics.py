@@ -152,6 +152,35 @@ def test_corpus_rate_pools_rather_than_averages():
     assert pooled.rate != pytest.approx(mean_of_rates)
 
 
+def _error_rate_lines(rng, alphabet):
+    """Seeded reference/hypothesis lines with the edge cases corpus scoring must keep."""
+    fixed = [("", ""), ("", alphabet[:3]), (alphabet[:4], ""), ("?!", "..."),
+             ("—", alphabet[:2]), (alphabet[:3], "?")]
+    for _ in range(60):
+        ref = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
+        hyp = "".join(rng.choice(alphabet) if rng.random() < 0.15 else c
+                      for c in ref if rng.random() >= 0.05)
+        fixed.append((ref, hyp))
+    return fixed
+
+
+@pytest.mark.parametrize("mode,lang,alphabet", [
+    ("cer", "en", "abc de,F.G!  "),
+    ("wer", "en", "ab cd\tE,\u3000.!"),
+    ("cer", "zh", "你好世 界。，"),
+    ("wer", "zh", "你好世 界。，\u3000"),
+    ("wer", "ja", "こんにちは 世界、。"),
+])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_corpus_rate_is_the_sum_of_per_pair_scores(mode, lang, alphabet, normalize):
+    pairs = _error_rate_lines(random.Random(f"{mode}/{lang}/{normalize}"), alphabet)
+    per_pair = [cer(r, h, normalize) if mode == "cer" else wer(r, h, lang, normalize)
+                for r, h in pairs]
+    assert corpus_error_rate(pairs, mode=mode, lang=lang, normalize=normalize) == CorpusRate(
+        utterances=len(pairs), errors=sum(ops.distance for ops in per_pair),
+        reference_length=sum(ops.reference_length for ops in per_pair))
+
+
 # --------------------------------------------------------------------------
 # only-yes
 # --------------------------------------------------------------------------
