@@ -35,15 +35,18 @@ def hash_bytes64(data: bytes, seed: int) -> int:
     return mix64(h)
 
 
-def _distance(ref: list[int], hyp: list[int]) -> int:
+def distance(ref, hyp) -> int:
     """Unit-cost edit distance by the bit-vector recurrence over ``ref``.
 
     Myers (1999, J. ACM 46(3)) in its global form: bit i of ``vp``/``vn``
     says the current DP column rises/falls from row i to row i + 1, and one
     column step is a handful of operations on ``len(ref)``-bit Python ints.
-    ``ref`` must not be empty.
+    ``ref`` and ``hyp`` are sequences of hashable symbols (a ``str``, a list
+    of words or ids); symbols match when they are equal.
     """
-    peq: dict[int, int] = {}
+    if not ref:
+        return len(hyp)
+    peq: dict = {}
     for i, a in enumerate(ref):
         peq[a] = peq.get(a, 0) | 1 << i
     full = (1 << len(ref)) - 1
@@ -73,7 +76,7 @@ def edit_ops(ref: list[int], hyp: list[int]) -> tuple[int, int, int]:
     substitutions is chosen, which makes the (S, I, D) decomposition
     symmetric under argument swap (S stays, I and D exchange).
 
-    Two steps. The bit-vector distance ``k`` (``_distance``) sizes a band;
+    Two steps. The bit-vector distance ``k`` (``distance``) sizes a band;
     one DP over (distance, substitutions), restricted to that band and kept
     in a single row updated in place, gives the result. A path through diagonal ``t = j - i`` costs at least
     ``|t| + |(m - n) - t|``, so every alignment of cost ``k`` lies on the
@@ -92,7 +95,7 @@ def edit_ops(ref: list[int], hyp: list[int]) -> tuple[int, int, int]:
         return 0, 0, n
 
     skew = m - n
-    slack = (_distance(ref, hyp) - abs(skew)) // 2
+    slack = (distance(ref, hyp) - abs(skew)) // 2
     lo = min(0, skew) - slack
     hi = max(0, skew) + slack
     # A cell's (distance, substitutions) packed as one key, distance * w +

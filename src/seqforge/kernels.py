@@ -4,11 +4,13 @@ The compiled extension (``seqforge._ckernels``) is used when it imports;
 otherwise the pure-Python kernels are. Both backends return bit-for-bit
 equal results. Only the pure-Python ``edit_ops`` is banded (its cost
 scales with length x distance); the compiled one fills the full matrix.
+``distance`` is pure Python on either backend.
 """
 try:
     from seqforge import _ckernels as _impl  # type: ignore[attr-defined]
 except ImportError:
     from seqforge import _pykernels as _impl
+from seqforge._pykernels import distance
 
 BACKEND: str = _impl.BACKEND
 mix64 = _impl.mix64

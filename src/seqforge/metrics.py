@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
-from seqforge.kernels import edit_ops
+from seqforge.kernels import distance, edit_ops
 
 CHAR_TOKENIZED_LANGUAGES = ("zh", "ja")
 
@@ -57,28 +57,30 @@ def normalize_text(text: str) -> str:
     return " ".join(stripped.split())
 
 
-def _char_tokens(text: str, keep_spaces: bool) -> list[str]:
-    if keep_spaces:
-        return list(text)
-    return [c for c in text if not c.isspace()]
+def _tokens(text: str, mode: str, lang: str, normalize: bool) -> Sequence[str]:
+    """The symbols a cer/wer score aligns, after optional normalization.
+
+    cer: every character. wer: the characters without whitespace for zh/ja,
+    the whitespace-separated words otherwise.
+    """
+    if normalize:
+        text = normalize_text(text)
+    if mode == "cer":
+        return text
+    if lang in CHAR_TOKENIZED_LANGUAGES:
+        return "".join(text.split())
+    return text.split()
 
 
 def cer(ref: str, hyp: str, normalize: bool = True) -> EditOps:
     """Character error rate ops (Unicode scalar values after normalization)."""
-    if normalize:
-        ref, hyp = normalize_text(ref), normalize_text(hyp)
-    return edit_distance(_char_tokens(ref, keep_spaces=True),
-                         _char_tokens(hyp, keep_spaces=True))
+    return edit_distance(_tokens(ref, "cer", "", normalize), _tokens(hyp, "cer", "", normalize))
 
 
 def wer(ref: str, hyp: str, lang: str = "en", normalize: bool = True) -> EditOps:
     """Word error rate ops; zh/ja tokenize per character, others on whitespace."""
-    if normalize:
-        ref, hyp = normalize_text(ref), normalize_text(hyp)
-    if lang in CHAR_TOKENIZED_LANGUAGES:
-        return edit_distance(_char_tokens(ref, keep_spaces=False),
-                             _char_tokens(hyp, keep_spaces=False))
-    return edit_distance(ref.split(), hyp.split())
+    return edit_distance(_tokens(ref, "wer", lang, normalize),
+                         _tokens(hyp, "wer", lang, normalize))
 
 
 @dataclass(frozen=True)
@@ -94,15 +96,19 @@ class CorpusRate:
 
 def corpus_error_rate(pairs: Sequence[tuple[str, str]], mode: str = "cer",
                       lang: str = "en", normalize: bool = True) -> CorpusRate:
-    """Pooled error rate: sum of edits over sum of reference lengths."""
+    """Pooled error rate: sum of edit distances over sum of reference lengths.
+
+    Scores with the edit distance alone; ``cer``/``wer`` give the same
+    distance split into substitutions, insertions and deletions.
+    """
     if mode not in ("cer", "wer"):
         raise ValueError(f"mode must be 'cer' or 'wer', got {mode!r}")
     errors = 0
     ref_len = 0
     for ref, hyp in pairs:
-        ops = cer(ref, hyp, normalize) if mode == "cer" else wer(ref, hyp, lang, normalize)
-        errors += ops.distance
-        ref_len += ops.reference_length
+        ref_tokens = _tokens(ref, mode, lang, normalize)
+        errors += distance(ref_tokens, _tokens(hyp, mode, lang, normalize))
+        ref_len += len(ref_tokens)
     return CorpusRate(utterances=len(pairs), errors=errors, reference_length=ref_len)
 
 
