@@ -1,6 +1,7 @@
 """Corpus model: parsing, serialization, arithmetic, validation."""
 import collections
 import copy
+import gc
 import json
 import random
 import re
@@ -96,6 +97,34 @@ def test_parse_rejects_line_missing_turns(corpus_file):
     assert len(result.rejects) == 1
     assert result.rejects[0].line_number == 2
     assert "turns" in result.rejects[0].reason
+
+
+def test_parse_records_the_line_of_each_dialogue(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    lines = [corpus.serialize_dialogue(make_dialogue("a")), "", "{not json",
+             corpus.serialize_dialogue(make_dialogue("b"))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = parse_corpus(path)
+    assert [d.id for d in result.dialogues] == ["a", "b"]
+    assert result.line_numbers == [1, 4]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("content", [b"", b"{not json}\n", b'{"id": "\xff"}\n'])
+def test_parse_corpus_restores_the_gc_state(tmp_path, enabled, content):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(content)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if b"\xff" in content:
+            with pytest.raises(corpus.NotUtf8Error):
+                parse_corpus(path)
+        else:
+            parse_corpus(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_parse_rejects_invalid_json_and_bad_enum(corpus_file):
