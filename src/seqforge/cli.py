@@ -162,12 +162,31 @@ def _gate(rejects) -> bool:
     return not rejects
 
 
+def _repeated_ids(located) -> list:
+    """A reject for each (line number, dialogue id) whose id an earlier line has.
+
+    Seeds and masks are keyed by dialogue id, so two dialogues with one id
+    would share one seed stream and one masks entry.
+    """
+    first: dict[str, int] = {}
+    rejects = []
+    for line_no, did in located:
+        first_line = first.setdefault(did, line_no)
+        if first_line != line_no:
+            rejects.append(corpus.Reject(
+                line_no, f"duplicate dialogue id {did!r} (first on line {first_line})"))
+    return rejects
+
+
 def _compile(fn, state, tasks, jobs: int) -> list | None:
     """Ordered map of fn(state, task) over tasks, then the gate.
 
-    Under a pool, fn and its shared state reach each worker once through the
-    initializer, so a task carries only its own record. Returns the rows, or
-    None after reporting the rejects or else the first failure.
+    Each task is (line number, record). fn returns a Reject, a _Failed, or a
+    row (dialogue id, *outputs). Under a pool, fn and its shared state reach
+    each worker once through the initializer, so a task carries only its own
+    record. Returns the rows without their ids, or None after reporting the
+    rejects (parse rejects and repeated ids, in line order) or else the first
+    failure.
     """
     if jobs <= 1 or len(tasks) <= 1:
         rows = [fn(state, task) for task in tasks]
@@ -177,12 +196,15 @@ def _compile(fn, state, tasks, jobs: int) -> list | None:
         with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(fn, state)) as pool:
             rows = pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
     failed = next((row for row in rows if isinstance(row, _Failed)), None)
-    if not _gate([row for row in rows if isinstance(row, corpus.Reject)]):
+    rejects = [row for row in rows if isinstance(row, corpus.Reject)]
+    rejects += _repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
+                             if type(row) is tuple)
+    if not _gate(sorted(rejects, key=lambda r: r.line_number)):
         return None
     if failed is not None:
         print(failed, file=sys.stderr)
         return None
-    return rows
+    return [row[1:] for row in rows]
 
 
 def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> None:
@@ -229,7 +251,7 @@ def _thinker_record(state, task):
     except thinker_mod.CompileError as exc:
         return _Failed(f"compile error: {exc}")
     n_targets = sum(1 for e in seq.elements if e.loss_target)
-    return thinker_mod.serialize_sequence(seq), len(seq.elements), n_targets
+    return dialogue.id, thinker_mod.serialize_sequence(seq), len(seq.elements), n_targets
 
 
 def _is_mask_span(span) -> bool:
@@ -291,21 +313,21 @@ def cmd_build_thinker(args) -> int:
 # build-talker
 # --------------------------------------------------------------------------
 
-def _talker_record(state, position):
-    """(line, None) for a compiled dialogue, (None, reason) for a skipped one."""
+def _talker_record(state, task):
+    """(id, line, None) for a compiled dialogue, (id, None, reason) for a skipped one."""
     from seqforge import talker as talker_mod
 
     mode, ratio, seed, index, dialogues = state
-    dialogue = dialogues[position]
+    dialogue = dialogues[task[1]]
     try:
         speaker = talker_mod.reference_speaker(dialogue, mode)
         ref = talker_mod.select_reference(speaker, index, dialogue.id, seed)
         seq = talker_mod.assemble(dialogue, mode, ratio, seed, ref)
     except talker_mod.NoReferenceError as exc:
-        return None, str(exc)
+        return dialogue.id, None, str(exc)
     except talker_mod.AssembleError as exc:
         return _Failed(f"assemble error: {exc}")
-    return talker_mod.serialize_sequence(seq), None
+    return dialogue.id, talker_mod.serialize_sequence(seq), None
 
 
 def cmd_build_talker(args) -> int:
@@ -319,13 +341,14 @@ def cmd_build_talker(args) -> int:
         ratio = talker_mod.StreamRatio.parse(args.ratio)
     except ValueError:
         raise UsageError(f"--ratio must be N:M with N, M >= 1, got {args.ratio!r}") from None
-    # The reference index spans the corpus: tasks are positions in the parsed list.
+    # The reference index spans the corpus: a task's record is its position in
+    # the parsed list.
     result = corpus.parse_corpus(args.corpus)
     if not _gate(result.rejects):
         return 1
     index = talker_mod.build_reference_index(result.dialogues)
     rows = _compile(_talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
-                    range(len(result.dialogues)), args.jobs)
+                    list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs)
     if rows is None:
         return 1
     lines = [line for line, _ in rows if line is not None]
@@ -367,7 +390,7 @@ def _clean_record(state, task):
     if isinstance(dialogue, corpus.Reject):
         return dialogue
     outcome = cleaning.clean_dialogue(dialogue, corrector, synth, seed=seed, retries=retries)
-    return (corpus.serialize_dialogue(outcome.dialogue),
+    return (dialogue.id, corpus.serialize_dialogue(outcome.dialogue),
             json.dumps(cleaning.outcome_to_dict(outcome), ensure_ascii=False,
                        separators=(",", ":")),
             outcome.status)

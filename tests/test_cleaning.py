@@ -331,8 +331,8 @@ def test_http_client_error_becomes_deferral(http_service):
 
 def test_clean_cli_over_http_is_invariant_to_jobs(http_service, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    dialogues = [flagged(kind, n_turns=4) for kind in
-                 (None, "logic_contradiction_correctable", "logic_contradiction_severe")] * 3
+    dialogues = [flagged(kind, n_turns=4) for _ in range(3) for kind in
+                 (None, "logic_contradiction_correctable", "logic_contradiction_severe")]
     for k, d in enumerate(dialogues):
         d.id = f"d{k}"
     write_corpus(dialogues, "corpus.jsonl")

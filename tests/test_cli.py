@@ -375,6 +375,26 @@ def test_failed_build_leaves_existing_output_untouched(tmp_path, capsys, reject,
     assert ("compile error:" in err) == (compile_error and not reject)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ["clean", "--client", "mock"],
+    ["build-thinker", "--seed", "1"],
+    ["build-talker", "--seed", "1", "--mode", "dialogue"],
+])
+def test_build_commands_reject_duplicate_dialogue_ids(tmp_path, capsys, argv, jobs):
+    dialogues = synthetic.synth_corpus(6, 3)
+    dialogues[3].id = dialogues[1].id
+    dialogues[5].id = dialogues[1].id
+    path = write_corpus(tmp_path, dialogues)
+    out = tmp_path / "o.jsonl"
+    assert run(argv + ["--corpus", str(path), "--out", str(out), "--jobs", jobs]) == 1
+    did = dialogues[1].id
+    assert capsys.readouterr().err == (
+        f"reject line 4: duplicate dialogue id {did!r} (first on line 2)\n"
+        f"reject line 6: duplicate dialogue id {did!r} (first on line 2)\n")
+    assert not list(tmp_path.glob("o.jsonl*"))
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["build-thinker", "--seed", "1", "--p-user", "1.5"], None, "--p-user/--p-assistant"),
     (["build-talker", "--seed", "1", "--ratio", "5"], None, "--ratio must be N:M"),
