@@ -41,10 +41,7 @@ class EditOps:
 
 def edit_distance(ref: Sequence, hyp: Sequence) -> EditOps:
     """Minimal-cost edit decomposition between two token sequences."""
-    ids: dict = {}
-    ref_ids = [ids.setdefault(t, len(ids)) for t in ref]
-    hyp_ids = [ids.setdefault(t, len(ids)) for t in hyp]
-    s, i, d = edit_ops(ref_ids, hyp_ids)
+    s, i, d = edit_ops(ref, hyp)
     return EditOps(substitutions=s, insertions=i, deletions=d, reference_length=len(ref))
 
 
