@@ -2,6 +2,7 @@
 import collections
 import copy
 import gc
+import hashlib
 import json
 import random
 import re
@@ -168,11 +169,16 @@ def test_parse_rejects_mistyped_caption_fields(group, field, value, reason):
         1, f"dialogue.turns[0].caption.{where}: {reason}")
 
 
+def _base_dialogue() -> Dialogue:
+    """Three turns with audio and two alignment spans each; two flags with two spans each."""
+    d = make_dialogue("d", n_turns=3, n_segments=2)
+    d.quality_flags = [QualityFlag("logic_contradiction_correctable", [(1, (0, 2)), (2, (1, 3))]),
+                       QualityFlag("logic_contradiction_severe", [(0, (0, 1)), (1, (2, 4))])]
+    return d
+
+
 def _base_doc() -> dict:
-    """Two turns with audio and alignment, one flag with one span."""
-    d = make_dialogue("d")
-    d.quality_flags = [QualityFlag("logic_contradiction_correctable", [(1, (0, 2))])]
-    return corpus.dialogue_to_dict(d)
+    return corpus.dialogue_to_dict(_base_dialogue())
 
 
 _DELETE = object()
@@ -181,6 +187,7 @@ _LANGS = "['zh', 'en', 'ja', 'ko', 'other']"
 _FLAGS = ("['logic_contradiction_correctable', 'logic_contradiction_severe', "
           "'missing_context', 'clean']")
 _T0, _F0 = "dialogue.turns[0]", "dialogue.quality_flags[0]"
+_T1, _T2, _F1 = "dialogue.turns[1]", "dialogue.turns[2]", "dialogue.quality_flags[1]"
 
 # (keys to the mutated value, new value or _DELETE, exact reject reason):
 # one row per branch of the path-reporting checks, at every level.
@@ -251,11 +258,34 @@ REJECTS = [
      f"{_T0}.alignment[0]: missing field 'audio_range'"),
     (("turns", 0, "alignment", 0, "audio_range"), [0, None],
      f"{_T0}.alignment[0].audio_range: expected [int, int]"),
+    # items past the first: a second flag, span and alignment span, a third turn
+    (("quality_flags", 1), None, f"{_F1}: expected object"),
+    (("quality_flags", 1, "kind"), "severe", f"{_F1}.kind: 'severe' not one of {_FLAGS}"),
+    (("quality_flags", 1, "spans"), "x", f"{_F1}.spans: expected array, got str"),
+    (("quality_flags", 0, "spans", 1, 1), [2, "3"], f"{_F0}.spans[1][1]: expected [int, int]"),
+    (("quality_flags", 1, "spans", 1), [], f"{_F1}.spans[1]: expected [turn_index, [start, end]]"),
+    (("quality_flags", 1, "spans", 1, 0), 1.0, f"{_F1}.spans[1]: turn index must be an integer"),
+    (("turns", 0, "alignment", 1), "x", f"{_T0}.alignment[1]: expected object"),
+    (("turns", 1, "alignment", 1, "index"), "1", f"{_T1}.alignment[1].index: expected integer"),
+    (("turns", 2, "alignment", 1, "text_range"), _DELETE,
+     f"{_T2}.alignment[1]: missing field 'text_range'"),
+    (("turns", 2, "alignment", 1, "audio_range"), [11, 22.0],
+     f"{_T2}.alignment[1].audio_range: expected [int, int]"),
+    (("turns", 2), [], f"{_T2}: expected object"),
+    (("turns", 2, "speaker_id"), None, f"{_T2}.speaker_id: expected string, got NoneType"),
+    (("turns", 2, "caption"), 1, f"{_T2}.caption: expected object"),
+    (("turns", 2, "audio"), True, f"{_T2}.audio: expected object"),
+    (("turns", 2, "audio", "token_ids"), _DELETE, f"{_T2}.audio: missing field 'token_ids'"),
+    (("turns", 2, "audio", "token_ids"), [0, None], f"{_T2}.audio.token_ids: expected integers"),
+    (("turns", 2, "audio", "frame_rate_hz"), [12.5],
+     f"{_T2}.audio: frame_rate_hz/duration_s must be numbers"),
+    (("turns", 2, "audio", "duration_s"), _DELETE, f"{_T2}.audio: missing field 'duration_s'"),
 ]
 
 
-def _mutant(keys, value) -> dict:
-    doc = _base_doc()
+def _mutant(keys, value, doc=None) -> dict:
+    """doc (by default the base document) with the value at keys replaced or deleted."""
+    doc = _base_doc() if doc is None else doc
     if not keys:
         return value
     target = doc
@@ -306,8 +336,7 @@ class _Str(str):
 
 def _accepted_variants():
     """(document, expected dialogue) pairs outside the canonical serialized form."""
-    base = make_dialogue("d")
-    base.quality_flags = [QualityFlag("logic_contradiction_correctable", [(1, (0, 2))])]
+    base = _base_dialogue()
     out = []
 
     def variant(edit, expect):
@@ -394,6 +423,251 @@ def test_parse_of_a_serialized_corpus_builds_equal_objects(kwargs):
         assert type(parsed.turns[0].alignment) is list
         if parsed.turns[0].audio is not None:
             assert type(parsed.turns[0].audio.frame_rate_hz) is float
+
+
+# --------------------------------------------------------------------------
+# seeded mutation table: outcomes frozen as committed literals
+# --------------------------------------------------------------------------
+
+_MUTANT_SHAPES = (
+    {"n_turns": 3, "with_captions": True, "flag_kind": "logic_contradiction_severe"},
+    {"n_turns": 4, "segments_per_assistant": 2, "flag_kind": "missing_context",
+     "truncate_first_turn": True},
+    {"n_turns": 2, "with_audio": False, "flag_kind": "clean", "language": "zh"},
+    {"n_turns": 2, "flag_kind": "logic_contradiction_correctable"},
+)
+_SWAPS = (None, True, 7, 2.5, "x", [], {})
+
+
+def _mutant_source(n: int) -> dict:
+    """The synthetic document that mutant n starts from."""
+    k = n % len(_MUTANT_SHAPES)
+    return corpus.dialogue_to_dict(synthetic.synth_dialogue(41, k, **_MUTANT_SHAPES[k]))
+
+
+def _draw_mutation(rng: random.Random, doc) -> tuple[tuple, object]:
+    """A random path into doc, and _DELETE or a value of another JSON type to put there.
+
+    Only the first three items of a list are sites, so token ids do not crowd out the rest.
+    """
+    sites = []
+
+    def walk(node, keys):
+        items = node.items() if type(node) is dict else enumerate(node[:3]) if type(node) is list else ()
+        for key, child in items:
+            sites.append((keys + (key,), child))
+            walk(child, keys + (key,))
+    walk(doc, ())
+    keys, node = rng.choice(sites)
+    if rng.random() < 0.3:
+        return keys, _DELETE
+    return keys, rng.choice([v for v in _SWAPS if type(v) is not type(node)])
+
+
+def _parse_outcome(doc) -> str:
+    """The reject reason, or a digest of the canonical line of the parsed dialogue."""
+    item = corpus.parse_line(1, json.dumps(doc))
+    if isinstance(item, corpus.Reject):
+        return item.reason
+    line = corpus.serialize_dialogue(item).encode("utf-8")
+    return "sha256:" + hashlib.sha256(line).hexdigest()[:16]
+
+
+_MUTANT_SEED = 10
+# (keys, value, outcome) of the draws from random.Random(_MUTANT_SEED), in order.
+MUTANTS = [
+    (('quality_flags', 0, 'spans', 0, 0), [],
+     'dialogue.quality_flags[0].spans[0]: turn index must be an integer'),
+    (('language',), _DELETE, "dialogue: missing field 'language'"),
+    (('turns', 1, 'speaker_id'), {}, 'dialogue.turns[1].speaker_id: expected string, got dict'),
+    (('turns', 0, 'audio', 'token_ids', 1), _DELETE, 'sha256:00b8a45cad55ea0f'),
+    (('turns', 2, 'caption', 'prosody', 'tone'), 7,
+     'dialogue.turns[2].caption.prosody.tone: expected string or null, got int'),
+    (('turns', 1, 'audio', 'token_ids'), _DELETE,
+     "dialogue.turns[1].audio: missing field 'token_ids'"),
+    (('quality_flags', 0), 2.5, 'dialogue.quality_flags[0]: expected object'),
+    (('turns', 1, 'alignment', 1), _DELETE, 'sha256:44db60342d2b7ee0'),
+    (('turns', 1, 'alignment', 0, 'index'), {},
+     'dialogue.turns[1].alignment[0].index: expected integer'),
+    (('turns', 0, 'alignment', 1, 'audio_range', 0), True,
+     'dialogue.turns[0].alignment[1].audio_range: expected [int, int]'),
+    (('turns', 1, 'role'), True, 'dialogue.turns[1].role: expected string, got bool'),
+    (('turns', 1, 'alignment', 1, 'text_range', 1), None,
+     'dialogue.turns[1].alignment[1].text_range: expected [int, int]'),
+    (('language',), _DELETE, "dialogue: missing field 'language'"),
+    (('turns', 0, 'alignment'), 7, 'dialogue.turns[0].alignment: expected array, got int'),
+    (('turns', 1, 'alignment'), True, 'dialogue.turns[1].alignment: expected array, got bool'),
+    (('turns', 1, 'audio', 'token_ids', 1), 'x',
+     'dialogue.turns[1].audio.token_ids: expected integers'),
+    (('turns', 2, 'alignment', 0), [], 'dialogue.turns[2].alignment[0]: expected object'),
+    (('turns', 2, 'alignment', 0, 'text_range'), 'x',
+     'dialogue.turns[2].alignment[0].text_range: expected array, got str'),
+    (('quality_flags', 0, 'kind'), 2.5,
+     'dialogue.quality_flags[0].kind: expected string, got float'),
+    (('turns', 0, 'alignment', 0, 'audio_range', 0), _DELETE,
+     'dialogue.turns[0].alignment[0].audio_range: expected [int, int]'),
+    (('turns', 2, 'caption', 'paralinguistics'), 'x',
+     'dialogue.turns[2].caption.paralinguistics: expected object'),
+    (('turns', 2, 'alignment', 1, 'text_range', 1), _DELETE,
+     'dialogue.turns[2].alignment[1].text_range: expected [int, int]'),
+    (('source',), _DELETE, "dialogue: missing field 'source'"),
+    (('turns', 1, 'alignment', 0, 'text_range', 0), True,
+     'dialogue.turns[1].alignment[0].text_range: expected [int, int]'),
+    (('turns', 0, 'alignment', 0, 'text_range', 1), None,
+     'dialogue.turns[0].alignment[0].text_range: expected [int, int]'),
+    (('turns', 1, 'alignment', 0, 'text_range', 1), _DELETE,
+     'dialogue.turns[1].alignment[0].text_range: expected [int, int]'),
+    (('quality_flags', 0, 'spans'), 2.5,
+     'dialogue.quality_flags[0].spans: expected array, got float'),
+    (('turns', 1, 'alignment', 1), [], 'dialogue.turns[1].alignment[1]: expected object'),
+    (('turns', 1, 'alignment', 1, 'text_range', 0), _DELETE,
+     'dialogue.turns[1].alignment[1].text_range: expected [int, int]'),
+    (('turns', 2, 'audio', 'token_ids'), _DELETE,
+     "dialogue.turns[2].audio: missing field 'token_ids'"),
+    (('quality_flags',), _DELETE, 'sha256:ced662ecbfb699ec'),
+    (('turns', 1, 'audio', 'token_ids'), _DELETE,
+     "dialogue.turns[1].audio: missing field 'token_ids'"),
+    (('turns', 0, 'caption', 'pathology'), 2.5,
+     'dialogue.turns[0].caption.pathology: expected array of strings'),
+    (('turns', 1, 'text'), True, 'dialogue.turns[1].text: expected string, got bool'),
+    (('id',), None, 'dialogue.id: expected string, got NoneType'),
+    (('turns', 1, 'audio', 'frame_rate_hz'), True, 'sha256:28fcbdb3799a4cc3'),
+    (('turns', 0, 'audio', 'token_ids', 1), _DELETE, 'sha256:1bee7caab4174ed8'),
+    (('turns', 1, 'audio', 'duration_s'), 'x',
+     'dialogue.turns[1].audio: frame_rate_hz/duration_s must be numbers'),
+    (('turns', 1, 'speaker_id'), True, 'dialogue.turns[1].speaker_id: expected string, got bool'),
+    (('turns', 1, 'alignment', 2, 'audio_range', 1), 2.5,
+     'dialogue.turns[1].alignment[2].audio_range: expected [int, int]'),
+    (('turns', 2, 'caption', 'environment', 'sound_events'), 2.5,
+     'dialogue.turns[2].caption.environment.sound_events: expected array of strings'),
+    (('quality_flags', 0, 'spans', 0, 0), _DELETE,
+     'dialogue.quality_flags[0].spans[0]: expected [turn_index, [start, end]]'),
+    (('turns', 1, 'role'), True, 'dialogue.turns[1].role: expected string, got bool'),
+    (('turns', 1, 'alignment', 1), 7, 'dialogue.turns[1].alignment[1]: expected object'),
+    (('turns', 2), True, 'dialogue.turns[2]: expected object'),
+    (('turns', 2, 'audio', 'duration_s'), 'x',
+     'dialogue.turns[2].audio: frame_rate_hz/duration_s must be numbers'),
+    (('language',), 2.5, 'dialogue.language: expected string, got float'),
+    (('turns', 1, 'alignment', 2, 'index'), _DELETE,
+     "dialogue.turns[1].alignment[2]: missing field 'index'"),
+    (('turns', 1, 'caption', 'prosody', 'emotion'), _DELETE, 'sha256:c184fc9409ec3d9f'),
+    (('turns', 0), 2.5, 'dialogue.turns[0]: expected object'),
+    (('quality_flags', 0), 2.5, 'dialogue.quality_flags[0]: expected object'),
+    (('turns', 1, 'alignment', 2, 'text_range', 1), 2.5,
+     'dialogue.turns[1].alignment[2].text_range: expected [int, int]'),
+    (('turns', 1, 'alignment', 0, 'audio_range', 1), {},
+     'dialogue.turns[1].alignment[0].audio_range: expected [int, int]'),
+    (('turns', 1, 'alignment', 0, 'audio_range', 0), {},
+     'dialogue.turns[1].alignment[0].audio_range: expected [int, int]'),
+    (('turns', 1, 'text'), True, 'dialogue.turns[1].text: expected string, got bool'),
+    (('turns', 0, 'alignment', 0, 'audio_range', 0), None,
+     'dialogue.turns[0].alignment[0].audio_range: expected [int, int]'),
+    (('turns', 1, 'speaker_id'), [], 'dialogue.turns[1].speaker_id: expected string, got list'),
+    (('turns', 2, 'alignment', 0), 2.5, 'dialogue.turns[2].alignment[0]: expected object'),
+    (('id',), 7, 'dialogue.id: expected string, got int'),
+    (('turns', 1, 'alignment', 1, 'text_range', 0), True,
+     'dialogue.turns[1].alignment[1].text_range: expected [int, int]'),
+    (('turns', 1, 'alignment', 1, 'audio_range', 1), None,
+     'dialogue.turns[1].alignment[1].audio_range: expected [int, int]'),
+    (('turns', 2, 'alignment', 0, 'text_range', 1), None,
+     'dialogue.turns[2].alignment[0].text_range: expected [int, int]'),
+    (('turns', 0, 'role'), _DELETE, "dialogue.turns[0]: missing field 'role'"),
+    (('turns', 1, 'alignment', 2), _DELETE, 'sha256:15a1fd3305829deb'),
+    (('turns', 2, 'text'), True, 'dialogue.turns[2].text: expected string, got bool'),
+    (('turns', 1, 'text'), _DELETE, "dialogue.turns[1]: missing field 'text'"),
+    (('quality_flags', 0, 'spans'), None,
+     'dialogue.quality_flags[0].spans: expected array, got NoneType'),
+    (('turns', 1, 'audio', 'token_ids', 0), 'x',
+     'dialogue.turns[1].audio.token_ids: expected integers'),
+    (('turns', 2, 'caption', 'environment', 'sound_events'), 2.5,
+     'dialogue.turns[2].caption.environment.sound_events: expected array of strings'),
+    (('turns', 2, 'alignment', 1, 'audio_range'), True,
+     'dialogue.turns[2].alignment[1].audio_range: expected array, got bool'),
+    (('turns', 0), None, 'dialogue.turns[0]: expected object'),
+    (('id',), _DELETE, "dialogue: missing field 'id'"),
+    (('turns', 2, 'audio', 'token_ids'), {},
+     'dialogue.turns[2].audio.token_ids: expected array, got dict'),
+    (('turns', 0, 'alignment', 0), _DELETE, 'sha256:9f4f2332e8a26aab'),
+    (('turns', 1), None, 'dialogue.turns[1]: expected object'),
+    (('turns', 1, 'alignment'), _DELETE, 'sha256:93e39b8fd67c7afc'),
+    (('turns', 2, 'alignment', 0, 'audio_range', 0), True,
+     'dialogue.turns[2].alignment[0].audio_range: expected [int, int]'),
+    (('turns', 2, 'alignment', 0, 'index'), 'x',
+     'dialogue.turns[2].alignment[0].index: expected integer'),
+    (('turns', 0, 'role'), [], 'dialogue.turns[0].role: expected string, got list'),
+    (('turns', 1), [], 'dialogue.turns[1]: expected object'),
+    (('turns', 1, 'caption', 'speaker_profile', 'accent'), 2.5,
+     'dialogue.turns[1].caption.speaker_profile.accent: expected string or null, got float'),
+    (('turns', 2), 2.5, 'dialogue.turns[2]: expected object'),
+    (('turns', 1, 'speaker_id'), _DELETE, "dialogue.turns[1]: missing field 'speaker_id'"),
+    (('turns', 1, 'alignment', 0, 'text_range'), 2.5,
+     'dialogue.turns[1].alignment[0].text_range: expected array, got float'),
+    (('turns', 0, 'caption', 'paralinguistics', 'affective_burst'), 2.5,
+     'dialogue.turns[0].caption.paralinguistics.affective_burst: expected array of strings'),
+    (('turns', 2, 'alignment'), _DELETE, 'sha256:603006ddf5646ded'),
+    (('turns', 0, 'role'), _DELETE, "dialogue.turns[0]: missing field 'role'"),
+    (('turns', 1, 'audio', 'token_ids', 2), None,
+     'dialogue.turns[1].audio.token_ids: expected integers'),
+    (('turns', 2, 'speaker_id'), 7, 'dialogue.turns[2].speaker_id: expected string, got int'),
+    (('turns', 2, 'alignment', 0, 'audio_range'), _DELETE,
+     "dialogue.turns[2].alignment[0]: missing field 'audio_range'"),
+    (('quality_flags', 0, 'kind'), [],
+     'dialogue.quality_flags[0].kind: expected string, got list'),
+    (('quality_flags', 0, 'spans'), _DELETE, 'sha256:7f370c68673134f2'),
+    (('turns', 0, 'audio', 'token_ids'), True,
+     'dialogue.turns[0].audio.token_ids: expected array, got bool'),
+    (('turns', 2, 'alignment'), 2.5, 'dialogue.turns[2].alignment: expected array, got float'),
+    (('id',), 7, 'dialogue.id: expected string, got int'),
+    (('turns', 0, 'alignment'), 'x', 'dialogue.turns[0].alignment: expected array, got str'),
+    (('turns', 1, 'alignment', 2, 'index'), {},
+     'dialogue.turns[1].alignment[2].index: expected integer'),
+    (('turns', 2, 'alignment', 1, 'index'), None,
+     'dialogue.turns[2].alignment[1].index: expected integer'),
+    (('turns', 0, 'text'), 2.5, 'dialogue.turns[0].text: expected string, got float'),
+    (('turns', 1, 'audio', 'token_ids', 2), True,
+     'dialogue.turns[1].audio.token_ids: expected integers'),
+    (('turns', 0, 'caption', 'prosody', 'speech_rate'), _DELETE, 'sha256:668b11bb50e5b96e'),
+    (('turns', 1, 'text'), None, 'dialogue.turns[1].text: expected string, got NoneType'),
+    (('turns', 1, 'alignment'), 7, 'dialogue.turns[1].alignment: expected array, got int'),
+    (('quality_flags', 0, 'spans', 0, 1, 1), [],
+     'dialogue.quality_flags[0].spans[0][1]: expected [int, int]'),
+    (('turns', 1, 'caption', 'prosody', 'emotion'), _DELETE, 'sha256:c184fc9409ec3d9f'),
+    (('turns', 1, 'alignment', 0, 'text_range', 1), [],
+     'dialogue.turns[1].alignment[0].text_range: expected [int, int]'),
+    (('turns', 1, 'role'), [], 'dialogue.turns[1].role: expected string, got list'),
+    (('turns', 0, 'audio', 'frame_rate_hz'), 'x',
+     'dialogue.turns[0].audio: frame_rate_hz/duration_s must be numbers'),
+    (('turns', 1, 'caption', 'speaker_profile', 'accent'), [],
+     'dialogue.turns[1].caption.speaker_profile.accent: expected string or null, got list'),
+    (('turns', 1, 'alignment', 0, 'audio_range', 0), None,
+     'dialogue.turns[1].alignment[0].audio_range: expected [int, int]'),
+    (('turns', 1), None, 'dialogue.turns[1]: expected object'),
+    (('turns', 0, 'audio', 'duration_s'), True, 'sha256:d4b5c2d441cbf793'),
+    (('turns', 2, 'audio', 'duration_s'), 7, 'sha256:861bfefe7a00cdd1'),
+    (('turns', 2, 'audio', 'duration_s'), None,
+     'dialogue.turns[2].audio: frame_rate_hz/duration_s must be numbers'),
+    (('language',), _DELETE, "dialogue: missing field 'language'"),
+    (('turns', 0, 'alignment', 0, 'text_range', 1), _DELETE,
+     'dialogue.turns[0].alignment[0].text_range: expected [int, int]'),
+    (('turns', 0, 'caption', 'environment'), _DELETE, 'sha256:889b1b90b35a7c37'),
+    (('turns', 2, 'alignment'), True, 'dialogue.turns[2].alignment: expected array, got bool'),
+    (('turns', 0, 'role'), None, 'dialogue.turns[0].role: expected string, got NoneType'),
+    (('turns', 1, 'alignment', 0, 'audio_range', 0), 'x',
+     'dialogue.turns[1].alignment[0].audio_range: expected [int, int]'),
+]
+
+
+def test_mutation_table_is_the_seeded_draw():
+    rng = random.Random(_MUTANT_SEED)
+    assert [_draw_mutation(rng, _mutant_source(n)) for n in range(len(MUTANTS))] == [
+        (keys, value) for keys, value, _ in MUTANTS]
+
+
+@pytest.mark.parametrize("n", range(len(MUTANTS)),
+                         ids=[f"{n}:{'.'.join(map(str, m[0]))}" for n, m in enumerate(MUTANTS)])
+def test_parse_of_a_mutant_is_frozen(n):
+    keys, value, outcome = MUTANTS[n]
+    assert _parse_outcome(_mutant(keys, value, _mutant_source(n))) == outcome
 
 
 def test_parse_unreadable_file_raises(tmp_path):
