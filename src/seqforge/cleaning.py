@@ -133,7 +133,7 @@ class HttpCorrectorClient:
              "provenance_id": dialogue.id},
             self.timeout,
         )
-        return [corpus_mod._parse_turn(t, "backfill") for t in doc["result"]]
+        return corpus_mod._parse_items(corpus_mod._parse_turn, doc["result"], "backfill", "result")
 
 
 class HttpSynthClient:

@@ -5,12 +5,14 @@ strictly structural (field presence, types, enum membership); semantic
 invariants (role alternation, alignment partitions, token/duration bounds)
 are checked separately by ``validate_dialogue`` and never raise.
 
-``parse_dialogue`` first tries one pass that accepts only the common exact
-shape (exact ``dict``/``list``/``str``/``int``/``float`` types, enum values
-looked up in frozensets) and builds no path strings. Any other document,
-the malformed ones included, goes to the checked parse, which reports the
-first offending field by its path; reject texts therefore come from one
-place, and both parses build equal objects where both accept.
+``parse_dialogue`` walks each document once. Every field gets an exact
+type test first (``type(x) is str``, an enum lookup in a frozenset); only a
+value that fails it goes to the path-reporting helpers (``_require``,
+``_expect_*``), which accept the same subclass and number variants or raise
+the ``SchemaError`` that names the first offending field. Item parsers name
+fields relative to their item, and ``_parse_items`` prefixes the item's path
+only when one fails, so a valid document builds no path strings. The turn
+and audio parsers also read the responses of the HTTP cleaning clients.
 
 Serialization is canonical: fixed key order, compact separators, sorted
 multi-tag sets. ``parse -> serialize -> parse`` is the identity on valid
@@ -137,10 +139,22 @@ def tokens_for_hours(hours: float, rate_hz: float = ADAPTER_FRAME_RATE_HZ) -> in
 # parsing
 # --------------------------------------------------------------------------
 
+_LANGUAGE_SET = frozenset(LANGUAGES)
+_SOURCE_SET = frozenset(SOURCES)
+_ROLE_SET = frozenset(ROLES)
+_FLAG_KIND_SET = frozenset(FLAG_KINDS)
+
+
 def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise SchemaError(f"{path}: missing field {key!r}")
     return doc[key]
+
+
+def _expect_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: expected object")
+    return value
 
 
 def _expect_str(value, path: str) -> str:
@@ -169,195 +183,136 @@ def _expect_pair(value, path: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
+def _parse_items(parse, items: list, path: str, key: str) -> list:
+    """[parse(item) for item in items]; a SchemaError gets the item's path as prefix.
+
+    Item parsers name a bad field relative to the item (".role: ..."), so no
+    path string is built unless a check fails.
+    """
+    out = []
+    try:
+        for item in items:
+            out.append(parse(item))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}.{key}[{len(out)}]{exc}") from None
+    return out
+
+
 def _parse_audio(doc, path: str) -> AudioTokenSpan:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected object")
-    ids = _expect_list(_require(doc, "token_ids", path), f"{path}.token_ids")
+    if type(doc) is not dict:
+        _expect_object(doc, path)
+    ids = doc.get("token_ids")
+    if type(ids) is not list:
+        ids = _expect_list(_require(doc, "token_ids", path), f"{path}.token_ids")
     if not set(map(type, ids)) <= {int}:  # exact: a bool is not a token id
         raise SchemaError(f"{path}.token_ids: expected integers")
-    rate = _require(doc, "frame_rate_hz", path)
-    dur = _require(doc, "duration_s", path)
-    if not isinstance(rate, (int, float)) or not isinstance(dur, (int, float)):
-        raise SchemaError(f"{path}: frame_rate_hz/duration_s must be numbers")
-    return AudioTokenSpan(token_ids=list(ids), frame_rate_hz=float(rate), duration_s=float(dur))
+    rate = doc.get("frame_rate_hz")
+    dur = doc.get("duration_s")
+    if not ((type(rate) is float or type(rate) is int) and (type(dur) is float or type(dur) is int)):
+        rate = _require(doc, "frame_rate_hz", path)
+        dur = _require(doc, "duration_s", path)
+        if not isinstance(rate, (int, float)) or not isinstance(dur, (int, float)):
+            raise SchemaError(f"{path}: frame_rate_hz/duration_s must be numbers")
+    return AudioTokenSpan(list(ids), float(rate), float(dur))
 
 
-def _parse_alignment(docs, path: str) -> list[AlignmentSpan]:
-    spans = []
-    for k, item in enumerate(_expect_list(docs, path)):
-        p = f"{path}[{k}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{p}: expected object")
-        index = _require(item, "index", p)
-        if type(index) is not int:
-            raise SchemaError(f"{p}.index: expected integer")
-        spans.append(
-            AlignmentSpan(
-                text_range=_expect_pair(_require(item, "text_range", p), f"{p}.text_range"),
-                audio_range=_expect_pair(_require(item, "audio_range", p), f"{p}.audio_range"),
-                index=index,
-            )
-        )
-    return spans
+def _parse_flag_span(doc) -> tuple[int, tuple[int, int]]:
+    if len(_expect_list(doc, "")) != 2:
+        raise SchemaError(": expected [turn_index, [start, end]]")
+    if type(doc[0]) is not int:
+        raise SchemaError(": turn index must be an integer")
+    return doc[0], _expect_pair(doc[1], "[1]")
 
 
-def _parse_flag(doc, path: str) -> QualityFlag:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected object")
-    kind = _expect_enum(_require(doc, "kind", path), FLAG_KINDS, f"{path}.kind")
-    spans = []
-    for k, item in enumerate(_expect_list(doc.get("spans", []), f"{path}.spans")):
-        p = f"{path}.spans[{k}]"
-        item = _expect_list(item, p)
-        if len(item) != 2:
-            raise SchemaError(f"{p}: expected [turn_index, [start, end]]")
-        turn_index = item[0]
-        if type(turn_index) is not int:
-            raise SchemaError(f"{p}: turn index must be an integer")
-        spans.append((turn_index, _expect_pair(item[1], f"{p}[1]")))
-    return QualityFlag(kind=kind, spans=spans)
+def _parse_flag(doc) -> QualityFlag:
+    if type(doc) is not dict:
+        _expect_object(doc, "")
+    kind = doc.get("kind")
+    if type(kind) is not str or kind not in _FLAG_KIND_SET:
+        kind = _expect_enum(_require(doc, "kind", ""), FLAG_KINDS, ".kind")
+    spans = doc.get("spans", [])
+    if type(spans) is not list:
+        spans = _expect_list(spans, ".spans")
+    return QualityFlag(kind, _parse_items(_parse_flag_span, spans, "", "spans"))
 
 
-def _parse_turn(doc, path: str) -> Turn:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected object")
-    role = _expect_enum(_require(doc, "role", path), ROLES, f"{path}.role")
-    speaker = _expect_str(_require(doc, "speaker_id", path), f"{path}.speaker_id")
-    text = _expect_str(_require(doc, "text", path), f"{path}.text")
-    audio = None
-    if doc.get("audio") is not None:
-        audio = _parse_audio(doc["audio"], f"{path}.audio")
-    alignment = _parse_alignment(doc.get("alignment", []), f"{path}.alignment")
-    caption = None
-    if doc.get("caption") is not None:
-        if not isinstance(doc["caption"], dict):
-            raise SchemaError(f"{path}.caption: expected object")
-        caption = CaptionRecord.from_json_dict(doc["caption"], f"{path}.caption")
-    return Turn(role=role, speaker_id=speaker, text=text, audio=audio,
-                alignment=alignment, caption=caption)
+def _parse_turn(doc) -> Turn:
+    """One turn of a corpus line or of a backfill response.
 
-
-_LANGUAGE_SET = frozenset(LANGUAGES)
-_SOURCE_SET = frozenset(SOURCES)
-_ROLE_SET = frozenset(ROLES)
-_FLAG_KIND_SET = frozenset(FLAG_KINDS)
-
-
-def _parse_exact(doc, path: str) -> Dialogue | None:
-    """The parse of a document of the common exact shape, else None.
-
-    Every container is an exact dict or list, every string an exact str and
-    every number an exact int or float, and no check builds a path string.
-    It accepts a subset of what the checked parse accepts and builds equal
-    objects; a caption goes through the checked caption parse.
+    A SchemaError names the offending field relative to the turn (".text: ...").
     """
     if type(doc) is not dict:
-        return None
-    did = doc.get("id")
-    language = doc.get("language")
-    source = doc.get("source")
-    if (type(did) is not str or type(language) is not str or language not in _LANGUAGE_SET
-            or type(source) is not str or source not in _SOURCE_SET):
-        return None
-    raw_flags = doc.get("quality_flags", [])
-    if type(raw_flags) is not list:
-        return None
-    flags = []
-    for raw in raw_flags:
-        if type(raw) is not dict:
-            return None
-        kind = raw.get("kind")
-        raw_spans = raw.get("spans", [])
-        if type(kind) is not str or kind not in _FLAG_KIND_SET or type(raw_spans) is not list:
-            return None
-        spans = []
-        for item in raw_spans:
-            if type(item) is not list or len(item) != 2 or type(item[0]) is not int:
-                return None
-            rng = item[1]
-            if type(rng) is not list or len(rng) != 2:
-                return None
-            start, end = rng
-            if type(start) is not int or type(end) is not int:
-                return None
-            spans.append((item[0], (start, end)))
-        flags.append(QualityFlag(kind, spans))
-    raw_turns = doc.get("turns")
-    if type(raw_turns) is not list:
-        return None
-    turns = []
-    for k, raw in enumerate(raw_turns):
-        if type(raw) is not dict:
-            return None
-        role = raw.get("role")
-        speaker = raw.get("speaker_id")
-        text = raw.get("text")
-        if (type(role) is not str or role not in _ROLE_SET or type(speaker) is not str
-                or type(text) is not str):
-            return None
-        audio = raw.get("audio")
-        if audio is not None:
-            if type(audio) is not dict:
-                return None
-            ids = audio.get("token_ids")
-            rate = audio.get("frame_rate_hz")
-            dur = audio.get("duration_s")
-            if (type(ids) is not list or not set(map(type, ids)) <= {int}
-                    or (type(rate) is not float and type(rate) is not int)
-                    or (type(dur) is not float and type(dur) is not int)):
-                return None
-            audio = AudioTokenSpan(list(ids), float(rate), float(dur))
-        raw_alignment = raw.get("alignment", [])
-        if type(raw_alignment) is not list:
-            return None
-        alignment = []
-        for item in raw_alignment:
+        _expect_object(doc, "")
+    role = doc.get("role")
+    if type(role) is not str or role not in _ROLE_SET:
+        role = _expect_enum(_require(doc, "role", ""), ROLES, ".role")
+    speaker = doc.get("speaker_id")
+    if type(speaker) is not str:
+        speaker = _expect_str(_require(doc, "speaker_id", ""), ".speaker_id")
+    text = doc.get("text")
+    if type(text) is not str:
+        text = _expect_str(_require(doc, "text", ""), ".text")
+    audio = doc.get("audio")
+    if audio is not None:
+        audio = _parse_audio(audio, ".audio")
+    items = doc.get("alignment", [])
+    if type(items) is not list:
+        items = _expect_list(items, ".alignment")
+    alignment = []
+    try:  # _parse_items inlined: alignment spans are the most numerous items
+        for item in items:
             if type(item) is not dict:
-                return None
+                _expect_object(item, "")
             index = item.get("index")
+            if type(index) is not int:
+                _require(item, "index", "")
+                raise SchemaError(".index: expected integer")
             text_range = item.get("text_range")
             audio_range = item.get("audio_range")
-            if (type(index) is not int or type(text_range) is not list or len(text_range) != 2
+            if (type(text_range) is not list or len(text_range) != 2
                     or type(audio_range) is not list or len(audio_range) != 2):
-                return None
+                text_range = _expect_pair(_require(item, "text_range", ""), ".text_range")
+                audio_range = _expect_pair(_require(item, "audio_range", ""), ".audio_range")
             ts, te = text_range
             aus, aue = audio_range
-            if (type(ts) is not int or type(te) is not int or type(aus) is not int
-                    or type(aue) is not int):
-                return None
+            if type(ts) is not int or type(te) is not int or type(aus) is not int or type(aue) is not int:
+                _expect_pair(text_range, ".text_range")
+                _expect_pair(audio_range, ".audio_range")
             alignment.append(AlignmentSpan((ts, te), (aus, aue), index))
-        caption = raw.get("caption")
-        if caption is not None:
-            if type(caption) is not dict:
-                return None
-            # Everything before this caption passed, so its error is the first one.
-            caption = CaptionRecord.from_json_dict(caption, f"{path}.turns[{k}].caption")
-        turns.append(Turn(role, speaker, text, audio, alignment, caption))
-    return Dialogue(did, turns, language, source, flags)
+    except SchemaError as exc:
+        raise SchemaError(f".alignment[{len(alignment)}]{exc}") from None
+    caption = doc.get("caption")
+    if caption is not None:
+        caption = CaptionRecord.from_json_dict(_expect_object(caption, ".caption"), ".caption")
+    return Turn(role, speaker, text, audio, alignment, caption)
 
 
 def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
     """Structural parse of one dialogue object. Raises SchemaError.
 
-    The exact-shape parse handles the common document; anything else goes
-    through the checked parse, which names the first offending field.
+    The error names the first offending field, in document order with the
+    dialogue's fields before its flags and its flags before its turns.
     """
-    dialogue = _parse_exact(doc, path)
-    return dialogue if dialogue is not None else _parse_checked(doc, path)
-
-
-def _parse_checked(doc, path: str) -> Dialogue:
-    """Path-reporting structural parse: the reference the exact parse agrees with."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected object")
-    did = _expect_str(_require(doc, "id", path), f"{path}.id")
-    language = _expect_enum(_require(doc, "language", path), LANGUAGES, f"{path}.language")
-    source = _expect_enum(_require(doc, "source", path), SOURCES, f"{path}.source")
-    flags = [_parse_flag(f, f"{path}.quality_flags[{k}]")
-             for k, f in enumerate(_expect_list(doc.get("quality_flags", []), f"{path}.quality_flags"))]
-    turns = [_parse_turn(t, f"{path}.turns[{k}]")
-             for k, t in enumerate(_expect_list(_require(doc, "turns", path), f"{path}.turns"))]
-    return Dialogue(id=did, turns=turns, language=language, source=source, quality_flags=flags)
+    if type(doc) is not dict:
+        _expect_object(doc, path)
+    did = doc.get("id")
+    if type(did) is not str:
+        did = _expect_str(_require(doc, "id", path), f"{path}.id")
+    language = doc.get("language")
+    if type(language) is not str or language not in _LANGUAGE_SET:
+        language = _expect_enum(_require(doc, "language", path), LANGUAGES, f"{path}.language")
+    source = doc.get("source")
+    if type(source) is not str or source not in _SOURCE_SET:
+        source = _expect_enum(_require(doc, "source", path), SOURCES, f"{path}.source")
+    flags = doc.get("quality_flags", [])
+    if type(flags) is not list:
+        flags = _expect_list(flags, f"{path}.quality_flags")
+    flags = _parse_items(_parse_flag, flags, path, "quality_flags")
+    turns = doc.get("turns")
+    if type(turns) is not list:
+        turns = _expect_list(_require(doc, "turns", path), f"{path}.turns")
+    turns = _parse_items(_parse_turn, turns, path, "turns")
+    return Dialogue(did, turns, language, source, flags)
 
 
 class NotUtf8Error(ValueError):

@@ -5,7 +5,6 @@ import gc
 import hashlib
 import json
 import random
-import re
 
 import pytest
 
@@ -304,12 +303,6 @@ def _mutant(keys, value, doc=None) -> dict:
 def test_parse_reject_reason_is_exact(keys, value, reason):
     doc = _mutant(keys, value)
     assert corpus.parse_line(3, json.dumps(doc)) == corpus.Reject(3, reason)
-    with pytest.raises(corpus.SchemaError, match=re.escape(reason)):
-        corpus._parse_checked(doc, "dialogue")
-    try:
-        assert corpus._parse_exact(doc, "dialogue") is None
-    except corpus.SchemaError as exc:  # the exact parse runs the checked caption parse
-        assert str(exc) == reason
 
 
 def test_parse_reports_the_first_error_in_document_order():
@@ -402,7 +395,6 @@ def _accepted_variants():
 def test_parse_accepts_the_documented_variants():
     for doc, expected in _accepted_variants():
         assert corpus.parse_dialogue(doc) == expected, doc
-        assert corpus._parse_checked(doc, "dialogue") == expected
         assert corpus.parse_dialogue(collections.OrderedDict(doc)) == expected
 
 
@@ -418,8 +410,7 @@ def test_parse_of_a_serialized_corpus_builds_equal_objects(kwargs):
     for d in synthetic.synth_corpus(40, 23, **kwargs):
         doc = json.loads(corpus.serialize_dialogue(d))
         parsed = corpus.parse_dialogue(doc)
-        assert parsed == d == corpus._parse_checked(doc, "dialogue")
-        assert corpus._parse_exact(doc, "dialogue") is not None  # the common shape
+        assert parsed == d
         assert type(parsed.turns[0].alignment) is list
         if parsed.turns[0].audio is not None:
             assert type(parsed.turns[0].audio.frame_rate_hz) is float
