@@ -19,7 +19,7 @@ from typing import Protocol
 
 from seqforge import corpus as corpus_mod
 from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, Turn
-from seqforge.reporting import ValidationReport
+from seqforge.reporting import SchemaError, ValidationReport
 from seqforge.seeding import DetRng, derive_seed
 
 DEFAULT_RETRIES = 3
@@ -92,7 +92,12 @@ class MockSynth:
                               duration_s=n / self.frame_rate_hz)
 
 
-def _post_json(url: str, payload: dict, timeout: float) -> dict:
+def _post_json(url: str, payload: dict, timeout: float, parse):
+    """POST payload as JSON; return parse(result) of the response.
+
+    Transport failures, service errors and malformed responses (parse raises
+    SchemaError naming the bad field) all raise ClientError.
+    """
     import urllib.error  # only the HTTP clients need it; the mock path starts faster without
     import urllib.request
 
@@ -101,11 +106,28 @@ def _post_json(url: str, payload: dict, timeout: float) -> dict:
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
             doc = json.loads(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+    except (urllib.error.URLError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ClientError(f"request to {url} failed: {exc}") from exc
-    if not doc.get("ok"):
-        raise ClientError(f"service error from {url}: {doc.get('error', 'unknown')}")
-    return doc
+    try:
+        doc = corpus_mod._expect_object(doc, "response")
+        if not doc.get("ok"):
+            raise ClientError(f"service error from {url}: {doc.get('error', 'unknown')}")
+        return parse(corpus_mod._require(doc, "result", "response"))
+    except SchemaError as exc:
+        raise ClientError(f"malformed response from {url}: {exc}") from exc
+
+
+def _result_text(result) -> str:
+    return corpus_mod._expect_str(result, "response.result")
+
+
+def _result_turns(result) -> list[Turn]:
+    turns = corpus_mod._expect_list(result, "response.result")
+    return corpus_mod._parse_items(corpus_mod._parse_turn, turns, "response", "result")
+
+
+def _result_audio(result) -> AudioTokenSpan:
+    return corpus_mod._parse_audio(result, "response.result")
 
 
 class HttpCorrectorClient:
@@ -116,24 +138,22 @@ class HttpCorrectorClient:
         self.timeout = timeout
 
     def correct(self, text: str, context: Dialogue) -> str:
-        doc = _post_json(
+        return _post_json(
             f"{self.base_url}/correct",
             {"op": "correct",
              "payload": {"text": text, "context": corpus_mod.dialogue_to_dict(context)},
              "provenance_id": context.id},
-            self.timeout,
+            self.timeout, _result_text,
         )
-        return str(doc["result"])
 
     def backfill(self, dialogue: Dialogue) -> list[Turn]:
-        doc = _post_json(
+        return _post_json(
             f"{self.base_url}/backfill",
             {"op": "backfill",
              "payload": {"dialogue": corpus_mod.dialogue_to_dict(dialogue)},
              "provenance_id": dialogue.id},
-            self.timeout,
+            self.timeout, _result_turns,
         )
-        return corpus_mod._parse_items(corpus_mod._parse_turn, doc["result"], "backfill", "result")
 
 
 class HttpSynthClient:
@@ -142,14 +162,13 @@ class HttpSynthClient:
         self.timeout = timeout
 
     def synthesize(self, text: str, speaker_id: str) -> AudioTokenSpan:
-        doc = _post_json(
+        return _post_json(
             f"{self.base_url}/synthesize",
             {"op": "synthesize",
              "payload": {"text": text, "speaker_id": speaker_id},
              "provenance_id": speaker_id},
-            self.timeout,
+            self.timeout, _result_audio,
         )
-        return corpus_mod._parse_audio(doc["result"], "synthesize")
 
 
 # --------------------------------------------------------------------------

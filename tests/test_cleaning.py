@@ -1,14 +1,16 @@
 """Three-branch cleaning: routing, branch semantics, client behaviour."""
+import contextlib
 import copy
 import hashlib
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from seqforge import cleaning, synthetic, thinker
-from seqforge.cleaning import (HttpCorrectorClient, HttpSynthClient,
+from seqforge.cleaning import (ClientError, HttpCorrectorClient, HttpSynthClient,
                                MockCorrector, MockSynth, apply_context_completion,
                                apply_logic_correction, apply_masking,
                                clean_dialogue, route)
@@ -302,14 +304,39 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_service():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
+class _FixedHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's fixed response body."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _serve(handler, **attrs):
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    for name, value in attrs.items():
+        setattr(server, name, value)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def http_service():
+    with _serve(_Handler) as url:
+        yield url
 
 
 def test_http_clients_round_trip(http_service):
@@ -347,3 +374,68 @@ def test_clean_cli_over_http_is_invariant_to_jobs(http_service, tmp_path, monkey
                          "c.jsonl.manifest.json")])
     assert outputs[0] == outputs[1]
     assert b"[http]" in outputs[0][0]
+
+
+_CALLS = {
+    "correct": lambda url: HttpCorrectorClient(url).correct("hi", make_dialogue("ctx")),
+    "backfill": lambda url: HttpCorrectorClient(url).backfill(make_dialogue("ctx")),
+    "synthesize": lambda url: HttpSynthClient(url).synthesize("hi", "spk"),
+}
+
+
+_MALFORMED = [
+    ("correct", {"ok": True}, "response: missing field 'result'"),
+    ("correct", {"ok": True, "result": 5}, "response.result: expected string, got int"),
+    ("correct", {"ok": True, "result": None}, "response.result: expected string, got NoneType"),
+    ("backfill", {"ok": True}, "response: missing field 'result'"),
+    ("backfill", {"ok": True, "result": "x"}, "response.result: expected array, got str"),
+    ("backfill", {"ok": True, "result": [{"role": "user", "text": "hi"}]},
+     "response.result[0]: missing field 'speaker_id'"),
+    ("backfill", {"ok": True, "result": [{"role": "system", "speaker_id": "s", "text": "hi"}]},
+     "response.result[0].role: 'system' not one of ['user', 'assistant']"),
+    ("synthesize", {"ok": True}, "response: missing field 'result'"),
+    ("synthesize", {"ok": True, "result": {"token_ids": "12", "frame_rate_hz": 12.5,
+                                           "duration_s": 0.16}},
+     "response.result.token_ids: expected array, got str"),
+    ("synthesize", {"ok": True, "result": [1, 2]}, "response.result: expected object"),
+    ("synthesize", [], "response: expected object"),
+]
+
+
+@pytest.mark.parametrize("op, body, reason", _MALFORMED,
+                         ids=[f"{op}-{k}" for k, (op, _, _) in enumerate(_MALFORMED)])
+def test_malformed_response_is_a_client_error(op, body, reason):
+    with _serve(_FixedHandler, body=json.dumps(body).encode()) as url:
+        with pytest.raises(ClientError,
+                           match=re.escape(f"malformed response from {url}/{op}: {reason}")):
+            _CALLS[op](url)
+
+
+@pytest.mark.parametrize("op", sorted(_CALLS))
+def test_response_that_is_not_utf8_is_a_client_error(op):
+    with _serve(_FixedHandler, body=b'{"ok": true, "result": "\xff"}') as url:
+        with pytest.raises(ClientError, match=re.escape(f"request to {url}/{op} failed")):
+            _CALLS[op](url)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_clean_cli_defers_dialogues_on_malformed_responses(tmp_path, monkeypatch, jobs):
+    monkeypatch.chdir(tmp_path)
+    dialogues = [flagged(kind, n_turns=4) for kind in
+                 (None, "logic_contradiction_correctable", "missing_context")]
+    for k, d in enumerate(dialogues):
+        d.id = f"d{k}"
+    write_corpus(dialogues, "corpus.jsonl")
+    with _serve(_FixedHandler, body=b'{"ok": true, "result": 5}') as url:
+        with open("http.json", "w", encoding="utf-8") as fh:
+            json.dump({"corrector_url": url, "synth_url": url}, fh)
+        assert run(["clean", "--corpus", "corpus.jsonl", "--client", "http", "--config",
+                    "http.json", "--out", "c.jsonl", "--jobs", jobs, "--retries", "2"]) == 0
+    deferred = [json.loads(line) for line in
+                (tmp_path / "c.jsonl.deferred.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [(o["dialogue_id"], o["status"]) for o in deferred] == [("d1", "deferred"),
+                                                                  ("d2", "deferred")]
+    assert all("malformed response" in o["detail"] for o in deferred)
+    attempts = [p["attempt"] for o in deferred for p in o["provenance"]]
+    assert attempts == [1, 2, 1, 2]  # each failure was retried
+    assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "corpus.jsonl").read_bytes()
