@@ -7,6 +7,7 @@ descriptor sentences used as supervision text. Rendering is seeded and
 invertible: ``extract_tags(render_caption(c, seed))`` recovers the record's
 tag multiset for any seed.
 """
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -352,11 +353,7 @@ def _split_tag_list(raw: str) -> list[str]:
     return [raw]
 
 
-_DEFAULT: Taxonomy | None = None
-
-
+@functools.cache
 def default_taxonomy() -> Taxonomy:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_taxonomy()
-    return _DEFAULT
+    """The bundled taxonomy, loaded once per process."""
+    return load_taxonomy()

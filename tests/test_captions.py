@@ -6,11 +6,16 @@ import pytest
 
 from seqforge import captions
 from seqforge.captions import (ATTRIBUTES, CaptionRecord, CaptionParseError,
-                               InvalidCaptionError, default_taxonomy,
+                               InvalidCaptionError, default_taxonomy, load_taxonomy,
                                extract_tags, other, render_caption,
                                validate_caption)
 
 TAX = default_taxonomy()
+
+
+def test_default_taxonomy_is_loaded_once():
+    assert default_taxonomy() is default_taxonomy()
+    assert default_taxonomy() == load_taxonomy()
 
 
 def test_bundled_taxonomy_has_all_ten_attributes():
