@@ -208,7 +208,8 @@ def _parse_audio(doc, path: str) -> AudioTokenSpan:
         raise SchemaError(f"{path}.token_ids: expected integers")
     rate = doc.get("frame_rate_hz")
     dur = doc.get("duration_s")
-    if not ((type(rate) is float or type(rate) is int) and (type(dur) is float or type(dur) is int)):
+    if not ((type(rate) is float or type(rate) is int)
+            and (type(dur) is float or type(dur) is int)):
         rate = _require(doc, "frame_rate_hz", path)
         dur = _require(doc, "duration_s", path)
         if not isinstance(rate, (int, float)) or not isinstance(dur, (int, float)):
@@ -275,7 +276,8 @@ def _parse_turn(doc) -> Turn:
                 audio_range = _expect_pair(_require(item, "audio_range", ""), ".audio_range")
             ts, te = text_range
             aus, aue = audio_range
-            if type(ts) is not int or type(te) is not int or type(aus) is not int or type(aue) is not int:
+            if (type(ts) is not int or type(te) is not int
+                    or type(aus) is not int or type(aue) is not int):
                 _expect_pair(text_range, ".text_range")
                 _expect_pair(audio_range, ".audio_range")
             alignment.append(AlignmentSpan((ts, te), (aus, aue), index))

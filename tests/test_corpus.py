@@ -444,7 +444,10 @@ def _draw_mutation(rng: random.Random, doc) -> tuple[tuple, object]:
     sites = []
 
     def walk(node, keys):
-        items = node.items() if type(node) is dict else enumerate(node[:3]) if type(node) is list else ()
+        if type(node) is dict:
+            items = node.items()
+        else:
+            items = enumerate(node[:3]) if type(node) is list else ()
         for key, child in items:
             sites.append((keys + (key,), child))
             walk(child, keys + (key,))
