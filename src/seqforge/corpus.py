@@ -217,12 +217,12 @@ def _parse_audio(doc, path: str) -> AudioTokenSpan:
     return AudioTokenSpan(list(ids), float(rate), float(dur))
 
 
-def _parse_flag_span(doc) -> tuple[int, tuple[int, int]]:
-    if len(_expect_list(doc, "")) != 2:
+def _parse_flag_span(item) -> tuple[int, tuple[int, int]]:
+    if len(_expect_list(item, "")) != 2:
         raise SchemaError(": expected [turn_index, [start, end]]")
-    if type(doc[0]) is not int:
+    if type(item[0]) is not int:
         raise SchemaError(": turn index must be an integer")
-    return doc[0], _expect_pair(doc[1], "[1]")
+    return item[0], _expect_pair(item[1], "[1]")
 
 
 def _parse_flag(doc) -> QualityFlag:
