@@ -98,7 +98,8 @@ def _post_json(url: str, payload: dict, timeout: float, parse):
     Transport failures, service errors and malformed responses (parse raises
     SchemaError naming the bad field) all raise ClientError.
     """
-    import urllib.error  # only the HTTP clients need it; the mock path starts faster without
+    import http.client  # only the HTTP clients need these; the mock path starts faster without
+    import urllib.error
     import urllib.request
 
     body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
@@ -106,7 +107,8 @@ def _post_json(url: str, payload: dict, timeout: float, parse):
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
             doc = json.loads(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (urllib.error.URLError, OSError, http.client.HTTPException, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         raise ClientError(f"request to {url} failed: {exc}") from exc
     try:
         doc = corpus_mod._expect_object(doc, "response")

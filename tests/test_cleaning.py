@@ -305,12 +305,16 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _FixedHandler(BaseHTTPRequestHandler):
-    """Answers every POST with the server's fixed response body."""
+    """Answers every POST with the server's fixed body and Content-Length (if set)."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
+        length = getattr(self.server, "length", None)
+        if length is not None:
+            self.send_header("Content-Length", str(length))
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(self.server.body)
 
@@ -412,8 +416,11 @@ def test_malformed_response_is_a_client_error(op, body, reason):
 
 
 @pytest.mark.parametrize("op", sorted(_CALLS))
-def test_response_that_is_not_utf8_is_a_client_error(op):
-    with _serve(_FixedHandler, body=b'{"ok": true, "result": "\xff"}') as url:
+@pytest.mark.parametrize("body, length", [(b'{"ok": true, "result": "\xff"}', None),
+                                          (b'{"ok": true', 100)],
+                         ids=["not-utf8", "truncated"])
+def test_unreadable_response_is_a_client_error(op, body, length):
+    with _serve(_FixedHandler, body=body, length=length) as url:
         with pytest.raises(ClientError, match=re.escape(f"request to {url}/{op} failed")):
             _CALLS[op](url)
 
