@@ -6,13 +6,14 @@ invariants (role alternation, alignment partitions, token/duration bounds)
 are checked separately by ``validate_dialogue`` and never raise.
 
 ``parse_dialogue`` walks each document once. Every field gets an exact
-type test first (``type(x) is str``, an enum lookup in a frozenset); only a
+type test first (``type(x) is str``, an enum lookup in a frozenset). Only a
 value that fails it goes to the path-reporting helpers (``_require``,
-``_expect_*``), which accept the same subclass and number variants or raise
-the ``SchemaError`` that names the first offending field. Item parsers name
-fields relative to their item, and ``_parse_items`` prefixes the item's path
-only when one fails, so a valid document builds no path strings. The turn
-and audio parsers also read the responses of the HTTP cleaning clients.
+``_expect_*``), which either accept it (a str or dict subclass, a bool
+``frame_rate_hz``/``duration_s``) or raise the ``SchemaError`` that names
+the first offending field. Item parsers name fields relative to their item,
+and ``_parse_items`` prefixes the item's path only when one fails, so a
+valid document builds no path strings. The turn and audio parsers also read
+the responses of the HTTP cleaning clients.
 
 Serialization is canonical: fixed key order, compact separators, sorted
 multi-tag sets. ``parse -> serialize -> parse`` is the identity on valid
