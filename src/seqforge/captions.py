@@ -54,13 +54,9 @@ class Taxonomy:
         return self.categories[attribute]
 
 
-def load_taxonomy(path=None) -> Taxonomy:
-    """Load a taxonomy JSON document (bundled default when path is None)."""
-    if path is None:
-        raw = resources.files("seqforge.data").joinpath("taxonomy.json").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
+def load_taxonomy() -> Taxonomy:
+    """Load the bundled taxonomy JSON document."""
+    raw = resources.files("seqforge.data").joinpath("taxonomy.json").read_text("utf-8")
     doc = json.loads(raw)
     version = doc.pop("$version", "unversioned")
     return Taxonomy(categories={k: tuple(v) for k, v in doc.items()}, version=version)

@@ -242,7 +242,6 @@ def apply_logic_correction(
     dialogue: Dialogue,
     corrector: CorrectorClient,
     synth: SynthClient,
-    seed: int = 0,
     retries: int = DEFAULT_RETRIES,
 ) -> CleaningOutcome:
     """Correct flagged responses and re-synthesize their audio.
@@ -250,8 +249,6 @@ def apply_logic_correction(
     Corrected turns get a single whole-turn alignment span (sub-sentence
     re-alignment is an upstream tool, not fabricated here). On client
     failure the outcome is deferred and the input stays untouched.
-    seed is reserved for clients that take seeded requests; the bundled
-    mocks derive determinism from content hashes instead.
     """
     provenance: list[dict] = []
     targets = _flagged_turn_indices(dialogue, "logic_contradiction_correctable")
@@ -302,7 +299,6 @@ def apply_context_completion(
     dialogue: Dialogue,
     corrector: CorrectorClient,
     synth: SynthClient,
-    seed: int = 0,
     retries: int = DEFAULT_RETRIES,
 ) -> CleaningOutcome:
     """Prepend presupposed turns inferred by the corrector client.
@@ -360,14 +356,19 @@ def clean_dialogue(
     seed: int = 0,
     retries: int = DEFAULT_RETRIES,
 ) -> CleaningOutcome:
+    """Route the dialogue and apply its branch.
+
+    Nothing reads seed: cleaning derives its determinism from content
+    hashes. The keyword stays because ``forgebench/tracing.py`` passes it.
+    """
     branch = route(dialogue)
     if branch == "passthrough":
         return CleaningOutcome(branch="passthrough", dialogue=dialogue)
     if branch == "information_preservation":
         return apply_masking(dialogue)
     if branch == "context_completion":
-        return apply_context_completion(dialogue, corrector, synth, seed=seed, retries=retries)
-    return apply_logic_correction(dialogue, corrector, synth, seed=seed, retries=retries)
+        return apply_context_completion(dialogue, corrector, synth, retries=retries)
+    return apply_logic_correction(dialogue, corrector, synth, retries=retries)
 
 
 def outcome_to_dict(outcome: CleaningOutcome) -> dict:

@@ -181,12 +181,12 @@ def _repeated_ids(located) -> list:
 def _compile(fn, state, tasks, jobs: int) -> list | None:
     """Ordered map of fn(state, task) over tasks, then the gate.
 
-    Each task is (line number, record). fn returns a Reject, a _Failed, or a
-    row (dialogue id, *outputs). Under a pool, fn and its shared state reach
-    each worker once through the initializer, so a task carries only its own
-    record. Returns the rows without their ids, or None after reporting the
-    rejects (parse rejects and repeated ids, in line order) or else the first
-    failure.
+    Each task is (line number, record). fn returns a Reject, a list of them,
+    a _Failed, or a row (dialogue id, *outputs). Under a pool, fn and its
+    shared state reach each worker once through the initializer, so a task
+    carries only its own record. Returns the rows without their ids, or None
+    after reporting the rejects (parse rejects, flag rejects and repeated ids,
+    in line order) or else the first failure.
     """
     if jobs <= 1 or len(tasks) <= 1:
         rows = [fn(state, task) for task in tasks]
@@ -197,6 +197,7 @@ def _compile(fn, state, tasks, jobs: int) -> list | None:
             rows = pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
     failed = next((row for row in rows if isinstance(row, _Failed)), None)
     rejects = [row for row in rows if isinstance(row, corpus.Reject)]
+    rejects += [r for row in rows if type(row) is list for r in row]
     rejects += _repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
                              if type(row) is tuple)
     if not _gate(sorted(rejects, key=lambda r: r.line_number)):
@@ -208,12 +209,15 @@ def _compile(fn, state, tasks, jobs: int) -> list | None:
 
 
 def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> None:
-    """Write each body to <path>.tmp, move it into place, then write the sidecar.
+    """Write each body and the sidecar to <path>.tmp, then move them into place.
 
     The first body is the command's output: it gets the sidecar and, with
     header, the manifest as its first line. Until the moves, every existing
-    output stays as it was.
+    output stays as it was. The old sidecar goes before the first move and
+    the new one comes last, so a run cut short between moves leaves none.
     """
+    sidecar = f"{next(iter(bodies))}.manifest.json"
+    bodies = {**bodies, sidecar: [man.to_json()]}
     for k, (path, lines) in enumerate(bodies.items()):
         with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
             if header and k == 0:
@@ -221,9 +225,10 @@ def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> No
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(sidecar)
     for path in bodies:
         os.replace(f"{path}.tmp", path)
-    man.write_sidecar(next(iter(bodies)))
 
 
 def _manifest(args, config: dict, counts: dict) -> RunManifest:
@@ -385,11 +390,16 @@ def _make_clients(args, cfg: dict):
 def _clean_record(state, task):
     from seqforge import cleaning
 
-    corrector, synth, seed, retries = state
+    corrector, synth, retries = state
     dialogue = corpus.parse_line(*task)
     if isinstance(dialogue, corpus.Reject):
         return dialogue
-    outcome = cleaning.clean_dialogue(dialogue, corrector, synth, seed=seed, retries=retries)
+    # Only the flag checks: clean exists to repair dialogues that full validation
+    # rejects, such as one that opens on an assistant turn.
+    violations = corpus.validate_flags(dialogue).violations
+    if violations:
+        return [corpus.Reject(task[0], str(v)) for v in violations]
+    outcome = cleaning.clean_dialogue(dialogue, corrector, synth, retries=retries)
     return (dialogue.id, corpus.serialize_dialogue(outcome.dialogue),
             json.dumps(cleaning.outcome_to_dict(outcome), ensure_ascii=False,
                        separators=(",", ":")),
@@ -405,8 +415,7 @@ def cmd_clean(args) -> int:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     lines = list(corpus.iter_lines(args.corpus))
     corrector, synth = _make_clients(args, cfg)
-    rows = _compile(_clean_record, (corrector, synth, args.seed, args.retries), lines,
-                    args.jobs)
+    rows = _compile(_clean_record, (corrector, synth, args.retries), lines, args.jobs)
     if rows is None:
         return 1
     deferred = [outcome for _, outcome, status in rows if status == "deferred"]

@@ -39,7 +39,6 @@ FLAG_KINDS = (
 )
 
 ADAPTER_FRAME_RATE_HZ = 12.5
-ENCODER_FRAME_RATE_HZ = 25.0
 
 
 @dataclass
@@ -426,13 +425,6 @@ def serialize_dialogue(d: Dialogue) -> str:
     return json.dumps(dialogue_to_dict(d), ensure_ascii=False, separators=(",", ":"))
 
 
-def write_corpus(dialogues, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in dialogues:
-            fh.write(serialize_dialogue(d))
-            fh.write("\n")
-
-
 # --------------------------------------------------------------------------
 # validation (never raises)
 # --------------------------------------------------------------------------
@@ -511,6 +503,17 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
         if turn.caption is not None:
             for v in validate_caption(turn.caption, default_taxonomy()).violations:
                 report.add(f"{path}.caption.{v.path}", v.message)
+    report.violations += validate_flags(d).violations
+    return report
+
+
+def validate_flags(d: Dialogue) -> ValidationReport:
+    """The quality-flag invariants of validate_dialogue.
+
+    The cleaning branches index turns and text by flag spans, so ``clean``
+    rejects a dialogue that breaks these.
+    """
+    report = ValidationReport()
     for k, flag in enumerate(d.quality_flags):
         path = f"quality_flags[{k}]"
         if flag.kind == "logic_contradiction_severe" and not flag.spans:

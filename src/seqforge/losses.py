@@ -159,22 +159,3 @@ def finite_diff_check(loss_fn, point, epsilon: float = 1e-6) -> float:
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
         worst = max(worst, err)
     return worst
-
-
-# --------------------------------------------------------------------------
-# fixture matrix IO: u32-LE rows, u32-LE cols, then row-major f64-LE values
-# --------------------------------------------------------------------------
-
-def write_matrix(path, matrix) -> None:
-    m = _check_matrix(matrix, "matrix")
-    with open(path, "wb") as fh:
-        fh.write(np.array(m.shape, dtype="<u4").tobytes())
-        fh.write(m.astype("<f8").tobytes())
-
-
-def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(8), dtype="<u4")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    return data.reshape(rows, cols).copy()

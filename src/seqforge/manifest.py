@@ -51,10 +51,3 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), ensure_ascii=False, separators=(",", ":"))
-
-    def write_sidecar(self, out_path) -> str:
-        sidecar = f"{out_path}.manifest.json"
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-        return sidecar

@@ -22,15 +22,6 @@ class ValidationReport:
     def add(self, path: str, message: str) -> None:
         self.violations.append(Violation(path, message))
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
-
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [{"path": v.path, "message": v.message} for v in self.violations],
-        }

@@ -209,28 +209,27 @@ class BudgetRow:
     status: str  # pass | fail | missing | unit_mismatch
 
 
-def _as_tokens(budget_like: Budget, rate_hz: float) -> float | None:
+def _as_tokens(budget_like: Budget) -> float | None:
     if budget_like.unit == "tokens":
         return float(budget_like.amount)
     if budget_like.unit == "hours":
-        return float(tokens_for_hours(budget_like.amount, rate_hz))
+        return float(tokens_for_hours(budget_like.amount, DEFAULT_RATE_HZ))
     return None  # samples are not token-convertible
 
 
-def budget_check(plan: list[StageSpec], stats: dict[str, dict],
-                 rate_hz: float = DEFAULT_RATE_HZ,
-                 tolerance: float = BUDGET_TOLERANCE) -> list[BudgetRow]:
+def budget_check(plan: list[StageSpec], stats: dict[str, dict]) -> list[BudgetRow]:
     """Compare declared budgets against corpus statistics.
 
     stats maps data-class -> {"amount": x >= 0, "unit": one of BUDGET_UNITS};
-    an entry of another shape raises SchemaError. Hours convert at rate_hz;
-    a class absent from stats yields a "missing" row rather than failing
-    the whole check.
+    an entry of another shape raises SchemaError. Hours convert at
+    DEFAULT_RATE_HZ, and a relative error up to BUDGET_TOLERANCE passes; a
+    class absent from stats yields a "missing" row rather than failing the
+    whole check.
     """
     rows: list[BudgetRow] = []
     for stage in plan:
         for cls, declared in stage.token_budget.items():
-            declared_tokens = _as_tokens(declared, rate_hz)
+            declared_tokens = _as_tokens(declared)
             entry = stats.get(cls)
             if entry is None:
                 rows.append(BudgetRow(stage.stage_id, cls, declared_tokens, None, None, "missing"))
@@ -239,13 +238,13 @@ def budget_check(plan: list[StageSpec], stats: dict[str, dict],
                     and entry["amount"] >= 0 and entry.get("unit") in BUDGET_UNITS):
                 raise SchemaError(f"{cls}: expected {{\"amount\": number >= 0, "
                                   f"\"unit\": one of {list(BUDGET_UNITS)}}}")
-            derived = _as_tokens(Budget(float(entry["amount"]), entry["unit"]), rate_hz)
+            derived = _as_tokens(Budget(float(entry["amount"]), entry["unit"]))
             if declared_tokens is None or derived is None:
                 rows.append(BudgetRow(stage.stage_id, cls, declared_tokens, derived,
                                       None, "unit_mismatch"))
                 continue
             rel = abs(derived - declared_tokens) / declared_tokens if declared_tokens else 0.0
-            status = "pass" if rel <= tolerance else "fail"
+            status = "pass" if rel <= BUDGET_TOLERANCE else "fail"
             rows.append(BudgetRow(stage.stage_id, cls, declared_tokens, derived, rel, status))
     return rows
 

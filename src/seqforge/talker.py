@@ -213,16 +213,6 @@ def _interleave_runs(text_ids: list[int], speech_ids: list[int], ratio: StreamRa
             si += take
 
 
-def stream_interleave(
-    text_ids: list[int],
-    speech_ids: list[int],
-    ratio: StreamRatio,
-) -> list[tuple[str, int]]:
-    """_interleave_runs flattened to (stream, id) tokens."""
-    return [(stream, tid) for stream, ids in _interleave_runs(text_ids, speech_ids, ratio)
-            for tid in ids]
-
-
 def text_ids_for(text: str) -> list[int]:
     return [ord(c) for c in text]
 

@@ -2,10 +2,28 @@ import json
 
 import pytest
 
-from seqforge import corpus as corpus_mod
 from seqforge.cleaning import ClientError
-from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue,
-                             QualityFlag, Turn)
+from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue, Turn,
+                             serialize_dialogue)
+from seqforge.talker import StreamRatio, _interleave_runs
+
+
+def write_corpus(dialogues, path, extra_lines=()) -> None:
+    """Write dialogues as canonical corpus lines, then each raw extra line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in dialogues:
+            fh.write(serialize_dialogue(d))
+            fh.write("\n")
+        for raw in extra_lines:
+            fh.write(raw)
+            fh.write("\n")
+
+
+def stream_interleave(text_ids: list[int], speech_ids: list[int],
+                      ratio: StreamRatio) -> list[tuple[str, int]]:
+    """talker._interleave_runs flattened to (stream, id) tokens: the reference view."""
+    return [(stream, tid) for stream, ids in _interleave_runs(text_ids, speech_ids, ratio)
+            for tid in ids]
 
 
 def make_audio(n_tokens: int, rate: float = 12.5) -> AudioTokenSpan:
@@ -41,13 +59,7 @@ def corpus_file(tmp_path):
 
     def write(dialogues, name="corpus.jsonl", extra_lines=()):
         path = tmp_path / name
-        with open(path, "w", encoding="utf-8") as fh:
-            for d in dialogues:
-                fh.write(corpus_mod.serialize_dialogue(d))
-                fh.write("\n")
-            for raw in extra_lines:
-                fh.write(raw)
-                fh.write("\n")
+        write_corpus(dialogues, path, extra_lines)
         return path
 
     return write

@@ -12,12 +12,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from seqforge import cleaning, corpus, schedule, synthetic, talker, thinker
+from seqforge import cleaning, corpus, schedule, talker, thinker
 from seqforge.cli import run
 from seqforge.losses import finite_diff_check, kl_distill, masked_ce
 from seqforge.metrics import (AblationCell, ablation_gap, edit_distance,
                               only_yes_accuracy)
 from seqforge.templates import ONLY_YES_INSTRUCTION
+
+import synthetic
+from conftest import stream_interleave, write_corpus
 
 
 def ok(criterion: str, detail: str = ""):
@@ -271,7 +274,7 @@ def test_criterion_08_talker_grammar():
         text = [rng.randrange(1000) for _ in range(rng.randrange(0, 40))]
         speech = [rng.randrange(1000) for _ in range(rng.randrange(0, 40))]
         ratio = talker.StreamRatio(rng.randrange(1, 7), rng.randrange(1, 7))
-        merged = talker.stream_interleave(text, speech, ratio)
+        merged = stream_interleave(text, speech, ratio)
         assert [i for s, i in merged if s == "text"] == text
         assert [i for s, i in merged if s == "speech"] == speech
         assert sorted(i for _, i in merged) == sorted(text + speech)
@@ -295,7 +298,7 @@ def _full_pipeline(workdir, jobs: str) -> dict[str, bytes]:
         elif k % 4 == 2:
             d.quality_flags = [corpus.QualityFlag(
                 kind="logic_contradiction_correctable", spans=[(1, (0, 1))])]
-    corpus.write_corpus(dialogues, workdir / "corpus.jsonl")
+    write_corpus(dialogues, workdir / "corpus.jsonl")
 
     assert run(["validate", "--corpus", "corpus.jsonl"]) == 0
     assert run(["clean", "--corpus", "corpus.jsonl", "--client", "mock",

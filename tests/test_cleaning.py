@@ -9,16 +9,17 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from seqforge import cleaning, synthetic, thinker
+from seqforge import cleaning, thinker
 from seqforge.cleaning import (ClientError, HttpCorrectorClient, HttpSynthClient,
                                MockCorrector, MockSynth, apply_context_completion,
                                apply_logic_correction, apply_masking,
                                clean_dialogue, route)
 from seqforge.cli import run
 from seqforge.corpus import (Dialogue, QualityFlag, Turn, serialize_dialogue,
-                             validate_dialogue, write_corpus)
+                             validate_dialogue)
 
-from conftest import FlakyClient, make_dialogue
+import synthetic
+from conftest import FlakyClient, make_dialogue, write_corpus
 
 
 def flagged(kind, spans=None, **kw):

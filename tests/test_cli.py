@@ -7,16 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from seqforge import cli, synthetic
+from seqforge import cli
 from seqforge import corpus as corpus_mod
 from seqforge.cli import run
 
+import conftest
+import synthetic
 from conftest import make_dialogue
 
 
 def write_corpus(tmp_path, dialogues, name="corpus.jsonl"):
     path = tmp_path / name
-    corpus_mod.write_corpus(dialogues, path)
+    conftest.write_corpus(dialogues, path)
     return path
 
 
@@ -393,6 +395,80 @@ def test_build_commands_reject_duplicate_dialogue_ids(tmp_path, capsys, argv, jo
         f"reject line 4: duplicate dialogue id {did!r} (first on line 2)\n"
         f"reject line 6: duplicate dialogue id {did!r} (first on line 2)\n")
     assert not list(tmp_path.glob("o.jsonl*"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("spans, kind, messages", [
+    ([], "logic_contradiction_severe",
+     ["quality_flags[0]: severe contradiction flags must carry at least one span"]),
+    ([(99, (0, 1))], "logic_contradiction_correctable",
+     ["quality_flags[0].spans[0]: turn index 99 out of range"]),
+    ([(-1, (0, 1))], "logic_contradiction_correctable",
+     ["quality_flags[0].spans[0]: turn index -1 out of range"]),
+    ([(1, (0, 1)), (99, (0, 1)), (0, (5, 2))], "logic_contradiction_correctable",
+     ["quality_flags[0].spans[1]: turn index 99 out of range",
+      "quality_flags[0].spans[2]: text range [5,2) invalid for turn of length "]),
+])
+def test_clean_rejects_flags_its_branches_cannot_apply(tmp_path, capsys, spans, kind,
+                                                       messages, jobs):
+    dialogues = synthetic.synth_corpus(3, 1)
+    dialogues[1].quality_flags = [corpus_mod.QualityFlag(kind, spans)]
+    path = write_corpus(tmp_path, dialogues)
+    out = tmp_path / "o.jsonl"
+    assert run(["clean", "--client", "mock", "--corpus", str(path), "--out", str(out),
+                "--jobs", jobs]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(messages)
+    for line, message in zip(err, messages):
+        assert line.startswith(f"reject line 2: {message}")
+    assert not list(tmp_path.glob("o.jsonl*"))
+
+
+def test_clean_cut_short_between_moves_leaves_no_sidecar(tmp_path, monkeypatch):
+    path = write_corpus(tmp_path, synthetic.synth_corpus(3, 1))
+    out = tmp_path / "cleaned.jsonl"
+    argv = ["clean", "--client", "mock", "--corpus", str(path), "--out", str(out)]
+    assert run(argv) == 0
+    sidecar = tmp_path / "cleaned.jsonl.manifest.json"
+    assert sidecar.exists()
+    moved = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        moved.append(dst)
+        if len(moved) == 2:
+            raise OSError("interrupted between moves")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="interrupted between moves"):
+        run(argv)
+    assert moved == [str(out), f"{out}.outcomes.jsonl"]
+    assert not sidecar.exists()
+
+
+def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    kinds = (None, "clean", "logic_contradiction_correctable", "logic_contradiction_severe")
+    dialogues = [synthetic.synth_dialogue(1, k, flag_kind=kind) for k, kind in enumerate(kinds)]
+    dialogues.append(synthetic.synth_dialogue(1, 4, n_turns=3, truncate_first_turn=True,
+                                              flag_kind="missing_context"))
+    write_corpus(tmp_path, dialogues)
+    runs = []
+    for seed in ("0", "5"):
+        assert run(["clean", "--client", "mock", "--corpus", "corpus.jsonl", "--seed", seed,
+                    "--out", "cleaned.jsonl"]) == 0
+        runs.append({p.name: p.read_bytes() for p in tmp_path.glob("cleaned.jsonl*")})
+    assert sorted(runs[0]) == ["cleaned.jsonl", "cleaned.jsonl.deferred.jsonl",
+                               "cleaned.jsonl.manifest.json", "cleaned.jsonl.outcomes.jsonl"]
+    sidecars = [json.loads(r.pop("cleaned.jsonl.manifest.json")) for r in runs]
+    assert runs[0] == runs[1]
+    assert [s.pop("master_seed") for s in sidecars] == [0, 5]
+    # The command line records the flag; nothing else in the manifest moves with it.
+    assert [s.pop("command") for s in sidecars] == [
+        f"forge clean --client mock --corpus corpus.jsonl --seed {seed} --out cleaned.jsonl"
+        for seed in (0, 5)]
+    assert sidecars[0] == sidecars[1]
 
 
 @pytest.mark.parametrize("argv, config, message", [

@@ -13,8 +13,8 @@ from seqforge.captions import CaptionRecord
 from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue,
                              QualityFlag, Turn, downsample_frames,
                              parse_corpus, tokens_for_hours, validate_dialogue)
-from seqforge import synthetic
 
+import synthetic
 from conftest import make_dialogue, make_turn
 
 

@@ -9,8 +9,10 @@ import re
 
 import pytest
 
-from seqforge import corpus, synthetic
 from seqforge.cli import run
+
+import synthetic
+from conftest import write_corpus
 
 FLAG_KINDS = (None, "clean", "logic_contradiction_correctable", "logic_contradiction_severe")
 
@@ -66,7 +68,7 @@ def _write_corpus() -> None:
     # A voice pair found nowhere else: build-talker skips this dialogue.
     for t in dialogues[-1].turns:
         t.speaker_id = f"solo_{t.role}"
-    corpus.write_corpus(dialogues, "corpus.jsonl")
+    write_corpus(dialogues, "corpus.jsonl")
 
 
 def _digests(jobs: str) -> dict[str, str]:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from seqforge.losses import (JointResult, finite_diff_check, joint_loss,
-                             kl_distill, log_softmax, masked_ce, read_matrix,
-                             write_matrix)
+                             kl_distill, log_softmax, masked_ce)
 
 
 def test_log_softmax_symmetric_pair():
@@ -220,16 +219,3 @@ def test_joint_rejects_negative_weights():
     with pytest.raises(ValueError):
         joint_loss(_fake(1.0, (1, 2), 0.0), _fake(1.0, (1, 2), 0.0), lambda_kl=-1.0)
 
-
-# --------------------------------------------------------------------------
-# fixture matrix IO
-# --------------------------------------------------------------------------
-
-def test_matrix_io_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(7, 11))
-    path = tmp_path / "mat.bin"
-    write_matrix(path, m)
-    assert path.stat().st_size == 8 + 7 * 11 * 8
-    back = read_matrix(path)
-    assert np.array_equal(back, m)

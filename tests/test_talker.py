@@ -5,15 +5,15 @@ from collections import Counter
 
 import pytest
 
-from seqforge import synthetic
 from seqforge.seeding import DetRng, derive_seed
 from seqforge.talker import (SPECIAL_TOKENS, AssembleError, NoReferenceError,
                              ReferenceSegment, StreamRatio, TalkerParseError,
                              assemble, build_reference_index, parse_sequence,
                              select_reference, serialize_sequence,
-                             stream_interleave, text_ids_for)
+                             text_ids_for)
 
-from conftest import make_dialogue, make_turn
+import synthetic
+from conftest import make_dialogue, make_turn, stream_interleave
 from seqforge.corpus import AudioTokenSpan, Dialogue, Turn
 
 

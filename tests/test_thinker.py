@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from seqforge import synthetic, thinker
+from seqforge import thinker
 from seqforge.thinker import (CompileError, InterleavePolicy,
                               extract_loss_targets, interleave_dialogue,
                               segment_assistant, serialize_sequence)
 
+import synthetic
 from conftest import make_dialogue, make_turn
 
 
