@@ -1,6 +1,7 @@
 """Corpus model: parsing, serialization, arithmetic, validation."""
 import collections
 import copy
+import dataclasses
 import gc
 import hashlib
 import json
@@ -742,6 +743,238 @@ def test_validate_checks_captions_against_the_taxonomy():
 def test_validate_corpus_duplicate_ids():
     report = corpus.validate_corpus([make_dialogue("same"), make_dialogue("same")])
     assert any("duplicate id" in v.message for v in report.violations)
+
+
+# --------------------------------------------------------------------------
+# seeded semantic mutants: violation lists frozen as committed literals
+# --------------------------------------------------------------------------
+
+_SEMANTIC_SHAPES = (
+    {"n_turns": 3, "with_captions": True, "flag_kind": "logic_contradiction_severe"},
+    {"n_turns": 4, "segments_per_assistant": 2, "flag_kind": "logic_contradiction_correctable"},
+    {"n_turns": 2, "with_captions": True, "flag_kind": "clean", "language": "zh"},
+)
+
+
+def _semantic_source(n: int) -> Dialogue:
+    """The valid synthetic dialogue that semantic mutant n starts from."""
+    return synthetic.synth_dialogue(43, n, **_SEMANTIC_SHAPES[n % len(_SEMANTIC_SHAPES)])
+
+
+def _shift_text_range(span: AlignmentSpan, ds: int, de: int) -> None:
+    span.text_range = (span.text_range[0] + ds, span.text_range[1] + de)
+
+
+def _swap_roles(d: Dialogue, i: int) -> None:
+    d.turns[i].role, d.turns[i + 1].role = d.turns[i + 1].role, d.turns[i].role
+
+
+def _bad_caption(d: Dialogue, i: int) -> None:
+    caption = d.turns[i].caption or CaptionRecord()
+    d.turns[i].caption = dataclasses.replace(caption, emotion="Bored")
+
+
+def _flag_span(span):
+    def add(d: Dialogue, i: int) -> None:
+        d.quality_flags.append(QualityFlag("logic_contradiction_correctable", [span(d, i)]))
+    return add
+
+
+# kind -> (mutation of turn i, whether turn i of a dialogue can take it)
+_SEMANTIC_KINDS = {
+    "swap_roles": (_swap_roles, lambda d, i: i + 1 < len(d.turns)),
+    "overlap": (lambda d, i: _shift_text_range(d.turns[i].alignment[1], -1, 0),
+                lambda d, i: len(d.turns[i].alignment) > 1),
+    "gap": (lambda d, i: _shift_text_range(d.turns[i].alignment[1], 1, 0),
+            lambda d, i: len(d.turns[i].alignment) > 1),
+    "text_beyond": (lambda d, i: _shift_text_range(d.turns[i].alignment[-1], 0, 3),
+                    lambda d, i: True),
+    "audio_beyond": (lambda d, i: setattr(d.turns[i].alignment[-1], "audio_range",
+                                          (d.turns[i].alignment[-1].audio_range[0],
+                                           d.turns[i].audio.n_tokens + 2)),
+                     lambda d, i: True),
+    "negative_token": (lambda d, i: d.turns[i].audio.token_ids.__setitem__(0, -1),
+                       lambda d, i: True),
+    "duration": (lambda d, i: setattr(d.turns[i].audio, "duration_s",
+                                      d.turns[i].audio.duration_s + 1.0),
+                 lambda d, i: True),
+    "flag_turn": (_flag_span(lambda d, i: (len(d.turns) + i, (0, 1))), lambda d, i: True),
+    "flag_range": (_flag_span(lambda d, i: (i, (3, 1))), lambda d, i: True),
+    "caption_tag": (_bad_caption, lambda d, i: True),
+}
+
+
+def _draw_semantic(rng: random.Random, d: Dialogue) -> tuple:
+    """One or two (kind, turn index) mutations that d can take."""
+    draws = []
+    for _ in range(rng.choice((1, 1, 2))):
+        kind = rng.choice(sorted(_SEMANTIC_KINDS))
+        fits = _SEMANTIC_KINDS[kind][1]
+        draws.append((kind, rng.choice([i for i in range(len(d.turns)) if fits(d, i)])))
+    return tuple(draws)
+
+
+def _semantic_violations(n: int, draws) -> list[str]:
+    d = _semantic_source(n)
+    for kind, i in draws:
+        _SEMANTIC_KINDS[kind][0](d, i)
+    return [str(v) for v in validate_dialogue(d).violations]
+
+
+_SEMANTIC_SEED = 1
+# (mutations, violations) of the draws from random.Random(_SEMANTIC_SEED), in order.
+SEMANTIC_MUTANTS = [
+    ((('text_beyond', 0),), [
+        'turns[0].alignment[0].text_range: range [0,26) outside text of length 23',
+        'turns[0].alignment: spans cover [0,26) but text has length 23',
+    ]),
+    ((('caption_tag', 3),), [
+        "turns[3].caption.emotion: tag 'Bored' not in Emotion vocabulary",
+    ]),
+    ((('overlap', 1),), [
+        'turns[1].alignment[1].text_range: overlaps previous span ending at 13',
+    ]),
+    ((('caption_tag', 1),), [
+        "turns[1].caption.emotion: tag 'Bored' not in Emotion vocabulary",
+    ]),
+    ((('negative_token', 3),), [
+        'turns[3].audio.token_ids: token ids must be >= 0',
+    ]),
+    ((('audio_beyond', 1), ('flag_turn', 0)), [
+        'turns[1].alignment[2].audio_range: range end 88 beyond 86 tokens',
+        'quality_flags[1].spans[0]: turn index 2 out of range',
+    ]),
+    ((('caption_tag', 1), ('audio_beyond', 0)), [
+        'turns[0].alignment[0].audio_range: range end 84 beyond 82 tokens',
+        "turns[1].caption.emotion: tag 'Bored' not in Emotion vocabulary",
+    ]),
+    ((('swap_roles', 0),), [
+        "turns[0].role: role alternation violated: expected 'user', got 'assistant'",
+        "turns[1].role: role alternation violated: expected 'assistant', got 'user'",
+    ]),
+    ((('flag_range', 1),), [
+        'quality_flags[1].spans[0]: text range [3,1) invalid for turn of length 32',
+    ]),
+    ((('audio_beyond', 2), ('flag_range', 1)), [
+        'turns[2].alignment[0].audio_range: range end 86 beyond 84 tokens',
+        'quality_flags[1].spans[0]: text range [3,1) invalid for turn of length 47',
+    ]),
+    ((('swap_roles', 0),), [
+        "turns[0].role: role alternation violated: expected 'user', got 'assistant'",
+        "turns[1].role: role alternation violated: expected 'assistant', got 'user'",
+    ]),
+    ((('flag_range', 0),), [
+        'quality_flags[1].spans[0]: text range [3,1) invalid for turn of length 37',
+    ]),
+    ((('flag_turn', 0),), [
+        'quality_flags[1].spans[0]: turn index 3 out of range',
+    ]),
+    ((('swap_roles', 2),), [
+        "turns[2].role: role alternation violated: expected 'user', got 'assistant'",
+        "turns[3].role: role alternation violated: expected 'assistant', got 'user'",
+    ]),
+    ((('duration', 1),), [
+        'turns[1].audio: token count 50 vs duration-derived 63 exceeds the +/-1 rounding bound',
+    ]),
+    ((('gap', 1),), [
+        'turns[1].alignment[1].text_range: gap after previous span ending at 11',
+    ]),
+    ((('flag_range', 2), ('flag_turn', 3)), [
+        'quality_flags[1].spans[0]: text range [3,1) invalid for turn of length 36',
+        'quality_flags[2].spans[0]: turn index 7 out of range',
+    ]),
+    ((('negative_token', 0), ('overlap', 1)), [
+        'turns[0].audio.token_ids: token ids must be >= 0',
+        'turns[1].alignment[1].text_range: overlaps previous span ending at 16',
+    ]),
+    ((('negative_token', 1), ('duration', 1)), [
+        'turns[1].audio.token_ids: token ids must be >= 0',
+        'turns[1].audio: token count 60 vs duration-derived 73 exceeds the +/-1 rounding bound',
+    ]),
+    ((('gap', 1), ('overlap', 1)), [
+    ]),
+    ((('swap_roles', 0),), [
+        "turns[0].role: role alternation violated: expected 'user', got 'assistant'",
+        "turns[1].role: role alternation violated: expected 'assistant', got 'user'",
+    ]),
+    ((('overlap', 1),), [
+        'turns[1].alignment[1].text_range: overlaps previous span ending at 7',
+    ]),
+    ((('audio_beyond', 2),), [
+        'turns[2].alignment[0].audio_range: range end 58 beyond 56 tokens',
+    ]),
+    ((('text_beyond', 1), ('duration', 0)), [
+        'turns[0].audio: token count 66 vs duration-derived 79 exceeds the +/-1 rounding bound',
+        'turns[1].alignment[2].text_range: range [20,34) outside text of length 31',
+        'turns[1].alignment: spans cover [0,34) but text has length 31',
+    ]),
+    ((('flag_range', 0), ('flag_range', 2)), [
+        'quality_flags[1].spans[0]: text range [3,1) invalid for turn of length 38',
+        'quality_flags[2].spans[0]: text range [3,1) invalid for turn of length 42',
+    ]),
+    ((('flag_range', 3), ('swap_roles', 1)), [
+        "turns[1].role: role alternation violated: expected 'assistant', got 'user'",
+        "turns[2].role: role alternation violated: expected 'user', got 'assistant'",
+        'quality_flags[1].spans[0]: text range [3,1) invalid for turn of length 30',
+    ]),
+    ((('gap', 1), ('flag_turn', 0)), [
+        'turns[1].alignment[1].text_range: gap after previous span ending at 15',
+        'quality_flags[1].spans[0]: turn index 2 out of range',
+    ]),
+    ((('swap_roles', 0),), [
+        "turns[0].role: role alternation violated: expected 'user', got 'assistant'",
+        "turns[1].role: role alternation violated: expected 'assistant', got 'user'",
+    ]),
+    ((('swap_roles', 0), ('negative_token', 0)), [
+        "turns[0].role: role alternation violated: expected 'user', got 'assistant'",
+        'turns[0].audio.token_ids: token ids must be >= 0',
+        "turns[1].role: role alternation violated: expected 'assistant', got 'user'",
+    ]),
+    ((('gap', 1),), [
+        'turns[1].alignment[1].text_range: gap after previous span ending at 15',
+    ]),
+    ((('negative_token', 1), ('gap', 1)), [
+        'turns[1].audio.token_ids: token ids must be >= 0',
+        'turns[1].alignment[1].text_range: gap after previous span ending at 14',
+    ]),
+    ((('audio_beyond', 2),), [
+        'turns[2].alignment[0].audio_range: range end 44 beyond 42 tokens',
+    ]),
+    ((('text_beyond', 0),), [
+        'turns[0].alignment[0].text_range: range [0,45) outside text of length 42',
+        'turns[0].alignment: spans cover [0,45) but text has length 42',
+    ]),
+    ((('duration', 2),), [
+        'turns[2].audio: token count 60 vs duration-derived 73 exceeds the +/-1 rounding bound',
+    ]),
+    ((('duration', 0), ('swap_roles', 1)), [
+        'turns[0].audio: token count 72 vs duration-derived 85 exceeds the +/-1 rounding bound',
+        "turns[1].role: role alternation violated: expected 'assistant', got 'user'",
+        "turns[2].role: role alternation violated: expected 'user', got 'assistant'",
+    ]),
+    ((('caption_tag', 0),), [
+        "turns[0].caption.emotion: tag 'Bored' not in Emotion vocabulary",
+    ]),
+]
+
+
+def test_semantic_mutant_table_is_the_seeded_draw():
+    rng = random.Random(_SEMANTIC_SEED)
+    assert [_draw_semantic(rng, _semantic_source(n)) for n in range(len(SEMANTIC_MUTANTS))] == [
+        draws for draws, _ in SEMANTIC_MUTANTS]
+    assert {kind for draws, _ in SEMANTIC_MUTANTS for kind, _ in draws} == set(_SEMANTIC_KINDS)
+
+
+def test_semantic_sources_are_valid():
+    for n in range(len(SEMANTIC_MUTANTS)):
+        assert validate_dialogue(_semantic_source(n)).ok
+
+
+@pytest.mark.parametrize("n", range(len(SEMANTIC_MUTANTS)), ids=[
+    f"{n}:{'+'.join(kind for kind, _ in m[0])}" for n, m in enumerate(SEMANTIC_MUTANTS)])
+def test_validate_of_a_semantic_mutant_is_frozen(n):
+    draws, violations = SEMANTIC_MUTANTS[n]
+    assert _semantic_violations(n, draws) == violations
 
 
 # --------------------------------------------------------------------------
