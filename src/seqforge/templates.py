@@ -40,12 +40,6 @@ class TaskSpec:
         if not self.slot_grammar:
             raise ValueError("task needs at least one slot")
 
-    def cardinality(self) -> int:
-        n = 1
-        for slot in self.slot_grammar:
-            n *= len(slot.alternatives) + (1 if slot.optional else 0)
-        return n
-
     def primary_language(self) -> str:
         return sorted(self.languages)[0] if self.languages else "en"
 
@@ -80,16 +74,15 @@ def _iter_expansion(spec: TaskSpec):
             return
 
 
-def expand_templates(spec: TaskSpec, limit: int | None = None,
-                     language: str | None = None) -> list[PromptVariant]:
-    """Expand a slot grammar into distinct prompt variants.
+def expand_templates(spec: TaskSpec, limit: int | None = None) -> list[PromptVariant]:
+    """Expand a slot grammar into distinct prompt variants in the task's primary language.
 
-    Returns min(limit, cardinality) variants when all texts are distinct;
-    duplicate texts are removed keeping the first occurrence.
+    Returns min(limit, size of the expansion) variants when all texts are
+    distinct; duplicate texts are removed keeping the first occurrence.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    language = language or spec.primary_language()
+    language = spec.primary_language()
     seen: set[str] = set()
     out: list[PromptVariant] = []
     for text in _iter_expansion(spec):
@@ -102,9 +95,9 @@ def expand_templates(spec: TaskSpec, limit: int | None = None,
     return out
 
 
-def sample_prompt(spec: TaskSpec, seed: int, language: str | None = None) -> PromptVariant:
+def sample_prompt(spec: TaskSpec, seed: int) -> PromptVariant:
     """Seeded uniform draw over the (deduplicated) expansion set."""
-    variants = expand_templates(spec, language=language)
+    variants = expand_templates(spec)
     rng = DetRng(derive_seed(seed, spec.task_id, "prompt-sample"))
     return variants[rng.below(len(variants))]
 
