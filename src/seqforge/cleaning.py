@@ -19,7 +19,7 @@ from typing import Protocol
 
 from seqforge import corpus as corpus_mod
 from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, Turn
-from seqforge.reporting import SchemaError, ValidationReport
+from seqforge.reporting import SchemaError
 from seqforge.seeding import DetRng, derive_seed
 
 DEFAULT_RETRIES = 3
@@ -80,7 +80,7 @@ class MockSynth:
     so the token/duration rounding bound holds exactly.
     """
 
-    frame_rate_hz = 12.5
+    frame_rate_hz = corpus_mod.ADAPTER_FRAME_RATE_HZ
     vocab = 4096
     tokens_per_char = 2
 
@@ -305,8 +305,8 @@ def apply_context_completion(
 
     A backfilled turn without audio gets synthesized audio, so every turn
     can be drawn as speech downstream. A client failure defers the dialogue;
-    a backfill that breaks role alternation is rejected with the validation
-    report. Originals are never modified.
+    a backfill that breaks role alternation is rejected with validation's
+    role violations. Originals are never modified.
     """
     provenance: list[dict] = []
     try:
@@ -337,15 +337,12 @@ def apply_context_completion(
         return CleaningOutcome(branch="context_completion", dialogue=out,
                                provenance=provenance)
 
-    report = ValidationReport()
-    for i, turn in enumerate(out.turns):
-        expected = corpus_mod.ROLES[i % 2]
-        if turn.role != expected:
-            report.add(f"turns[{i}].role", f"expected {expected!r}, got {turn.role!r}")
-    if not report.ok:
+    violations = [v for i, t in enumerate(out.turns)
+                  if (v := corpus_mod.role_violation(i, t.role)) is not None]
+    if violations:
         return CleaningOutcome(branch="context_completion", dialogue=dialogue,
                                provenance=provenance, status="rejected",
-                               detail="; ".join(str(v) for v in report.violations))
+                               detail="; ".join(map(str, violations)))
     return CleaningOutcome(branch="context_completion", dialogue=out, provenance=provenance)
 
 

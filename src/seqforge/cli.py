@@ -104,17 +104,12 @@ def _manifest_command(argv: list[str]) -> str:
     otherwise-identical runs produce different manifests.
     """
     kept = []
-    skip = False
-    for arg in argv:
-        if skip:
-            skip = False
-            continue
+    args = iter(argv)
+    for arg in args:
         if arg == "--jobs":
-            skip = True
-            continue
-        if arg.startswith("--jobs="):
-            continue
-        kept.append(arg)
+            next(args, None)  # its value
+        elif not arg.startswith("--jobs="):
+            kept.append(arg)
     return " ".join(kept)
 
 
@@ -135,7 +130,7 @@ def cmd_validate(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# corpus compilers: parse -> gate on rejects -> ordered map -> publish
+# corpus compilers: ordered map -> gate on rejects -> publish
 # --------------------------------------------------------------------------
 
 class _Failed(str):
@@ -155,38 +150,15 @@ def _run_in_worker(task):
     return fn(state, task)
 
 
-def _gate(rejects) -> bool:
-    """Report parse rejects; a corpus with any of them compiles nothing."""
-    for r in rejects:
-        print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
-    return not rejects
-
-
-def _repeated_ids(located) -> list:
-    """A reject for each (line number, dialogue id) whose id an earlier line has.
-
-    Seeds and masks are keyed by dialogue id, so two dialogues with one id
-    would share one seed stream and one masks entry.
-    """
-    first: dict[str, int] = {}
-    rejects = []
-    for line_no, did in located:
-        first_line = first.setdefault(did, line_no)
-        if first_line != line_no:
-            rejects.append(corpus.Reject(
-                line_no, f"duplicate dialogue id {did!r} (first on line {first_line})"))
-    return rejects
-
-
-def _compile(fn, state, tasks, jobs: int) -> list | None:
-    """Ordered map of fn(state, task) over tasks, then the gate.
+def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
+    """Ordered map of fn(state, task) over tasks, then the one reject gate.
 
     Each task is (line number, record). fn returns a Reject, a list of them,
     a _Failed, or a row (dialogue id, *outputs). Under a pool, fn and its
     shared state reach each worker once through the initializer, so a task
     carries only its own record. Returns the rows without their ids, or None
-    after reporting the rejects (parse rejects, flag rejects and repeated ids,
-    in line order) or else the first failure.
+    after reporting the rejects (the given ones, those fn returns and
+    repeated ids, in line order) or else the first failure.
     """
     if jobs <= 1 or len(tasks) <= 1:
         rows = [fn(state, task) for task in tasks]
@@ -196,11 +168,13 @@ def _compile(fn, state, tasks, jobs: int) -> list | None:
         with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(fn, state)) as pool:
             rows = pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
     failed = next((row for row in rows if isinstance(row, _Failed)), None)
-    rejects = [row for row in rows if isinstance(row, corpus.Reject)]
+    rejects = [*rejects, *(row for row in rows if isinstance(row, corpus.Reject))]
     rejects += [r for row in rows if type(row) is list for r in row]
-    rejects += _repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
-                             if type(row) is tuple)
-    if not _gate(sorted(rejects, key=lambda r: r.line_number)):
+    rejects += corpus.repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
+                                   if type(row) is tuple)
+    for r in sorted(rejects, key=lambda r: r.line_number):
+        print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
+    if rejects:
         return None
     if failed is not None:
         print(failed, file=sys.stderr)
@@ -215,20 +189,27 @@ def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> No
     header, the manifest as its first line. Until the moves, every existing
     output stays as it was. The old sidecar goes before the first move and
     the new one comes last, so a run cut short between moves leaves none.
+    If a write or move raises, no <path>.tmp stays behind.
     """
     sidecar = f"{next(iter(bodies))}.manifest.json"
     bodies = {**bodies, sidecar: [man.to_json()]}
-    for k, (path, lines) in enumerate(bodies.items()):
-        with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
-            if header and k == 0:
-                fh.write(man.to_json() + "\n")
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(sidecar)
-    for path in bodies:
-        os.replace(f"{path}.tmp", path)
+    try:
+        for k, (path, lines) in enumerate(bodies.items()):
+            with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+                if header and k == 0:
+                    fh.write(man.to_json() + "\n")
+                for line in lines:
+                    fh.write(line)
+                    fh.write("\n")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar)
+        for path in bodies:
+            os.replace(f"{path}.tmp", path)
+    except BaseException:
+        for path in bodies:
+            with contextlib.suppress(OSError):  # moved, or never written
+                os.remove(f"{path}.tmp")
+        raise
 
 
 def _manifest(args, config: dict, counts: dict) -> RunManifest:
@@ -349,11 +330,10 @@ def cmd_build_talker(args) -> int:
     # The reference index spans the corpus: a task's record is its position in
     # the parsed list.
     result = corpus.parse_corpus(args.corpus)
-    if not _gate(result.rejects):
-        return 1
     index = talker_mod.build_reference_index(result.dialogues)
     rows = _compile(_talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
-                    list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs)
+                    list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs,
+                    result.rejects)
     if rows is None:
         return 1
     lines = [line for line, _ in rows if line is not None]
@@ -557,7 +537,7 @@ def cmd_stats(args) -> int:
         "per_language": dict(sorted(per_language.items())),
         "flag_histogram": dict(sorted(flag_histogram.items())),
         "total_hours": total_hours,
-        "total_tokens_at_12p5hz": corpus.tokens_for_hours(total_hours, 12.5),
+        "total_tokens_at_12p5hz": corpus.tokens_for_hours(total_hours),
         "budget_stats": {
             "speech": {"amount": total_hours, "unit": "hours"},
             "audio": {"amount": total_hours, "unit": "hours"},
@@ -595,8 +575,15 @@ def cmd_templates(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """No flag prefixes, here and in every subparser: `--job 2` would reach the manifest."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="forge", description=__doc__)
+    parser = _Parser(prog="forge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"forge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -698,8 +685,7 @@ def run(argv: list[str] | None = None) -> int:
     except corpus.NotUtf8Error as exc:
         print(f"forge: error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:  # a flag value, or a path that cannot be read
+    except (UsageError, OSError) as exc:  # a flag value, or a path that fails to read or write
         print(f"forge: error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 
 from seqforge.captions import CaptionRecord, default_taxonomy, validate_caption
-from seqforge.reporting import SchemaError, ValidationReport
+from seqforge.reporting import SchemaError, ValidationReport, Violation
 
 LANGUAGES = ("zh", "en", "ja", "ko", "other")
 SOURCES = ("real_life", "synthetic", "podcast", "audiobook", "short_utterance")
@@ -112,7 +112,7 @@ class ParseResult:
 # --------------------------------------------------------------------------
 
 def downsample_frames(n_frames: int) -> int:
-    """Frame count after 2x temporal pooling (25 Hz -> 12.5 Hz).
+    """Frame count after 2x temporal pooling (25 Hz -> ADAPTER_FRAME_RATE_HZ).
 
     Odd counts are padded by one frame before pooling, so no content is
     dropped: the result is ceil(n_frames / 2).
@@ -362,11 +362,27 @@ def parse_line(line_no: int, line: str) -> Dialogue | Reject:
         return Reject(line_no, str(exc))
 
 
+def repeated_ids(located) -> list[Reject]:
+    """A Reject for each (line number, dialogue id) whose id an earlier line has.
+
+    Seeds and masks are keyed by dialogue id, so two dialogues with one id
+    would share one seed stream and one masks entry.
+    """
+    first: dict[str, int] = {}
+    rejects = []
+    for line_no, did in located:
+        first_line = first.setdefault(did, line_no)
+        if first_line != line_no:
+            rejects.append(Reject(
+                line_no, f"duplicate dialogue id {did!r} (first on line {first_line})"))
+    return rejects
+
+
 def parse_corpus(path) -> ParseResult:
     """Parse a line-delimited corpus file.
 
-    Malformed lines go to the rejects report with line number and reason;
-    they are never silently dropped. Unreadable files raise.
+    Malformed lines and lines repeating an earlier line's dialogue id go to the
+    rejects report in line order, never silently dropped. Unreadable files raise.
     """
     result = ParseResult(dialogues=[], rejects=[])
     # Parsed dialogues hold no reference cycles, so the cyclic collector would
@@ -384,6 +400,11 @@ def parse_corpus(path) -> ParseResult:
     finally:
         if enabled:
             gc.enable()
+    if repeated := repeated_ids(zip(result.line_numbers, (d.id for d in result.dialogues))):
+        dropped = {r.line_number for r in repeated}
+        kept = [(n, d) for n, d in zip(result.line_numbers, result.dialogues) if n not in dropped]
+        result.line_numbers, result.dialogues = map(list, zip(*kept))  # never empty: firsts stay
+        result.rejects = sorted(result.rejects + repeated, key=lambda r: r.line_number)
     return result
 
 
@@ -484,6 +505,14 @@ def _validate_alignment(report, turn: Turn, path: str) -> None:
         report.add(f"{path}.alignment", f"spans cover [0,{prev_text_end}) but text has length {text_len}")
 
 
+def role_violation(i: int, role: str) -> Violation | None:
+    """The violation of turn i having role, if any: turns alternate, user first."""
+    expected = ROLES[i % 2]
+    if role != expected:
+        return Violation(f"turns[{i}].role",
+                         f"role alternation violated: expected {expected!r}, got {role!r}")
+
+
 def validate_dialogue(d: Dialogue) -> ValidationReport:
     """Check every type invariant; empty report iff the dialogue is valid."""
     report = ValidationReport()
@@ -493,10 +522,8 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
         report.add("turns", "dialogue must have at least one turn")
     for i, turn in enumerate(d.turns):
         path = f"turns[{i}]"
-        expected_role = ROLES[i % 2]
-        if turn.role != expected_role:
-            report.add(f"{path}.role",
-                       f"role alternation violated: expected {expected_role!r}, got {turn.role!r}")
+        if (v := role_violation(i, turn.role)) is not None:
+            report.violations.append(v)
         if turn.audio is not None:
             _validate_audio(report, turn.audio, f"{path}.audio")
         _validate_alignment(report, turn, path)
@@ -532,15 +559,9 @@ def validate_flags(d: Dialogue) -> ValidationReport:
 
 
 def validate_corpus(dialogues) -> ValidationReport:
-    """Per-dialogue invariants plus corpus-level id uniqueness."""
+    """Per-dialogue invariants by dialogue id (parse_corpus rejects repeated ids)."""
     report = ValidationReport()
-    seen: dict[str, int] = {}
     for n, d in enumerate(dialogues):
-        sub = validate_dialogue(d)
-        for v in sub.violations:
+        for v in validate_dialogue(d).violations:
             report.add(f"{d.id or n}.{v.path}", v.message)
-        if d.id in seen:
-            report.add(f"{d.id}.id", f"duplicate id (first seen at record {seen[d.id]})")
-        else:
-            seen[d.id] = n
     return report

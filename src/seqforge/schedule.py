@@ -34,7 +34,6 @@ STAGE_ALIASES = {"s1": "s1_general_audio", "s2": "s2_alignment_cpt", "s3": "s3_i
 
 BUDGET_UNITS = ("tokens", "hours", "samples")
 
-DEFAULT_RATE_HZ = 12.5
 BUDGET_TOLERANCE = 0.02
 
 
@@ -213,7 +212,7 @@ def _as_tokens(budget_like: Budget) -> float | None:
     if budget_like.unit == "tokens":
         return float(budget_like.amount)
     if budget_like.unit == "hours":
-        return float(tokens_for_hours(budget_like.amount, DEFAULT_RATE_HZ))
+        return float(tokens_for_hours(budget_like.amount))
     return None  # samples are not token-convertible
 
 
@@ -222,9 +221,9 @@ def budget_check(plan: list[StageSpec], stats: dict[str, dict]) -> list[BudgetRo
 
     stats maps data-class -> {"amount": x >= 0, "unit": one of BUDGET_UNITS};
     an entry of another shape raises SchemaError. Hours convert at
-    DEFAULT_RATE_HZ, and a relative error up to BUDGET_TOLERANCE passes; a
-    class absent from stats yields a "missing" row rather than failing the
-    whole check.
+    corpus.ADAPTER_FRAME_RATE_HZ, and a relative error up to BUDGET_TOLERANCE
+    passes; a class absent from stats yields a "missing" row rather than
+    failing the whole check.
     """
     rows: list[BudgetRow] = []
     for stage in plan:

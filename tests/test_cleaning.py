@@ -246,6 +246,15 @@ def test_backfill_breaking_alternation_is_rejected():
     assert serialize_dialogue(out.dialogue) == before
 
 
+def test_rejected_backfill_carries_the_role_violations_of_validate():
+    d = flagged("missing_context", spans=[], n_turns=4, truncate_first_turn=True)
+    out = apply_context_completion(d, AdversarialBackfill(), MockSynth())
+    backfilled = Dialogue(d.id, AdversarialBackfill().backfill(d) + d.turns)
+    roles = [str(v) for v in validate_dialogue(backfilled).violations if v.path.endswith(".role")]
+    assert roles[0] == "turns[1].role: role alternation violated: expected 'assistant', got 'user'"
+    assert out.detail == "; ".join(roles)
+
+
 # --------------------------------------------------------------------------
 # pipeline
 # --------------------------------------------------------------------------

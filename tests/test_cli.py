@@ -1,4 +1,6 @@
 """CLI wiring: exit codes, manifests, determinism, integration paths."""
+import argparse
+import errno
 import json
 import os
 import subprocess
@@ -398,6 +400,70 @@ def test_build_commands_reject_duplicate_dialogue_ids(tmp_path, capsys, argv, jo
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_commands_report_the_same_rejects(tmp_path, capsys, monkeypatch, jobs):
+    """Line 4 repeats line 2's id and line 7 lacks its language: every corpus
+    command reports both, with one text each, whatever else fails."""
+    monkeypatch.setenv("FORGE_JOBS", jobs)
+    dialogues = synthetic.synth_corpus(6, 3)
+    dialogues[3].id = dialogues[1].id
+    doc = corpus_mod.dialogue_to_dict(synthetic.synth_dialogue(3, 6))
+    del doc["language"]
+    path = tmp_path / "corpus.jsonl"
+    conftest.write_corpus(dialogues, path, extra_lines=[json.dumps(doc)])
+    rejects = [(4, f"duplicate dialogue id {dialogues[1].id!r} (first on line 2)"),
+               (7, "dialogue: missing field 'language'")]
+
+    assert run(["validate", "--corpus", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["dialogues"] == 5 and report["violations"] == []
+    assert [(r["line"], r["reason"]) for r in report["rejects"]] == rejects
+
+    assert run(["stats", "--corpus", str(path)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["dialogues"], stats["rejects"]) == (5, len(rejects))
+
+    out = tmp_path / "o.jsonl"
+    for argv in (["clean", "--client", "mock"], ["build-thinker", "--seed", "1"],
+                 ["build-talker", "--seed", "1"]):
+        assert run(argv + ["--corpus", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "".join(
+            f"reject line {line}: {reason}\n" for line, reason in rejects)
+        assert not list(tmp_path.glob("o.jsonl*"))
+
+
+def test_stats_leaves_a_repeated_line_out_of_its_totals(tmp_path, capsys):
+    dialogues = synthetic.synth_corpus(4, 2)
+    kept = write_corpus(tmp_path, dialogues[:3], name="kept.jsonl")
+    dialogues[3].id = dialogues[1].id
+    repeated = write_corpus(tmp_path, dialogues, name="repeated.jsonl")
+    assert run(["stats", "--corpus", str(kept)]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    assert run(["stats", "--corpus", str(repeated)]) == 0
+    assert json.loads(capsys.readouterr().out) == {**expected, "rejects": 1}
+
+
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys):
+    path = write_corpus(tmp_path, synthetic.synth_corpus(2, 1))
+    out = tmp_path / "o.jsonl"
+    assert run(["build-thinker", "--seed", "1", "--corpus", str(path), "--out", str(out),
+                "--job", "2"]) == 2
+    assert "unrecognized arguments: --job 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_no_parser_takes_flag_prefixes():
+    parsers, seen = [cli.build_parser()], 0
+    while parsers:
+        parser = parsers.pop()
+        assert parser.allow_abbrev is False, parser.prog
+        seen += 1
+        parsers += [sub for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)
+                    for sub in action.choices.values()]
+    assert seen == 17  # forge, its 9 commands and their 7 subcommands
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("spans, kind, messages", [
     ([], "logic_contradiction_severe",
      ["quality_flags[0]: severe contradiction flags must carry at least one span"]),
@@ -424,27 +490,29 @@ def test_clean_rejects_flags_its_branches_cannot_apply(tmp_path, capsys, spans, 
     assert not list(tmp_path.glob("o.jsonl*"))
 
 
-def test_clean_cut_short_between_moves_leaves_no_sidecar(tmp_path, monkeypatch):
+def test_clean_cut_short_between_moves_leaves_no_sidecar(tmp_path, monkeypatch, capsys):
     path = write_corpus(tmp_path, synthetic.synth_corpus(3, 1))
     out = tmp_path / "cleaned.jsonl"
     argv = ["clean", "--client", "mock", "--corpus", str(path), "--out", str(out)]
     assert run(argv) == 0
     sidecar = tmp_path / "cleaned.jsonl.manifest.json"
     assert sidecar.exists()
+    capsys.readouterr()
     moved = []
     real_replace = os.replace
 
     def replace(src, dst):
         moved.append(dst)
         if len(moved) == 2:
-            raise OSError("interrupted between moves")
+            raise OSError(errno.ENOSPC, "No space left on device")
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    with pytest.raises(OSError, match="interrupted between moves"):
-        run(argv)
+    assert run(argv) == 2
     assert moved == [str(out), f"{out}.outcomes.jsonl"]
+    assert capsys.readouterr().err == "forge: error: [Errno 28] No space left on device\n"
     assert not sidecar.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):

@@ -110,6 +110,23 @@ def test_parse_records_the_line_of_each_dialogue(tmp_path):
     assert result.line_numbers == [1, 4]
 
 
+def test_parse_corpus_rejects_a_repeated_id(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    lines = [corpus.serialize_dialogue(make_dialogue(did)) for did in ("a", "b", "a")]
+    lines[1:1] = ["{not json"]
+    lines += [corpus.serialize_dialogue(make_dialogue("a")), "", lines[2]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = parse_corpus(path)
+    assert [d.id for d in result.dialogues] == ["a", "b"]
+    assert result.line_numbers == [1, 3]
+    assert result.rejects == [
+        corpus.Reject(2, "invalid JSON: Expecting property name enclosed in double quotes"),
+        corpus.Reject(4, "duplicate dialogue id 'a' (first on line 1)"),
+        corpus.Reject(5, "duplicate dialogue id 'a' (first on line 1)"),
+        corpus.Reject(7, "duplicate dialogue id 'b' (first on line 3)")]
+    assert corpus.validate_corpus(result.dialogues).ok
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("content", [b"", b"{not json}\n", b'{"id": "\xff"}\n'])
 def test_parse_corpus_restores_the_gc_state(tmp_path, enabled, content):
@@ -738,11 +755,6 @@ def test_validate_checks_captions_against_the_taxonomy():
     report = validate_dialogue(d)
     assert [str(v) for v in report.violations] == [
         "turns[1].caption.vocalizations[1]: tag 'laugh' not in Vocalizations vocabulary"]
-
-
-def test_validate_corpus_duplicate_ids():
-    report = corpus.validate_corpus([make_dialogue("same"), make_dialogue("same")])
-    assert any("duplicate id" in v.message for v in report.violations)
 
 
 # --------------------------------------------------------------------------
