@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import unicodedata
 from functools import lru_cache
 
 import pytest
@@ -120,6 +121,65 @@ def test_ops_decomposition_consistency():
 def test_normalization():
     assert normalize_text("Hello,   World!") == "hello world"
     assert normalize_text("你好。世界") == "你好世界"
+
+
+def oracle_normalize(text: str) -> str:
+    """normalize_text as a per-character generator: the reference it must equal."""
+    lowered = text.lower()
+    stripped = "".join(c for c in lowered if not unicodedata.category(c).startswith("P"))
+    return " ".join(stripped.split())
+
+
+# Code points of every Unicode general category, with the cases normalization
+# can get wrong: İ lowers to two code points, U+10100 is astral-plane
+# punctuation, combining marks, CJK and full-width punctuation, and the
+# whitespace that split() collapses.
+CATEGORY_SAMPLES = {
+    "Lu": "A\u00c0\u03a3\u0130", "Ll": "a\u00df\u03c2", "Lt": "\u01c5", "Lm": "\u02b0",
+    "Lo": "\u4f60\u0627",
+    "Mn": "\u0301", "Mc": "\u0903", "Me": "\u20dd",
+    "Nd": "7\u0663", "Nl": "\u216b", "No": "\u00b2",
+    "Pc": "_", "Pd": "-\u2014", "Ps": "(\u300c", "Pe": ")\u300d", "Pi": "\u00ab",
+    "Pf": "\u00bb", "Po": "!,\u3002\uff0c\uff01\U00010100",
+    "Sm": "+", "Sc": "$", "Sk": "^", "So": "\u00a9",
+    "Zs": " \u3000\u00a0", "Zl": "\u2028", "Zp": "\u2029",
+    "Cc": "\t\n\x00\x1f", "Cf": "\u200b", "Cs": "\ud800", "Co": "\ue000", "Cn": "\u0378",
+}
+
+
+def _normalization_table() -> list[str]:
+    rng = random.Random(13)
+    pool = "".join(CATEGORY_SAMPLES.values())
+    table = ["", " ", "\t \n\u3000 ", "\u0130stanbul", "Hello,   World!", "你好。世界！",
+             "\U00010100x\U00010100", "e\u0301 \u00e9", *pool]
+    for _ in range(300):
+        text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 30)))
+        # whitespace runs around the drawn text
+        table.append(" " * rng.randrange(3) + text + "\t\n " * rng.randrange(2))
+    return table
+
+
+def test_category_samples_cover_every_general_category():
+    assert {unicodedata.category(c) for c in "".join(CATEGORY_SAMPLES.values())} \
+        == set(CATEGORY_SAMPLES)
+    assert len(CATEGORY_SAMPLES) == 30
+    assert all(unicodedata.category(c) == cat
+               for cat, chars in CATEGORY_SAMPLES.items() for c in chars)
+    assert len("İ".lower()) == 2
+
+
+def test_normalize_text_equals_the_generator_oracle():
+    for text in _normalization_table():
+        assert normalize_text(text) == oracle_normalize(text), repr(text)
+
+
+@pytest.mark.parametrize("mode,lang", [("cer", "en"), ("wer", "en"), ("wer", "zh")])
+def test_corpus_rate_normalizes_like_the_oracle(mode, lang):
+    texts = _normalization_table()
+    pairs = list(zip(texts, texts[1:] + texts[:1]))
+    oracle_pairs = [(oracle_normalize(r), oracle_normalize(h)) for r, h in pairs]
+    assert corpus_error_rate(pairs, mode=mode, lang=lang) == corpus_error_rate(
+        oracle_pairs, mode=mode, lang=lang, normalize=False)
 
 
 def test_cer_identical_after_normalization():
