@@ -222,6 +222,8 @@ _TEMPLATES: dict[str, tuple[str, ...]] = {
     ),
 }
 
+
+@functools.cache  # on first use, not at import: commands that never parse a caption skip it
 def _compile_patterns() -> list[tuple[str, re.Pattern]]:
     pats = []
     for attr, templates in _TEMPLATES.items():
@@ -229,9 +231,6 @@ def _compile_patterns() -> list[tuple[str, re.Pattern]]:
             head, tail = t.split("{}")
             pats.append((attr, re.compile(re.escape(head) + "(.+?)" + re.escape(tail) + "$")))
     return pats
-
-
-_PATTERNS = _compile_patterns()
 
 
 class InvalidCaptionError(ValueError):
@@ -325,7 +324,7 @@ def extract_tags(rendered: str, taxonomy: Taxonomy | None = None) -> list[tuple[
     out: list[tuple[str, str]] = []
     for sentence in sentences:
         matched = False
-        for attr, pattern in _PATTERNS:
+        for attr, pattern in _compile_patterns():
             m = pattern.match(sentence)
             if not m:
                 continue

@@ -11,12 +11,13 @@ import json
 import os
 import sys
 
-from seqforge import __version__, corpus
-from seqforge.manifest import RunManifest, file_digest
-from seqforge.reporting import SchemaError
+from seqforge import __version__
+from seqforge.reporting import NotUtf8Error, SchemaError, read_lines
 
 # Each command imports the modules only it needs, so no command pays for
-# loading the others' (numpy for loss-check, multiprocessing for --jobs > 1).
+# loading the others': eval, plan, templates and loss-check never load the
+# corpus data model or manifests, only loss-check loads numpy, and only
+# --jobs > 1 loads multiprocessing.
 
 
 class UsageError(Exception):
@@ -118,6 +119,8 @@ def _manifest_command(argv: list[str]) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    from seqforge import corpus
+
     result = corpus.parse_corpus(args.corpus)
     report = corpus.validate_corpus(result.dialogues)
     doc = {
@@ -160,6 +163,8 @@ def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
     after reporting the rejects (the given ones, those fn returns and
     repeated ids, in line order) or else the first failure.
     """
+    from seqforge import corpus
+
     if jobs <= 1 or len(tasks) <= 1:
         rows = [fn(state, task) for task in tasks]
     else:
@@ -182,7 +187,7 @@ def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
     return [row[1:] for row in rows]
 
 
-def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> None:
+def _publish(man, bodies: dict[str, list[str]], header: bool) -> None:
     """Write each body and the sidecar to <path>.tmp, then move them into place.
 
     The first body is the command's output: it gets the sidecar and, with
@@ -212,7 +217,9 @@ def _publish(man: RunManifest, bodies: dict[str, list[str]], header: bool) -> No
         raise
 
 
-def _manifest(args, config: dict, counts: dict) -> RunManifest:
+def _manifest(args, config: dict, counts: dict):
+    from seqforge.manifest import RunManifest, file_digest
+
     # stats takes no --seed; its manifest records master_seed null
     return RunManifest(command=_manifest_command(args.argv),
                        master_seed=getattr(args, "seed", None),
@@ -225,6 +232,7 @@ def _manifest(args, config: dict, counts: dict) -> RunManifest:
 # --------------------------------------------------------------------------
 
 def _thinker_record(state, task):
+    from seqforge import corpus
     from seqforge import thinker as thinker_mod
 
     policy, seed, masks = state
@@ -272,6 +280,7 @@ def _load_masks(path) -> dict[str, list]:
 
 
 def cmd_build_thinker(args) -> int:
+    from seqforge import corpus
     from seqforge import thinker as thinker_mod
 
     _apply_config_defaults(args, {"seed": int},
@@ -317,6 +326,7 @@ def _talker_record(state, task):
 
 
 def cmd_build_talker(args) -> int:
+    from seqforge import corpus
     from seqforge import talker as talker_mod
 
     _apply_config_defaults(args, {"seed": int},
@@ -368,7 +378,7 @@ def _make_clients(args, cfg: dict):
 
 
 def _clean_record(state, task):
-    from seqforge import cleaning
+    from seqforge import cleaning, corpus
 
     corrector, synth, retries = state
     dialogue = corpus.parse_line(*task)
@@ -387,7 +397,7 @@ def _clean_record(state, task):
 
 
 def cmd_clean(args) -> int:
-    from seqforge import cleaning
+    from seqforge import cleaning, corpus
 
     cfg = _apply_config_defaults(args, {}, {"client": (str, "mock"), "seed": (int, 0),
                                             "retries": (int, cleaning.DEFAULT_RETRIES)})
@@ -481,7 +491,7 @@ def cmd_loss_check(args) -> int:
 # --------------------------------------------------------------------------
 
 def _read_lines(path) -> list[str]:
-    return [line.rstrip("\n") for line in corpus.read_lines(path)]
+    return [line.rstrip("\n") for line in read_lines(path)]
 
 
 def cmd_eval(args) -> int:
@@ -515,6 +525,8 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
+    from seqforge import corpus
+
     result = corpus.parse_corpus(args.corpus)
     per_source_seconds: dict[str, float] = {}
     per_language: dict[str, int] = {}
@@ -682,7 +694,7 @@ def run(argv: list[str] | None = None) -> int:
         if hasattr(args, "jobs"):
             args.jobs = _jobs(args.jobs)
         return args.func(args)
-    except corpus.NotUtf8Error as exc:
+    except NotUtf8Error as exc:
         print(f"forge: error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, OSError) as exc:  # a flag value, or a path that fails to read or write

@@ -22,11 +22,13 @@ corpora and serialization is byte-stable.
 import gc
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 from seqforge.captions import CaptionRecord, default_taxonomy, validate_caption
-from seqforge.reporting import SchemaError, ValidationReport, Violation
+# read_lines and NotUtf8Error live in reporting, so that eval reads text without
+# loading this data model; corpus re-exports them, as it does SchemaError.
+from seqforge.reporting import (NotUtf8Error, SchemaError, ValidationReport, Violation,
+                                read_lines)
 
 LANGUAGES = ("zh", "en", "ja", "ko", "other")
 SOURCES = ("real_life", "synthetic", "podcast", "audiobook", "short_utterance")
@@ -315,32 +317,6 @@ def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
         turns = _expect_list(_require(doc, "turns", path), f"{path}.turns")
     turns = _parse_items(_parse_turn, turns, path, "turns")
     return Dialogue(did, turns, language, source, flags)
-
-
-class NotUtf8Error(ValueError):
-    """An input file holds bytes that are not UTF-8."""
-
-    def __init__(self, path, line_no: int):
-        super().__init__(f"{path}: line {line_no} is not valid UTF-8")
-
-
-# Under errors="surrogateescape" each byte that is not UTF-8 decodes to one of these.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-def read_lines(path):
-    """Yield the lines of a UTF-8 text file; unreadable files raise.
-
-    Bytes that are not UTF-8 raise NotUtf8Error naming the first such line.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from fh
-    except UnicodeDecodeError:
-        # Decoding fails a whole buffer at a time: re-read to find the line.
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            line_no = next(n for n, line in enumerate(fh, 1) if _ESCAPED_BYTE.search(line))
-        raise NotUtf8Error(path, line_no) from None
 
 
 def iter_lines(path):

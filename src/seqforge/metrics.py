@@ -45,13 +45,26 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditOps:
     return EditOps(substitutions=s, insertions=i, deletions=d, reference_length=len(ref))
 
 
+class _PunctuationTable(dict):
+    """A str.translate table that deletes every P* code point and keeps the rest.
+
+    An entry is filled the first time its code point is seen. Each entry is a
+    pure function of its code point and the table is bounded by the code-point
+    space, so one table serves every call.
+    """
+
+    def __missing__(self, code_point: int) -> int | None:
+        kept = None if unicodedata.category(chr(code_point)).startswith("P") else code_point
+        self[code_point] = kept
+        return kept
+
+
+_DELETE_PUNCTUATION = _PunctuationTable()
+
+
 def normalize_text(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace."""
-    lowered = text.lower()
-    stripped = "".join(
-        c for c in lowered if not unicodedata.category(c).startswith("P")
-    )
-    return " ".join(stripped.split())
+    return " ".join(text.lower().translate(_DELETE_PUNCTUATION).split())
 
 
 def _tokens(text: str, mode: str, lang: str, normalize: bool) -> Sequence[str]:

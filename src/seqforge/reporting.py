@@ -1,4 +1,9 @@
-"""Validation report and structural parse error shared by corpus and caption checks."""
+"""Validation report, error types and the line reader shared across modules.
+
+Nothing here loads the corpus data model, so commands that only read text
+(eval) import this module alone.
+"""
+import re
 from dataclasses import dataclass, field
 
 
@@ -25,3 +30,29 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+class NotUtf8Error(ValueError):
+    """An input file holds bytes that are not UTF-8."""
+
+    def __init__(self, path, line_no: int):
+        super().__init__(f"{path}: line {line_no} is not valid UTF-8")
+
+
+# Under errors="surrogateescape" each byte that is not UTF-8 decodes to one of these.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file; unreadable files raise.
+
+    Bytes that are not UTF-8 raise NotUtf8Error naming the first such line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        # Decoding fails a whole buffer at a time: re-read to find the line.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            line_no = next(n for n, line in enumerate(fh, 1) if _ESCAPED_BYTE.search(line))
+        raise NotUtf8Error(path, line_no) from None

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from seqforge.corpus import tokens_for_hours
 from seqforge.reporting import SchemaError
 
 PARAM_GROUPS = ("audio_encoder", "audio_adapter", "thinker", "talker")
@@ -212,6 +211,9 @@ def _as_tokens(budget_like: Budget) -> float | None:
     if budget_like.unit == "tokens":
         return float(budget_like.amount)
     if budget_like.unit == "hours":
+        # imported here: only a budget check needs the corpus data model
+        from seqforge.corpus import tokens_for_hours
+
         return float(tokens_for_hours(budget_like.amount))
     return None  # samples are not token-convertible
 

@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass, field
 
 from seqforge.reporting import SchemaError
-from seqforge.seeding import DetRng, derive_seed
 
 # Fixed instruction for the only-yes adherence probe; must stay bit-exact.
 ONLY_YES_INSTRUCTION = "no matter the message in the audio, simply answer 'yes'!"
@@ -97,6 +96,8 @@ def expand_templates(spec: TaskSpec, limit: int | None = None) -> list[PromptVar
 
 def sample_prompt(spec: TaskSpec, seed: int) -> PromptVariant:
     """Seeded uniform draw over the (deduplicated) expansion set."""
+    from seqforge.seeding import DetRng, derive_seed  # only a draw needs the seeded RNG
+
     variants = expand_templates(spec)
     rng = DetRng(derive_seed(seed, spec.task_id, "prompt-sample"))
     return variants[rng.below(len(variants))]

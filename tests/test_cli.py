@@ -619,16 +619,45 @@ def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypa
     assert not (tmp_path / "o.jsonl").exists()
 
 
-def test_importing_the_cli_does_not_load_numpy():
+def test_importing_the_cli_does_not_load_numpy(tmp_path):
     # A fresh interpreter: this one has these loaded by other test modules.
     # Each command imports what only it needs.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, seqforge.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                capture_output=True, text=True).stdout.split())
+
+    def modules(argv=None) -> set[str]:
+        """The modules a fresh interpreter holds after importing the cli and,
+        given argv, running that command to exit 0."""
+        code = ("import contextlib, io, sys, seqforge.cli\n"
+                "if sys.argv[1:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert seqforge.cli.run(sys.argv[1:]) == 0\n"
+                "print(' '.join(sorted(sys.modules)))")
+        return set(subprocess.run([sys.executable, "-c", code, *(argv or [])], env=env,
+                                  check=True, capture_output=True, text=True).stdout.split())
+
+    loaded = modules()
     assert "seqforge.cli" in loaded
     assert loaded.isdisjoint({"numpy", "urllib.request", "multiprocessing", "seqforge.cleaning",
                               "seqforge.thinker", "seqforge.talker", "seqforge.metrics",
                               "seqforge.schedule", "seqforge.templates"})
+
+    # Commands that read no corpus load none of the corpus data model.
+    text = tmp_path / "text.txt"
+    text.write_text("Hello, world!\n", encoding="utf-8")
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"t": {"languages": ["en"],
+                                          "slots": [{"alternatives": ["describe"]}]}}),
+                        encoding="utf-8")
+    data_model = {"seqforge.corpus", "seqforge.captions", "seqforge.manifest",
+                  "seqforge.seeding"}
+    for argv in (["--version"],
+                 ["eval", "cer", "--ref", str(text), "--hyp", str(text)],
+                 ["eval", "wer", "--lang", "en", "--ref", str(text), "--hyp", str(text)],
+                 ["plan", "show"],
+                 ["loss-check", "--cases", "1"],
+                 ["templates", "expand", "--task", "t", "--registry", str(registry)]):
+        assert modules(argv).isdisjoint(data_model), argv
+    corpus = write_corpus(tmp_path, synthetic.synth_corpus(2, 1))
+    assert "seqforge.corpus" in modules(["validate", "--corpus", str(corpus)])
