@@ -153,6 +153,12 @@ def _run_in_worker(task):
     return fn(state, task)
 
 
+def _report_rejects(rejects) -> None:
+    """One stderr line per reject, in line order: the text every corpus command prints."""
+    for r in sorted(rejects, key=lambda r: r.line_number):
+        print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
+
+
 def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
     """Ordered map of fn(state, task) over tasks, then the one reject gate.
 
@@ -177,8 +183,7 @@ def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
     rejects += [r for row in rows if type(row) is list for r in row]
     rejects += corpus.repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
                                    if type(row) is tuple)
-    for r in sorted(rejects, key=lambda r: r.line_number):
-        print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
+    _report_rejects(rejects)
     if rejects:
         return None
     if failed is not None:
@@ -456,6 +461,13 @@ def cmd_plan(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_loss_check(args) -> int:
+    # No cases, a zero or infinite step, or a bound nothing meets verify nothing.
+    if args.cases < 1:
+        raise UsageError(f"--cases must be >= 1, got {args.cases}")
+    for flag, value in (("--epsilon", args.epsilon), ("--tolerance", args.tolerance)):
+        if not 0 < value < float("inf"):
+            raise UsageError(f"{flag} must be finite and > 0, got {value}")
+
     import numpy as np  # only this command needs numpy; the data path starts faster without
 
     from seqforge import losses
@@ -513,6 +525,9 @@ def cmd_eval(args) -> int:
         }, indent=2))
         return 0
     responses = _read_lines(args.responses)
+    if not responses:
+        print(f"forge: error: {args.responses} has no responses", file=sys.stderr)
+        return 1
     acc = metrics.only_yes_accuracy(responses)
     passes = round(acc * len(responses))
     print(json.dumps({"metric": "only_yes", "total": len(responses),
@@ -557,6 +572,10 @@ def cmd_stats(args) -> int:
     }
     blob = json.dumps(doc, ensure_ascii=False, indent=2)
     print(blob)
+    # Totals over part of a corpus must not reach a budget check as the whole.
+    _report_rejects(result.rejects)
+    if result.rejects:
+        return 1
     if args.out:
         _publish(_manifest(args, {}, {"dialogues": len(result.dialogues)}),
                  {args.out: [blob]}, header=False)

@@ -347,6 +347,15 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, command):
     assert not list(tmp_path.glob("o.jsonl*"))
 
 
+def test_eval_only_yes_on_an_empty_file_exits_1(tmp_path, capsys):
+    responses = tmp_path / "resp.txt"
+    responses.write_text("", encoding="utf-8")
+    assert run(["eval", "only-yes", "--responses", str(responses)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"forge: error: {responses} has no responses\n"
+    assert captured.out == ""
+
+
 def test_eval_line_count_mismatch_exits_1(tmp_path, capsys):
     ref = tmp_path / "ref.txt"
     hyp = tmp_path / "hyp.txt"
@@ -418,9 +427,11 @@ def test_corpus_commands_report_the_same_rejects(tmp_path, capsys, monkeypatch, 
     assert report["dialogues"] == 5 and report["violations"] == []
     assert [(r["line"], r["reason"]) for r in report["rejects"]] == rejects
 
-    assert run(["stats", "--corpus", str(path)]) == 0
-    stats = json.loads(capsys.readouterr().out)
+    assert run(["stats", "--corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    stats = json.loads(captured.out)
     assert (stats["dialogues"], stats["rejects"]) == (5, len(rejects))
+    assert captured.err == "".join(f"reject line {line}: {reason}\n" for line, reason in rejects)
 
     out = tmp_path / "o.jsonl"
     for argv in (["clean", "--client", "mock"], ["build-thinker", "--seed", "1"],
@@ -438,8 +449,21 @@ def test_stats_leaves_a_repeated_line_out_of_its_totals(tmp_path, capsys):
     repeated = write_corpus(tmp_path, dialogues, name="repeated.jsonl")
     assert run(["stats", "--corpus", str(kept)]) == 0
     expected = json.loads(capsys.readouterr().out)
-    assert run(["stats", "--corpus", str(repeated)]) == 0
-    assert json.loads(capsys.readouterr().out) == {**expected, "rejects": 1}
+    assert run(["stats", "--corpus", str(repeated)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {**expected, "rejects": 1}
+    assert captured.err == (f"reject line 4: duplicate dialogue id {dialogues[1].id!r} "
+                            f"(first on line 2)\n")
+
+
+def test_stats_with_rejects_publishes_no_out(tmp_path, capsys):
+    dialogues = synthetic.synth_corpus(4, 2)
+    dialogues[3].id = dialogues[1].id
+    path = write_corpus(tmp_path, dialogues)
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--corpus", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("reject line 4: duplicate dialogue id")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 def test_abbreviated_flags_are_usage_errors(tmp_path, capsys):
@@ -583,20 +607,25 @@ def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
     (["templates", "expand", "--task", "t", "--registry", '@{"t": {"slots": []}}'], None,
      "side.json: task 't': task needs at least one slot"),
     (["build-talker", "--seed", "1", "--mode", "bogus"], None, "unknown mode 'bogus'"),
+    (["loss-check", "--cases", "0"], None, "--cases must be >= 1, got 0"),
+    (["loss-check", "--epsilon", "0"], None, "--epsilon must be finite and > 0, got 0.0"),
+    (["loss-check", "--epsilon", "inf"], None, "--epsilon must be finite and > 0, got inf"),
+    (["loss-check", "--tolerance", "0"], None, "--tolerance must be finite and > 0, got 0.0"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
         "config-array", "config-client", "config-int-float", "config-float-bool",
         "config-int-string", "config-float-overflow", "jobs-negative", "env-jobs-text",
         "env-jobs-zero", "masks-json", "stats-json", "registry-json", "config-utf8",
         "masks-line-array", "masks-spans-shape", "stats-array", "stats-entry-shape",
         "registry-no-slots", "registry-optional-string", "registry-empty-slots",
-        "mode-unknown"])
+        "mode-unknown", "loss-cases-zero", "loss-epsilon-zero", "loss-epsilon-inf",
+        "loss-tolerance-zero"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
         argv = argv[1:]
-    if argv[0] not in ("plan", "templates"):
+    if argv[0] not in ("plan", "templates", "loss-check"):
         path = write_corpus(tmp_path, synthetic.synth_corpus(2, 6))
         argv = argv + ["--corpus", str(path), "--out", str(tmp_path / "o.jsonl")]
     # BAD names a side-input file whose second line is not JSON; @TEXT names
