@@ -357,6 +357,39 @@ def test_parse_error_on_shiftless_stream_switch():
         parse_sequence(tokens)
 
 
+_RS, _RE, _RU, _RA, _TS, _SS, _EOS = (("special", SPECIAL_TOKENS[name]) for name in (
+    "REF_START", "REF_END", "ROLE_USER", "ROLE_ASSISTANT", "TEXT_SHIFT", "SPEECH_SHIFT", "EOS"))
+
+# (malformed tokens, message, index): one row per TalkerParseError branch.
+PARSE_ERRORS = [
+    ([], "sequence must begin with REF_START", 0),
+    ([("speech", 1), _RS], "sequence must begin with REF_START", 0),
+    ([_RS, ("speech", 1), _RU], "unexpected ROLE_USER inside reference", 2),
+    ([_RS, ("special", -99)], "unexpected -99 inside reference", 1),
+    ([_RS, ("text", 1), _RE], "reference section admits speech tokens only", 1),
+    ([_RS, ("speech", 1)], "REF_END not found", 1),
+    ([_RS, _RE, ("text", 1)], "expected a role token to open a block", 2),
+    ([_RS, _RE, _RA, ("text", 1), _EOS, _EOS], "expected a role token to open a block", 5),
+    ([_RS, _RE, _RA, ("text", 1), _SS, _EOS], "dangling stream shift before EOS", 5),
+    ([_RS, _RE, _RA, ("text", 1), _RS], "unexpected REF_START inside block", 4),
+    ([_RS, _RE, _RU, _SS, ("speech", 1)], "stream shift before any payload", 3),
+    ([_RS, _RE, _RA, ("text", 1), _TS, ("text", 2)], "shift token does not switch streams", 4),
+    ([_RS, _RE, _RA, ("text", 1), _SS, ("text", 2)], "payload stream contradicts shift token", 5),
+    ([_RS, _RE, _RA, ("text", 1), ("speech", 2)], "stream switch without a shift token", 4),
+    ([_RS, _RE, _RA, ("audio", 1)], "unknown stream 'audio'", 3),
+    ([_RS, _RE, _RA, ("text", 1)], "block not terminated by EOS", 3),
+    ([_RS, _RE], "sequence has no blocks", 1),
+]
+
+
+@pytest.mark.parametrize("tokens, message, index", PARSE_ERRORS)
+def test_parse_error_message_and_index(tokens, message, index):
+    with pytest.raises(TalkerParseError) as exc:
+        parse_sequence(tokens)
+    assert str(exc.value) == f"{message} (token index {index})"
+    assert exc.value.index == index
+
+
 def test_parse_minimal_sequence():
     specials = SPECIAL_TOKENS
     tokens = [("special", specials["REF_START"]), ("speech", 1),

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from seqforge import thinker
+from seqforge.corpus import AlignmentSpan, validate_dialogue
 from seqforge.thinker import (CompileError, InterleavePolicy,
                               extract_loss_targets, interleave_dialogue,
                               segment_assistant, serialize_sequence)
@@ -42,6 +43,52 @@ def test_segment_requires_assistant_turn_with_alignment():
     bare.alignment = []
     with pytest.raises(CompileError, match="alignment"):
         segment_assistant(bare)
+
+
+def test_speech_segments_carry_exactly_their_span_tokens():
+    # Every non-final assistant span is drawn speech at p_assistant=1.
+    for n in range(40):
+        d = synthetic.synth_dialogue(21, n, n_turns=4, segments_per_assistant=3)
+        seq = interleave_dialogue(d, InterleavePolicy(0.0, 1.0), 3)
+        expected = [((d.id, i, span.index), turn.audio.token_ids[slice(*span.audio_range)])
+                    for i, turn in enumerate(d.turns) if turn.role == "assistant"
+                    for span in turn.alignment[:-1]]
+        assert [(e.origin, e.tokens) for e in seq.elements if e.modality == "speech"] == expected
+
+
+def test_all_text_assistant_turn_is_its_spans_in_order():
+    for n in range(80):
+        d = synthetic.synth_dialogue(21, n, n_turns=4, segments_per_assistant=3)
+        seq = interleave_dialogue(d, InterleavePolicy(0.0, 0.0), 3)
+        for i, turn in enumerate(d.turns):
+            if turn.role == "assistant":
+                parts = [e for e in seq.elements if e.origin[1] == i]
+                assert [e.origin[2] for e in parts] == [s.index for s in turn.alignment]
+                assert [e.text for e in parts] == [turn.text[slice(*s.text_range)]
+                                                   for s in turn.alignment]
+                assert "".join(e.text for e in parts) == turn.text
+
+
+@pytest.mark.parametrize("n_spans", [0, 1])
+def test_assistant_turn_without_a_split_is_one_whole_text_element(n_spans):
+    # Even at p=1: the only segment of a turn is its final one, so it is text.
+    d = make_dialogue("d", n_turns=2, n_segments=1)
+    d.turns[1].alignment = d.turns[1].alignment[:n_spans]
+    seq = interleave_dialogue(d, InterleavePolicy(1.0, 1.0), 7)
+    assert [(e.modality, e.role, e.text, e.tokens, e.loss_target, e.origin)
+            for e in seq.elements] == [
+        ("speech", "user", None, d.turns[0].audio.token_ids, False, ("d", 0, 0)),
+        ("text", "assistant", d.turns[1].text, None, True, ("d", 1, 0))]
+
+
+def test_speech_draw_on_a_span_of_a_turn_without_audio_is_an_error():
+    d = make_dialogue("d", n_turns=2, with_audio=False)
+    d.turns[1].alignment = [AlignmentSpan((0, 5), (0, 0), 0), AlignmentSpan((5, 11), (0, 0), 1)]
+    assert validate_dialogue(d).ok
+    with pytest.raises(CompileError) as exc:
+        interleave_dialogue(d, InterleavePolicy(0.0, 1.0), 7)
+    assert str(exc.value) == ("dialogue 'd' turn 1 segment 0: speech modality drawn "
+                              "but the segment has no audio tokens")
 
 
 def test_forced_final_text_at_p_one():
