@@ -8,3 +8,7 @@ metrics against independent oracles. All randomness flows from a single
 """
 
 __version__ = "0.1.0"
+
+# Corpus dialogue languages, also the values `eval wer --lang` accepts. Kept
+# here so that eval checks them without loading the corpus data model.
+LANGUAGES = ("zh", "en", "ja", "ko", "other")

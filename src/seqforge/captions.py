@@ -33,33 +33,15 @@ def other_payload(tag: str) -> str | None:
     return m.group(1) if m else None
 
 
-@dataclass(frozen=True)
-class Taxonomy:
-    """Attribute -> ordered tag vocabulary."""
-
-    categories: dict[str, tuple[str, ...]]
-    version: str
-
-    def __post_init__(self):
-        missing = [a for a, _, _ in ATTRIBUTES if a not in self.categories]
-        if missing:
-            raise ValueError(f"taxonomy missing attributes: {missing}")
-        for attr, vocab in self.categories.items():
-            if not vocab:
-                raise ValueError(f"empty vocabulary for {attr!r}")
-            if len(set(vocab)) != len(vocab):
-                raise ValueError(f"duplicate tags in {attr!r}")
-
-    def vocabulary(self, attribute: str) -> tuple[str, ...]:
-        return self.categories[attribute]
-
-
-def load_taxonomy() -> Taxonomy:
-    """Load the bundled taxonomy JSON document."""
+@functools.cache  # read on first use, once per process
+def _vocabularies() -> dict[str, tuple[str, ...]]:
     raw = resources.files("seqforge.data").joinpath("taxonomy.json").read_text("utf-8")
-    doc = json.loads(raw)
-    version = doc.pop("$version", "unversioned")
-    return Taxonomy(categories={k: tuple(v) for k, v in doc.items()}, version=version)
+    return {k: tuple(v) for k, v in json.loads(raw).items() if k != "$version"}
+
+
+def vocabulary(attribute: str) -> tuple[str, ...]:
+    """The ordered tag vocabulary of one attribute in the bundled taxonomy."""
+    return _vocabularies()[attribute]
 
 
 @dataclass
@@ -260,11 +242,11 @@ def _check_tag(report, attr, tag, vocab, path):
         report.add(path, f"other(...) payload {payload!r} contains a reserved separator")
 
 
-def validate_caption(record: CaptionRecord, taxonomy: Taxonomy) -> ValidationReport:
+def validate_caption(record: CaptionRecord) -> ValidationReport:
     """Report every tag outside its attribute vocabulary (other(...) exempt)."""
     report = ValidationReport()
     for attr, field_name, multi in ATTRIBUTES:
-        vocab = taxonomy.vocabulary(attr)
+        vocab = vocabulary(attr)
         value = getattr(record, field_name)
         if multi:
             for k, tag in enumerate(value):
@@ -286,14 +268,13 @@ def _join_tags(tags: tuple[str, ...]) -> str:
     return ", ".join(parts[:-1]) + " and " + parts[-1]
 
 
-def render_caption(record: CaptionRecord, seed: int, taxonomy: Taxonomy | None = None) -> str:
+def render_caption(record: CaptionRecord, seed: int) -> str:
     """Render a record into descriptor sentences, one per populated attribute.
 
     Deterministic for a fixed (record, seed); different seeds vary phrasing
     but never the extractable tag content. Invalid records are refused.
     """
-    taxonomy = taxonomy or default_taxonomy()
-    report = validate_caption(record, taxonomy)
+    report = validate_caption(record)
     if not report.ok:
         raise InvalidCaptionError(report)
     rng = DetRng(derive_seed(seed, "caption-render"))
@@ -313,9 +294,8 @@ def render_caption(record: CaptionRecord, seed: int, taxonomy: Taxonomy | None =
     return " ".join(sentences)
 
 
-def extract_tags(rendered: str, taxonomy: Taxonomy | None = None) -> list[tuple[str, str]]:
+def extract_tags(rendered: str) -> list[tuple[str, str]]:
     """Inverse of render_caption: recover the (attribute, tag) multiset."""
-    taxonomy = taxonomy or default_taxonomy()
     if not rendered.strip():
         raise CaptionParseError("empty caption text")
     # Tags never contain a period, so ". " splits exactly at sentence bounds.
@@ -329,7 +309,7 @@ def extract_tags(rendered: str, taxonomy: Taxonomy | None = None) -> list[tuple[
             if not m:
                 continue
             raw = m.group(1)
-            vocab = taxonomy.vocabulary(attr)
+            vocab = vocabulary(attr)
             multi = next(mu for a, _, mu in ATTRIBUTES if a == attr)
             pieces = _split_tag_list(raw) if multi else [raw]
             for piece in pieces:
@@ -346,9 +326,3 @@ def _split_tag_list(raw: str) -> list[str]:
         head, last = raw.rsplit(" and ", 1)
         return head.split(", ") + [last]
     return [raw]
-
-
-@functools.cache
-def default_taxonomy() -> Taxonomy:
-    """The bundled taxonomy, loaded once per process."""
-    return load_taxonomy()

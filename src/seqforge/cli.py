@@ -11,13 +11,12 @@ import json
 import os
 import sys
 
-from seqforge import __version__
-from seqforge.reporting import NotUtf8Error, SchemaError, read_lines
+from seqforge import LANGUAGES, __version__
 
 # Each command imports the modules only it needs, so no command pays for
 # loading the others': eval, plan, templates and loss-check never load the
-# corpus data model or manifests, only loss-check loads numpy, and only
-# --jobs > 1 loads multiprocessing.
+# corpus data model or manifests, only loss-check loads numpy, only --jobs > 1
+# loads multiprocessing, and --version loads no seqforge module but this one.
 
 
 class UsageError(Exception):
@@ -43,6 +42,8 @@ def _jobs(flag: int | None) -> int:
 def _side_input(flag: str, path):
     """Report a side-input file that is not UTF-8, not JSON or of the wrong
     shape (a SchemaError) as a usage error naming it."""
+    from seqforge.reporting import SchemaError
+
     try:
         yield
     except UnicodeDecodeError as exc:
@@ -261,6 +262,8 @@ def _is_mask_span(span) -> bool:
 
 def _load_masks(path) -> dict[str, list]:
     """dialogue id -> masked spans, from the outcome lines of `forge clean`."""
+    from seqforge.reporting import SchemaError
+
     masks: dict[str, list] = {}
     with _side_input("--masks", path), open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -429,6 +432,7 @@ def cmd_clean(args) -> int:
 
 def cmd_plan(args) -> int:
     from seqforge import schedule
+    from seqforge.reporting import SchemaError
 
     plan = schedule.build_default_plan()
     if args.plan_cmd == "show":
@@ -503,12 +507,16 @@ def cmd_loss_check(args) -> int:
 # --------------------------------------------------------------------------
 
 def _read_lines(path) -> list[str]:
+    from seqforge.reporting import read_lines
+
     return [line.rstrip("\n") for line in read_lines(path)]
 
 
 def cmd_eval(args) -> int:
     from seqforge import metrics
 
+    if args.eval_cmd == "wer" and args.lang not in LANGUAGES:
+        raise UsageError(f"--lang must be one of {', '.join(LANGUAGES)}; got {args.lang!r}")
     if args.eval_cmd in ("cer", "wer"):
         refs = _read_lines(args.ref)
         hyps = _read_lines(args.hyp)
@@ -516,8 +524,10 @@ def cmd_eval(args) -> int:
             print(f"forge: error: ref has {len(refs)} lines but hyp has {len(hyps)}",
                   file=sys.stderr)
             return 1
+        # cer scores every character whatever the language, so it takes no --lang
         rate = metrics.corpus_error_rate(list(zip(refs, hyps)), mode=args.eval_cmd,
-                                         lang=args.lang, normalize=not args.raw)
+                                         lang=getattr(args, "lang", "en"),
+                                         normalize=not args.raw)
         print(json.dumps({
             "metric": args.eval_cmd, "utterances": rate.utterances,
             "errors": rate.errors, "reference_length": rate.reference_length,
@@ -592,7 +602,8 @@ def cmd_templates(args) -> int:
     with _side_input("--registry", args.registry):
         registry = templates_mod.load_task_registry(args.registry)
     if args.task not in registry:
-        print(f"unknown task {args.task!r}; registry has {sorted(registry)}", file=sys.stderr)
+        print(f"forge: error: unknown task {args.task!r}; registry has {sorted(registry)}",
+              file=sys.stderr)
         return 1
     variants = templates_mod.expand_templates(registry[args.task], limit=args.limit)
     for v in variants:
@@ -678,7 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
         e = eval_sub.add_parser(name)
         e.add_argument("--ref", required=True)
         e.add_argument("--hyp", required=True)
-        e.add_argument("--lang", default="en")
+        if name == "wer":
+            e.add_argument("--lang", default="en", help=f"one of {', '.join(LANGUAGES)}")
         e.add_argument("--raw", action="store_true", help="skip text normalization")
     y = eval_sub.add_parser("only-yes")
     y.add_argument("--responses", required=True)
@@ -708,6 +720,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    from seqforge.reporting import NotUtf8Error
+
     args.argv = ["forge"] + argv
     try:
         if hasattr(args, "jobs"):

@@ -24,13 +24,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from seqforge.captions import CaptionRecord, default_taxonomy, validate_caption
+from seqforge import LANGUAGES
+from seqforge.captions import CaptionRecord, validate_caption
 # read_lines and NotUtf8Error live in reporting, so that eval reads text without
 # loading this data model; corpus re-exports them, as it does SchemaError.
 from seqforge.reporting import (NotUtf8Error, SchemaError, ValidationReport, Violation,
                                 read_lines)
 
-LANGUAGES = ("zh", "en", "ja", "ko", "other")
 SOURCES = ("real_life", "synthetic", "podcast", "audiobook", "short_utterance")
 ROLES = ("user", "assistant")
 FLAG_KINDS = (
@@ -504,7 +504,7 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
             _validate_audio(report, turn.audio, f"{path}.audio")
         _validate_alignment(report, turn, path)
         if turn.caption is not None:
-            for v in validate_caption(turn.caption, default_taxonomy()).violations:
+            for v in validate_caption(turn.caption).violations:
                 report.add(f"{path}.caption.{v.path}", v.message)
     report.violations += validate_flags(d).violations
     return report

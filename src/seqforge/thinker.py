@@ -14,7 +14,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 
-from seqforge.corpus import Dialogue, Turn
+from seqforge.corpus import AlignmentSpan, Dialogue
 from seqforge.manifest import config_hash
 from seqforge.seeding import DetRng, derive_seed
 
@@ -63,38 +63,9 @@ class TrainingSequence:
     manifest: dict = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class Segment:
-    index: int
-    text: str
-    text_range: tuple[int, int]
-    tokens: list[int] | None
-
-
 @functools.cache  # the policy is frozen: one hash per policy, not per dialogue
 def policy_config_hash(policy: InterleavePolicy) -> str:
     return config_hash(policy.to_json_dict())
-
-
-def segment_assistant(turn: Turn) -> list[Segment]:
-    """Split an assistant turn into its aligned sub-sentence segments."""
-    if turn.role != "assistant":
-        raise CompileError(f"segment_assistant expects an assistant turn, got {turn.role!r}")
-    if not turn.alignment:
-        raise CompileError(
-            "assistant turn has no alignment spans; run the upstream alignment "
-            "tool before interleaving"
-        )
-    segments = []
-    for span in turn.alignment:
-        ts, te = span.text_range
-        tokens = None
-        if turn.audio is not None:
-            aus, aue = span.audio_range
-            tokens = turn.audio.token_ids[aus:aue]
-        segments.append(Segment(index=span.index, text=turn.text[ts:te],
-                                text_range=(ts, te), tokens=tokens))
-    return segments
 
 
 def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -137,27 +108,26 @@ def interleave_dialogue(
                                         False, (dialogue.id, i, 0)))
             continue
 
-        # Assistant: per-segment modality, final segment pinned to text.
-        if turn.alignment:
-            segments = segment_assistant(turn)
-        else:
-            segments = [Segment(0, turn.text, (0, len(turn.text)),
-                                turn.audio.token_ids if turn.audio else None)]
+        # Assistant: one segment per alignment span, final segment pinned to
+        # text. A turn without spans is one whole-turn segment, so it is text.
+        spans = turn.alignment or (AlignmentSpan((0, len(turn.text)), (0, 0), 0),)
         turn_masks = masks_by_turn.get(i, ())
-        last = len(segments) - 1
-        for k, seg in enumerate(segments):
+        last = len(spans) - 1
+        for k, span in enumerate(spans):
             if k < last and rng.uniform() < policy.p_assistant_segment_speech:
-                if seg.tokens is None:
+                if turn.audio is None:
                     raise CompileError(
                         f"dialogue {dialogue.id!r} turn {i} segment {k}: speech "
                         f"modality drawn but the segment has no audio tokens"
                     )
-                elements.append(Element(SPEECH, "assistant", None, seg.tokens,
-                                        False, (dialogue.id, i, seg.index)))
+                aus, aue = span.audio_range
+                elements.append(Element(SPEECH, "assistant", None, turn.audio.token_ids[aus:aue],
+                                        False, (dialogue.id, i, span.index)))
             else:
-                masked = any(_overlaps(seg.text_range, m) for m in turn_masks)
-                elements.append(Element(TEXT, "assistant", seg.text, None,
-                                        not masked, (dialogue.id, i, seg.index)))
+                ts, te = span.text_range
+                masked = any(_overlaps(span.text_range, m) for m in turn_masks)
+                elements.append(Element(TEXT, "assistant", turn.text[ts:te], None,
+                                        not masked, (dialogue.id, i, span.index)))
 
     manifest = {
         "master_seed": master_seed,

@@ -4,7 +4,7 @@ Produces schema-valid dialogues with aligned audio for tests, benchmarks and
 the acceptance suite. Everything derives from (master_seed, dialogue index),
 so corpora are reproducible and shard-independent.
 """
-from seqforge.captions import CaptionRecord, default_taxonomy
+from seqforge.captions import CaptionRecord, vocabulary
 from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, QualityFlag, Turn
 from seqforge.seeding import DetRng, derive_seed
 
@@ -43,12 +43,11 @@ def _align(text: str, n_tokens: int, n_segments: int) -> list[AlignmentSpan]:
 
 
 def _caption(rng: DetRng) -> CaptionRecord:
-    tax = default_taxonomy()
     return CaptionRecord(
-        gender_age=rng.choice(tax.vocabulary("Gender & Age")),
-        emotion=rng.choice(tax.vocabulary("Emotion")),
-        speech_rate=rng.choice(tax.vocabulary("Speech Rate")),
-        acoustic_scene=rng.choice(tax.vocabulary("Acoustic Scene")),
+        gender_age=rng.choice(vocabulary("Gender & Age")),
+        emotion=rng.choice(vocabulary("Emotion")),
+        speech_rate=rng.choice(vocabulary("Speech Rate")),
+        acoustic_scene=rng.choice(vocabulary("Acoustic Scene")),
     )
 
 

@@ -6,65 +6,67 @@ import pytest
 
 from seqforge import captions
 from seqforge.captions import (ATTRIBUTES, CaptionRecord, CaptionParseError,
-                               InvalidCaptionError, default_taxonomy, load_taxonomy,
-                               extract_tags, other, render_caption,
-                               validate_caption)
-
-TAX = default_taxonomy()
+                               InvalidCaptionError, extract_tags, other, render_caption,
+                               validate_caption, vocabulary)
 
 
 def test_default_taxonomy_is_loaded_once():
-    assert default_taxonomy() is default_taxonomy()
-    assert default_taxonomy() == load_taxonomy()
+    # The bundled file is read on first use only: later calls return the same tuples.
+    assert all(vocabulary(a) is vocabulary(a) for a, _, _ in ATTRIBUTES)
+    assert captions._vocabularies() is captions._vocabularies()
 
 
 def test_bundled_taxonomy_has_all_ten_attributes():
-    assert len(TAX.categories) == 10
-    assert set(TAX.categories) == {a for a, _, _ in ATTRIBUTES}
-    assert TAX.vocabulary("Emotion") == (
+    assert set(captions._vocabularies()) == {a for a, _, _ in ATTRIBUTES}
+    assert len(ATTRIBUTES) == 10
+    for attr, _, _ in ATTRIBUTES:
+        vocab = vocabulary(attr)
+        assert vocab, attr
+        assert len(set(vocab)) == len(vocab), attr
+    assert vocabulary("Emotion") == (
         "Neutral", "Happy", "Sad", "Angry", "Fearful", "Surprised", "Disgusted")
 
 
 def test_every_bundled_tag_validates():
     # One record per attribute probing each tag in its vocabulary.
     for attr, field_name, multi in ATTRIBUTES:
-        for tag in TAX.vocabulary(attr):
+        for tag in vocabulary(attr):
             record = CaptionRecord(**{field_name: (tag,) if multi else tag})
-            assert validate_caption(record, TAX).ok, (attr, tag)
+            assert validate_caption(record).ok, (attr, tag)
 
 
 def test_minimal_record_validates():
     record = CaptionRecord(emotion="Neutral", acoustic_scene="Quiet indoor")
-    assert validate_caption(record, TAX).ok
+    assert validate_caption(record).ok
 
 
 def test_unknown_emotion_is_flagged():
     record = CaptionRecord(emotion="Melancholy")
-    report = validate_caption(record, TAX)
+    report = validate_caption(record)
     assert len(report.violations) == 1
     assert report.violations[0].path == "emotion"
     assert "Melancholy" in report.violations[0].message
 
 
 def test_emotion_rejects_other_escape():
-    report = validate_caption(CaptionRecord(emotion=other("Wistful")), TAX)
+    report = validate_caption(CaptionRecord(emotion=other("Wistful")))
     assert any("seven-class" in v.message for v in report.violations)
 
 
 def test_vocalization_pair_from_vocabulary():
     record = CaptionRecord(vocalizations=("Sighing", "Coughing"))
-    assert validate_caption(record, TAX).ok
+    assert validate_caption(record).ok
 
 
 def test_other_escape_accepted_elsewhere():
     record = CaptionRecord(vocalizations=(other("Humming quietly"),))
-    assert validate_caption(record, TAX).ok
+    assert validate_caption(record).ok
 
 
 def test_other_escape_guards():
-    assert not validate_caption(CaptionRecord(tone=other("")), TAX).ok
-    assert not validate_caption(CaptionRecord(tone=other("Calm")), TAX).ok
-    assert not validate_caption(CaptionRecord(tone=other("one, two")), TAX).ok
+    assert not validate_caption(CaptionRecord(tone=other(""))).ok
+    assert not validate_caption(CaptionRecord(tone=other("Calm"))).ok
+    assert not validate_caption(CaptionRecord(tone=other("one, two"))).ok
 
 
 def test_render_is_deterministic_and_seed_varies_phrasing():
@@ -117,7 +119,7 @@ def _random_record(rng: random.Random) -> CaptionRecord:
     for attr, field_name, multi in ATTRIBUTES:
         if rng.random() < 0.4:
             continue
-        vocab = TAX.vocabulary(attr)
+        vocab = vocabulary(attr)
         if multi:
             pool = list(vocab) + [other(f"custom {field_name} {rng.randrange(30)}")]
             kwargs[field_name] = tuple(rng.sample(pool, k=rng.randrange(1, 4)))

@@ -218,6 +218,21 @@ def test_eval_error_rate_stdout_is_pinned(tmp_path, capsys, argv, expected):
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("lang", corpus_mod.LANGUAGES)
+def test_eval_wer_accepts_every_corpus_language(tmp_path, capsys, lang):
+    text = tmp_path / "text.txt"
+    text.write_text(EVAL_REF, encoding="utf-8")
+    assert run(["eval", "wer", "--lang", lang, "--ref", str(text), "--hyp", str(text)]) == 0
+    assert json.loads(capsys.readouterr().out)["errors"] == 0
+
+
+def test_eval_cer_takes_no_lang(tmp_path, capsys):
+    text = tmp_path / "text.txt"
+    text.write_text(EVAL_REF, encoding="utf-8")
+    assert run(["eval", "cer", "--lang", "en", "--ref", str(text), "--hyp", str(text)]) == 2
+    assert "unrecognized arguments: --lang en" in capsys.readouterr().err
+
+
 def test_templates_expand_cli(tmp_path, capsys):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({
@@ -230,6 +245,17 @@ def test_templates_expand_cli(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["text"] == "describe the audio"
+
+
+def test_templates_expand_unknown_task_is_a_data_failure(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"asr": {"languages": ["en"],
+                                            "slots": [{"alternatives": ["transcribe"]}]}}),
+                        encoding="utf-8")
+    assert run(["templates", "expand", "--task", "nope", "--registry", str(registry)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "forge: error: unknown task 'nope'; registry has ['asr']\n"
 
 
 def test_manifest_config_hash_tracks_config_changes(tmp_path):
@@ -611,6 +637,10 @@ def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
     (["loss-check", "--epsilon", "0"], None, "--epsilon must be finite and > 0, got 0.0"),
     (["loss-check", "--epsilon", "inf"], None, "--epsilon must be finite and > 0, got inf"),
     (["loss-check", "--tolerance", "0"], None, "--tolerance must be finite and > 0, got 0.0"),
+    (["eval", "wer", "--lang", "ZH", "--ref", "r.txt", "--hyp", "h.txt"], None,
+     "--lang must be one of zh, en, ja, ko, other; got 'ZH'"),
+    (["eval", "wer", "--lang", "zh-CN", "--ref", "r.txt", "--hyp", "h.txt"], None,
+     "--lang must be one of zh, en, ja, ko, other; got 'zh-CN'"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
         "config-array", "config-client", "config-int-float", "config-float-bool",
         "config-int-string", "config-float-overflow", "jobs-negative", "env-jobs-text",
@@ -618,14 +648,14 @@ def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
         "masks-line-array", "masks-spans-shape", "stats-array", "stats-entry-shape",
         "registry-no-slots", "registry-optional-string", "registry-empty-slots",
         "mode-unknown", "loss-cases-zero", "loss-epsilon-zero", "loss-epsilon-inf",
-        "loss-tolerance-zero"])
+        "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
         argv = argv[1:]
-    if argv[0] not in ("plan", "templates", "loss-check"):
+    if argv[0] not in ("plan", "templates", "loss-check", "eval"):
         path = write_corpus(tmp_path, synthetic.synth_corpus(2, 6))
         argv = argv + ["--corpus", str(path), "--out", str(tmp_path / "o.jsonl")]
     # BAD names a side-input file whose second line is not JSON; @TEXT names
@@ -671,6 +701,8 @@ def test_importing_the_cli_does_not_load_numpy(tmp_path):
     assert loaded.isdisjoint({"numpy", "urllib.request", "multiprocessing", "seqforge.cleaning",
                               "seqforge.thinker", "seqforge.talker", "seqforge.metrics",
                               "seqforge.schedule", "seqforge.templates"})
+    # --version, the start-up every command pays, loads no other seqforge module.
+    assert modules(["--version"]).isdisjoint({"seqforge.reporting", "dataclasses", "inspect"})
 
     # Commands that read no corpus load none of the corpus data model.
     text = tmp_path / "text.txt"

@@ -757,36 +757,23 @@ def test_validate_checks_captions_against_the_taxonomy():
         "turns[1].caption.vocalizations[1]: tag 'laugh' not in Vocalizations vocabulary"]
 
 
-def _set_audio(turn: int, **fields):
-    def mutate(d: Dialogue) -> None:
-        for name, value in fields.items():
-            setattr(d.turns[turn].audio, name, value)
-    return mutate
-
-
-def _set_span(k: int, **fields):
-    def mutate(d: Dialogue) -> None:
-        for name, value in fields.items():
-            setattr(d.turns[1].alignment[k], name, value)
-    return mutate
-
-
 # Texts the seeded mutants below never draw, each on a fixed two-turn dialogue
 # whose assistant turn has spans [0,5)/[0,11) and [5,11)/[11,22).
 FIXED_MUTANTS = [
-    (_set_audio(0, frame_rate_hz=0.0), [
+    (lambda d: setattr(d.turns[0].audio, "frame_rate_hz", 0.0), [
         "turns[0].audio.frame_rate_hz: frame rate must be > 0",
         "turns[0].audio: token count 22 vs duration-derived 0 exceeds the +/-1 rounding bound"]),
-    (_set_audio(0, duration_s=-1.0), ["turns[0].audio.duration_s: duration must be >= 0"]),
-    (_set_span(1, text_range=(11, 11)), [
+    (lambda d: setattr(d.turns[0].audio, "duration_s", -1.0),
+     ["turns[0].audio.duration_s: duration must be >= 0"]),
+    (lambda d: setattr(d.turns[1].alignment[1], "text_range", (11, 11)), [
         "turns[1].alignment[1].text_range: text range must be non-empty",
         "turns[1].alignment[1].text_range: gap after previous span ending at 5"]),
-    (_set_span(1, audio_range=(22, 11)),
+    (lambda d: setattr(d.turns[1].alignment[1], "audio_range", (22, 11)),
      ["turns[1].alignment[1].audio_range: malformed range [22,11)"]),
     (lambda d: setattr(d.turns[1], "audio", None), [
         "turns[1].alignment[0].audio_range: non-empty audio range on a turn without audio",
         "turns[1].alignment[1].audio_range: non-empty audio range on a turn without audio"]),
-    (_set_span(1, audio_range=(5, 22)),
+    (lambda d: setattr(d.turns[1].alignment[1], "audio_range", (5, 22)),
      ["turns[1].alignment[1].audio_range: audio ranges must be monotonically increasing"]),
     (lambda d: setattr(d, "id", ""), ["id: empty id"]),
 ]

@@ -1,4 +1,4 @@
-"""Modality interleaving: segmentation, loss labels, determinism, statistics."""
+"""Modality interleaving: per-span segments, loss labels, determinism, statistics."""
 import json
 
 import pytest
@@ -7,42 +7,10 @@ from seqforge import thinker
 from seqforge.corpus import AlignmentSpan, validate_dialogue
 from seqforge.thinker import (CompileError, InterleavePolicy,
                               extract_loss_targets, interleave_dialogue,
-                              segment_assistant, serialize_sequence)
+                              serialize_sequence)
 
 import synthetic
 from conftest import make_dialogue, make_turn
-
-
-def test_segment_count_and_order():
-    turn = make_turn("assistant", text="abcdefghij", n_segments=3)
-    segments = segment_assistant(turn)
-    assert [s.index for s in segments] == [0, 1, 2]
-    assert "".join(s.text for s in segments) == turn.text
-
-
-def test_segment_single_span_is_whole_turn():
-    turn = make_turn("assistant", text="short reply", n_segments=1)
-    [seg] = segment_assistant(turn)
-    assert seg.text == turn.text
-    assert seg.tokens == turn.audio.token_ids
-
-
-def test_segment_text_concatenation_property():
-    for n in range(80):
-        d = synthetic.synth_dialogue(21, n, n_turns=4, segments_per_assistant=3)
-        for turn in d.turns:
-            if turn.role == "assistant":
-                parts = segment_assistant(turn)
-                assert "".join(s.text for s in parts) == turn.text
-
-
-def test_segment_requires_assistant_turn_with_alignment():
-    with pytest.raises(CompileError):
-        segment_assistant(make_turn("user"))
-    bare = make_turn("assistant", with_audio=False)
-    bare.alignment = []
-    with pytest.raises(CompileError, match="alignment"):
-        segment_assistant(bare)
 
 
 def test_speech_segments_carry_exactly_their_span_tokens():
