@@ -54,49 +54,42 @@ def _side_input(flag: str, path):
         raise UsageError(f"{flag} {path}: {exc}") from None
 
 
-def _load_config(path) -> dict:
-    """The --config file's JSON object; anything else is a usage error."""
-    with _side_input("--config", path), open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+# clean --client http's --config holds only the services' deployment settings;
+# every build option is a flag. A key that names a flag's setting is refused
+# with a pointer to that flag.
+_URL_KEYS = ("corrector_url", "synth_url")
+_HTTP_CONFIG_KEYS = (*_URL_KEYS, "timeout_s")
+_KEYS_NOW_FLAGS = {"client": "--client", "seed": "--seed", "retries": "--retries"}
+
+
+def _http_config(path) -> tuple[str, str, float]:
+    """(corrector URL, synth URL, timeout in seconds) from the --config file;
+    anything else in it, or a value of the wrong type, is a usage error."""
+    if path is None:
+        cfg = {}
+    else:
+        with _side_input("--config", path), open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path} must hold a JSON object")
-    return cfg
-
-
-# JSON types a config value may have, by the type of its flag: a float flag
-# also takes an integer, but a bool, a float or a string is never an int.
-_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
-
-
-def _config_value(cfg: dict, name: str, cast: type):
-    value = cfg[name]
-    if type(value) in _CONFIG_TYPES[cast]:
-        try:
-            return cast(value)
-        except OverflowError:  # an integer too large for a float flag
-            pass
-    raise UsageError(f"--config field {name!r} is not a valid {cast.__name__}: {value!r}")
-
-
-def _apply_config_defaults(args, required: dict[str, type],
-                           optional: dict[str, tuple[type, object]] = {}) -> dict:
-    """Resolve flag values: explicit flag > --config JSON file > built-in default.
-
-    Required fields without a flag or config value are a usage error.
-    Returns the config (empty without --config).
-    """
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    for name, cast in required.items():
-        if getattr(args, name, None) is None and name in cfg:
-            setattr(args, name, _config_value(cfg, name, cast))
-    for name, (cast, default) in optional.items():
-        if getattr(args, name, None) is None:
-            setattr(args, name, _config_value(cfg, name, cast) if name in cfg else default)
-    missing = [name for name in required if getattr(args, name, None) is None]
+    for key in cfg:
+        if key not in _HTTP_CONFIG_KEYS:
+            flag = _KEYS_NOW_FLAGS.get(key)
+            raise UsageError(f"--config key {key!r} is not one of {', '.join(_HTTP_CONFIG_KEYS)}"
+                             + (f"; pass {flag} instead" if flag else ""))
+    missing = [key for key in _URL_KEYS if key not in cfg]
     if missing:
-        flags = ", ".join("--" + m.replace("_", "-") for m in missing)
-        raise UsageError(f"missing {flags} (pass the flag or set it in --config)")
-    return cfg
+        raise UsageError(f"--client http needs {' and '.join(missing)} in --config")
+    for key in _URL_KEYS:
+        if type(cfg[key]) is not str:
+            raise UsageError(f"--config field {key!r} must be a string, got {cfg[key]!r}")
+    timeout = cfg.get("timeout_s", 10.0)
+    # A bool is not a number here; the upper bound also refuses NaN, infinity
+    # and an integer too large for a float.
+    if type(timeout) not in (int, float) or not 0 < timeout <= sys.float_info.max:
+        raise UsageError(f"--config field 'timeout_s' must be a finite number > 0, "
+                         f"got {timeout!r}")
+    return cfg["corrector_url"], cfg["synth_url"], float(timeout)
 
 
 def _manifest_command(argv: list[str]) -> str:
@@ -254,14 +247,9 @@ def _thinker_record(state, task):
     return dialogue.id, thinker_mod.serialize_sequence(seq), len(seq.elements), n_targets
 
 
-def _is_mask_span(span) -> bool:
-    """Whether span is [turn_index, [start, end]] with integers throughout."""
-    return (type(span) is list and len(span) == 2 and type(span[0]) is int
-            and type(span[1]) is list and len(span[1]) == 2 and set(map(type, span[1])) <= {int})
-
-
 def _load_masks(path) -> dict[str, list]:
     """dialogue id -> masked spans, from the outcome lines of `forge clean`."""
+    from seqforge import corpus
     from seqforge.reporting import SchemaError
 
     masks: dict[str, list] = {}
@@ -278,11 +266,13 @@ def _load_masks(path) -> dict[str, list]:
                     raise SchemaError(f"line {line_no}: expected a cleaning outcome object")
                 spans = doc.get("masked_spans")
                 if spans:
-                    if (type(doc.get("dialogue_id")) is not str or type(spans) is not list
-                            or not all(map(_is_mask_span, spans))):
+                    try:  # a masked span has the shape of a quality flag's span
+                        if type(doc.get("dialogue_id")) is not str or type(spans) is not list:
+                            raise SchemaError
+                        masks[doc["dialogue_id"]] = list(map(corpus._parse_flag_span, spans))
+                    except SchemaError:
                         raise SchemaError(f"line {line_no}: expected a string dialogue_id and "
-                                          f"masked_spans [[turn, [start, end]], ...]")
-                    masks[doc["dialogue_id"]] = [(ti, tuple(rng)) for ti, rng in spans]
+                                          f"masked_spans [[turn, [start, end]], ...]") from None
             start += len(line) + 1
     return masks
 
@@ -291,8 +281,6 @@ def cmd_build_thinker(args) -> int:
     from seqforge import corpus
     from seqforge import thinker as thinker_mod
 
-    _apply_config_defaults(args, {"seed": int},
-                           {"p_user": (float, 0.5), "p_assistant": (float, 0.5)})
     try:
         policy = thinker_mod.InterleavePolicy(
             p_user_speech=args.p_user, p_assistant_segment_speech=args.p_assistant)
@@ -337,8 +325,6 @@ def cmd_build_talker(args) -> int:
     from seqforge import corpus
     from seqforge import talker as talker_mod
 
-    _apply_config_defaults(args, {"seed": int},
-                           {"mode": (str, "dialogue"), "ratio": (str, "5:15")})
     if args.mode not in talker_mod.MODES:
         raise UsageError(f"unknown mode {args.mode!r}")
     try:
@@ -370,19 +356,16 @@ def cmd_build_talker(args) -> int:
 # clean
 # --------------------------------------------------------------------------
 
-def _make_clients(args, cfg: dict):
+def _make_clients(args):
     from seqforge import cleaning
 
-    if args.client == "mock":
-        return cleaning.MockCorrector(), cleaning.MockSynth()
-    if args.client != "http":
-        raise UsageError(f"unknown client {args.client!r}")
-    missing = [key for key in ("corrector_url", "synth_url") if key not in cfg]
-    if missing:
-        raise UsageError(f"--client http needs {' and '.join(missing)} in --config")
-    timeout = _config_value(cfg, "timeout_s", float) if "timeout_s" in cfg else 10.0
-    return (cleaning.HttpCorrectorClient(cfg["corrector_url"], timeout),
-            cleaning.HttpSynthClient(cfg["synth_url"], timeout))
+    if args.client == "http":
+        corrector_url, synth_url, timeout = _http_config(args.config)
+        return (cleaning.HttpCorrectorClient(corrector_url, timeout),
+                cleaning.HttpSynthClient(synth_url, timeout))
+    if args.config is not None:
+        raise UsageError("--config holds the HTTP services' settings; it needs --client http")
+    return cleaning.MockCorrector(), cleaning.MockSynth()
 
 
 def _clean_record(state, task):
@@ -407,12 +390,12 @@ def _clean_record(state, task):
 def cmd_clean(args) -> int:
     from seqforge import cleaning, corpus
 
-    cfg = _apply_config_defaults(args, {}, {"client": (str, "mock"), "seed": (int, 0),
-                                            "retries": (int, cleaning.DEFAULT_RETRIES)})
+    if args.retries is None:
+        args.retries = cleaning.DEFAULT_RETRIES
     if args.retries < 1:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
+    corrector, synth = _make_clients(args)
     lines = list(corpus.iter_lines(args.corpus))
-    corrector, synth = _make_clients(args, cfg)
     rows = _compile(_clean_record, (corrector, synth, args.retries), lines, args.jobs)
     if rows is None:
         return 1
@@ -635,31 +618,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-thinker", help="compile modality-interleaved sequences")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--p-user", type=float, dest="p_user")
-    p.add_argument("--p-assistant", type=float, dest="p_assistant")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--p-user", type=float, default=0.5, dest="p_user")
+    p.add_argument("--p-assistant", type=float, default=0.5, dest="p_assistant")
     p.add_argument("--masks", help="outcomes file from `forge clean`")
-    p.add_argument("--config", help="JSON file with flag defaults (flags win)")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, help="worker processes (default: FORGE_JOBS or 1)")
     p.set_defaults(func=cmd_build_thinker)
 
     p = sub.add_parser("build-talker", help="assemble speech-generator sequences")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", help="dialogue, long_text or standard_sentence")
-    p.add_argument("--ratio")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with flag defaults (flags win)")
+    p.add_argument("--mode", default="dialogue", help="dialogue, long_text or standard_sentence")
+    p.add_argument("--ratio", default="5:15")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, help="worker processes (default: FORGE_JOBS or 1)")
     p.set_defaults(func=cmd_build_talker)
 
     p = sub.add_parser("clean", help="run the three-branch cleaning pipeline")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--client", choices=("mock", "http"))
-    p.add_argument("--config",
-                   help="JSON config: endpoint URLs, timeout/retry values, flag defaults")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--client", choices=("mock", "http"), default="mock")
+    p.add_argument("--config", help="--client http only: JSON object of "
+                   + ", ".join(_HTTP_CONFIG_KEYS))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--retries", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, help="worker processes (default: FORGE_JOBS or 1)")

@@ -18,6 +18,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
+from seqforge import LANGUAGES
 from seqforge.kernels import distance, edit_ops
 
 CHAR_TOKENIZED_LANGUAGES = ("zh", "ja")
@@ -82,6 +83,13 @@ def _tokens(text: str, mode: str, lang: str, normalize: bool) -> Sequence[str]:
     return text.split()
 
 
+def _check_lang(lang: str) -> None:
+    """Only the corpus languages: any other value (ZH, zh-CN) would silently
+    score Chinese or Japanese as whitespace-separated words."""
+    if lang not in LANGUAGES:
+        raise ValueError(f"lang must be one of {', '.join(LANGUAGES)}; got {lang!r}")
+
+
 def cer(ref: str, hyp: str, normalize: bool = True) -> EditOps:
     """Character error rate ops (Unicode scalar values after normalization)."""
     return edit_distance(_tokens(ref, "cer", "", normalize), _tokens(hyp, "cer", "", normalize))
@@ -89,6 +97,7 @@ def cer(ref: str, hyp: str, normalize: bool = True) -> EditOps:
 
 def wer(ref: str, hyp: str, lang: str = "en", normalize: bool = True) -> EditOps:
     """Word error rate ops; zh/ja tokenize per character, others on whitespace."""
+    _check_lang(lang)
     return edit_distance(_tokens(ref, "wer", lang, normalize),
                          _tokens(hyp, "wer", lang, normalize))
 
@@ -113,6 +122,7 @@ def corpus_error_rate(pairs: Sequence[tuple[str, str]], mode: str = "cer",
     """
     if mode not in ("cer", "wer"):
         raise ValueError(f"mode must be 'cer' or 'wer', got {mode!r}")
+    _check_lang(lang)
     errors = 0
     ref_len = 0
     for ref, hyp in pairs:

@@ -274,24 +274,5 @@ def plan_to_dict(plan: list[StageSpec]) -> dict:
     return {"stages": stages}
 
 
-def plan_from_dict(doc: dict) -> list[StageSpec]:
-    plan = []
-    for s in doc["stages"]:
-        phases = [Phase(Fraction(p["fraction"]), frozenset(p["trainable"]), p["lr"])
-                  for p in s["phases"]]
-        plan.append(StageSpec(
-            stage_id=s["stage_id"],
-            phases=phases,
-            total_steps=s.get("total_steps", 1000),
-            token_budget={k: Budget(v["amount"], v["unit"])
-                          for k, v in s.get("token_budget", {}).items()},
-            sample_budget={k: Budget(v["amount"], v["unit"])
-                           for k, v in s.get("sample_budget", {}).items()},
-            data_hours=s.get("data_hours", {}),
-            notes=s.get("notes", ""),
-        ))
-    return plan
-
-
 def plan_to_json(plan: list[StageSpec]) -> str:
     return json.dumps(plan_to_dict(plan), indent=2, sort_keys=False)

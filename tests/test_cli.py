@@ -271,29 +271,13 @@ def test_manifest_config_hash_tracks_config_changes(tmp_path):
     assert hashes["x.jsonl"] != hashes["z.jsonl"]
 
 
-def test_config_file_provides_defaults_and_flags_win(tmp_path, capsys):
-    path = write_corpus(tmp_path, synthetic.synth_corpus(2, 6))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 11, "p_user": 1.0, "p_assistant": 0.0}))
-    out1 = tmp_path / "from_config.jsonl"
-    assert run(["build-thinker", "--corpus", str(path), "--config", str(cfg),
-                "--out", str(out1)]) == 0
-    header = json.loads(out1.read_text().splitlines()[0])
-    assert header["master_seed"] == 11
-    assert header["config"]["policy"]["p_user_speech"] == 1.0
-    out2 = tmp_path / "flag_wins.jsonl"
-    assert run(["build-thinker", "--corpus", str(path), "--config", str(cfg),
-                "--p-user", "0.0", "--out", str(out2)]) == 0
-    header = json.loads(out2.read_text().splitlines()[0])
-    assert header["config"]["policy"]["p_user_speech"] == 0.0
-
-
 def test_missing_seed_without_config_exits_2(tmp_path, capsys):
     path = write_corpus(tmp_path, synthetic.synth_corpus(1, 6))
     code = run(["build-thinker", "--corpus", str(path),
                 "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "forge build-thinker: error: the following arguments are required: --seed")
 
 
 def test_compile_error_exits_1(tmp_path, capsys):
@@ -332,15 +316,16 @@ def test_clean_retries_below_one_exits_2(tmp_path, capsys):
 def test_missing_input_file_exits_2(tmp_path, capsys, missing, directory):
     """An absent file, or a directory given as an input file, is a usage error."""
     path = write_corpus(tmp_path, synthetic.synth_corpus(1, 6))
-    config = tmp_path / "c.json"
-    config.write_text("{}")
     unreadable = tmp_path / "absent.jsonl"
     if directory:
         unreadable.mkdir()
     if missing == "--hyp":
         argv = ["eval", "cer", "--ref", str(path), "--hyp", str(unreadable)]
+    elif missing == "--config":
+        argv = ["clean", "--client", "http", "--config", str(unreadable), "--corpus", str(path),
+                "--out", str(tmp_path / "t.jsonl")]
     else:
-        inputs = {"--corpus": path, "--masks": path, "--config": config}
+        inputs = {"--corpus": path, "--masks": path}
         inputs[missing] = unreadable
         argv = ["build-thinker", "--seed", "1", "--out", str(tmp_path / "t.jsonl")]
         for flag, value in inputs.items():
@@ -501,16 +486,66 @@ def test_abbreviated_flags_are_usage_errors(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_no_parser_takes_flag_prefixes():
-    parsers, seen = [cli.build_parser()], 0
+def _all_parsers():
+    """forge's parser and every subparser under it."""
+    parsers = [cli.build_parser()]
     while parsers:
         parser = parsers.pop()
-        assert parser.allow_abbrev is False, parser.prog
-        seen += 1
+        yield parser
         parsers += [sub for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction)
                     for sub in action.choices.values()]
-    assert seen == 17  # forge, its 9 commands and their 7 subcommands
+
+
+def test_no_parser_takes_flag_prefixes():
+    parsers = list(_all_parsers())
+    for parser in parsers:
+        assert parser.allow_abbrev is False, parser.prog
+    assert len(parsers) == 17  # forge, its 9 commands and their 7 subcommands
+
+
+def test_cli_surface_is_pinned():
+    """Every option of every command, and the keys of clean's --config: a
+    setting added or removed shows up here as a diff."""
+    surface = {parser.prog: sorted(option for action in parser._actions
+                                   for option in action.option_strings
+                                   if option not in ("-h", "--help"))
+               for parser in _all_parsers()}
+    assert surface == {
+        "forge": ["--version"],
+        "forge validate": ["--corpus"],
+        "forge build-thinker": ["--corpus", "--jobs", "--masks", "--out", "--p-assistant",
+                                "--p-user", "--seed"],
+        "forge build-talker": ["--corpus", "--jobs", "--mode", "--out", "--ratio", "--seed"],
+        "forge clean": ["--client", "--config", "--corpus", "--jobs", "--out", "--retries",
+                        "--seed"],
+        "forge plan": [],
+        "forge plan show": [],
+        "forge plan directive": ["--stage", "--step", "--total"],
+        "forge plan budget": ["--stats"],
+        "forge loss-check": ["--cases", "--epsilon", "--seed", "--tolerance"],
+        "forge eval": [],
+        "forge eval cer": ["--hyp", "--raw", "--ref"],
+        "forge eval wer": ["--hyp", "--lang", "--raw", "--ref"],
+        "forge eval only-yes": ["--responses"],
+        "forge stats": ["--corpus", "--out"],
+        "forge templates": [],
+        "forge templates expand": ["--limit", "--registry", "--task"],
+    }
+    assert cli._HTTP_CONFIG_KEYS == ("corrector_url", "synth_url", "timeout_s")
+
+
+@pytest.mark.parametrize("command", ["build-thinker", "build-talker"])
+def test_build_commands_take_no_config(tmp_path, capsys, command):
+    """Build options come only from flags."""
+    path = write_corpus(tmp_path, synthetic.synth_corpus(2, 1))
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": 1}', encoding="utf-8")
+    assert run([command, "--corpus", str(path), "--seed", "1", "--config", str(config),
+                "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"forge: error: unrecognized arguments: --config {config}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "corpus.jsonl"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -589,21 +624,25 @@ def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
     assert sidecars[0] == sidecars[1]
 
 
+# The two keys a clean --client http --config needs; nothing listens on port 1.
+_HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.0.1:1"'
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["build-thinker", "--seed", "1", "--p-user", "1.5"], None, "--p-user/--p-assistant"),
     (["build-talker", "--seed", "1", "--ratio", "5"], None, "--ratio must be N:M"),
-    (["build-thinker", "--seed", "1"], "{not json", "is not valid JSON"),
-    (["clean", "--client", "http"], '{"synth_url": "http://127.0.0.1:1"}', "corrector_url"),
+    (["clean"], "{not json", "is not valid JSON"),
+    (["clean"], '{"synth_url": "http://127.0.0.1:1"}',
+     "--client http needs corrector_url in --config"),
+    (["clean", "--client", "http"], None,
+     "forge: error: --client http needs corrector_url and synth_url in --config\n"),
     (["plan", "directive", "--stage", "bogus", "--step", "1"], None, "stage 'bogus'"),
     (["plan", "directive", "--stage", "s1", "--step", "0"], None, "step must be in"),
-    (["build-thinker"], '{"seed": "abc"}', "'seed' is not a valid int"),
-    (["build-thinker", "--seed", "1"], "[]", "must hold a JSON object"),
-    (["clean"], '{"client": "bogus"}', "unknown client 'bogus'"),
-    (["build-thinker"], '{"seed": 1.5}', "'seed' is not a valid int: 1.5"),
-    (["build-thinker", "--seed", "1"], '{"p_user": true}', "'p_user' is not a valid float"),
-    (["build-thinker"], '{"seed": "7"}', "'seed' is not a valid int: '7'"),
-    (["build-thinker", "--seed", "1"], '{"p_user": 1%s}' % ("0" * 400),
-     "'p_user' is not a valid float"),
+    (["clean"], "[]", "must hold a JSON object"),
+    (["clean"], '{%s, "timeout_s": true}' % _HTTP_URLS,
+     "--config field 'timeout_s' must be a finite number > 0, got True\n"),
+    (["clean"], '{%s, "timeout_s": 1%s}' % (_HTTP_URLS, "0" * 400),
+     "--config field 'timeout_s' must be a finite number > 0, got 1%s\n" % ("0" * 400)),
     (["build-thinker", "--seed", "1", "--jobs", "-5"], None,
      "--jobs must be a positive integer, got -5"),
     (["FORGE_JOBS=abc", "build-talker", "--seed", "1"], None,
@@ -616,7 +655,7 @@ def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
      "bad.json is not valid JSON: Extra data: line 2 column 1"),
     (["templates", "expand", "--task", "t", "--registry", "BAD"], None,
      "bad.json is not valid JSON: Extra data: line 2 column 1"),
-    (["build-thinker"], b'{"seed": "\xff"}', "c.json is not valid UTF-8 (byte 10)"),
+    (["clean"], b'{"synth_url": "\xff"}', "c.json is not valid UTF-8 (byte 15)"),
     (["build-thinker", "--seed", "1", "--masks", '@{"dialogue_id": "x"}\n[]'], None,
      "side.json: line 2: expected a cleaning outcome object"),
     (["build-thinker", "--seed", "1", "--masks", '@{"dialogue_id": 1, "masked_spans": [[0]]}'],
@@ -641,14 +680,34 @@ def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
      "--lang must be one of zh, en, ja, ko, other; got 'ZH'"),
     (["eval", "wer", "--lang", "zh-CN", "--ref", "r.txt", "--hyp", "h.txt"], None,
      "--lang must be one of zh, en, ja, ko, other; got 'zh-CN'"),
-], ids=["p-user", "ratio", "config-json", "http-url", "stage", "step", "config-int",
-        "config-array", "config-client", "config-int-float", "config-float-bool",
-        "config-int-string", "config-float-overflow", "jobs-negative", "env-jobs-text",
-        "env-jobs-zero", "masks-json", "stats-json", "registry-json", "config-utf8",
-        "masks-line-array", "masks-spans-shape", "stats-array", "stats-entry-shape",
-        "registry-no-slots", "registry-optional-string", "registry-empty-slots",
-        "mode-unknown", "loss-cases-zero", "loss-epsilon-zero", "loss-epsilon-inf",
-        "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region"])
+    (["clean"], '{"corrector_url": 1, "synth_url": 2}',
+     "forge: error: --config field 'corrector_url' must be a string, got 1\n"),
+    (["clean"], '{%s, "timeout_s": NaN}' % _HTTP_URLS,
+     "forge: error: --config field 'timeout_s' must be a finite number > 0, got nan\n"),
+    (["clean"], '{%s, "timeout_s": 0}' % _HTTP_URLS,
+     "forge: error: --config field 'timeout_s' must be a finite number > 0, got 0\n"),
+    (["clean"], '{%s, "timeout_s": -1}' % _HTTP_URLS,
+     "forge: error: --config field 'timeout_s' must be a finite number > 0, got -1\n"),
+    (["clean"], '{%s, "sed": 3}' % _HTTP_URLS,
+     "forge: error: --config key 'sed' is not one of corrector_url, synth_url, timeout_s\n"),
+    (["clean"], '{%s, "seed": 3}' % _HTTP_URLS,
+     "forge: error: --config key 'seed' is not one of corrector_url, synth_url, timeout_s; "
+     "pass --seed instead\n"),
+    (["clean"], '{%s, "retries": 2}' % _HTTP_URLS,
+     "forge: error: --config key 'retries' is not one of corrector_url, synth_url, "
+     "timeout_s; pass --retries instead\n"),
+    (["clean", "--client", "mock"], '{%s}' % _HTTP_URLS,
+     "forge: error: --config holds the HTTP services' settings; it needs --client http\n"),
+], ids=["p-user", "ratio", "config-json", "http-url", "http-no-config", "stage", "step",
+        "config-array", "config-float-bool", "config-float-overflow", "jobs-negative",
+        "env-jobs-text", "env-jobs-zero", "masks-json", "stats-json", "registry-json",
+        "config-utf8", "masks-line-array", "masks-spans-shape", "stats-array",
+        "stats-entry-shape", "registry-no-slots", "registry-optional-string",
+        "registry-empty-slots", "mode-unknown", "loss-cases-zero", "loss-epsilon-zero",
+        "loss-epsilon-inf", "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region",
+        "config-url-int", "config-timeout-nan", "config-timeout-zero",
+        "config-timeout-negative", "config-key-typo", "config-key-seed", "config-key-retries",
+        "config-client-mock"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
@@ -666,16 +725,19 @@ def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypa
         if arg.startswith("@"):
             (tmp_path / "side.json").write_text(arg[1:], encoding="utf-8")
             argv[k] = str(tmp_path / "side.json")
-    if config is not None:
+    if config is not None:  # only clean --client http reads a --config
         raw = config if isinstance(config, bytes) else config.encode("utf-8")
         (tmp_path / "c.json").write_bytes(raw)
         argv = argv + ["--config", str(tmp_path / "c.json")]
+        if "--client" not in argv:
+            argv += ["--client", "http"]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("forge: error: ") and message in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "o.jsonl").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_importing_the_cli_does_not_load_numpy(tmp_path):

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import re
 import unicodedata
 from functools import lru_cache
 
@@ -200,6 +201,17 @@ def test_wer_character_tokenization_for_zh():
     ops = wer("今天天气好", "今天天气很好", lang="zh")
     assert ops.reference_length == 5
     assert ops.insertions == 1 and ops.distance == 1
+
+
+@pytest.mark.parametrize("lang", ["ZH", "zh-CN", "english"])
+def test_unknown_lang_is_a_value_error(lang):
+    # Unchecked, 'ZH' scored 今天天气很好 as one whitespace word: rate 1.0.
+    message = f"lang must be one of zh, en, ja, ko, other; got {lang!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        wer("今天天气很好", "今天天汽好", lang=lang)
+    for mode in ("cer", "wer"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            corpus_error_rate([("今天天气很好", "今天天汽好")], mode=mode, lang=lang)
 
 
 def test_corpus_rate_pools_rather_than_averages():

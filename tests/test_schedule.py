@@ -3,8 +3,7 @@ import pytest
 
 from seqforge.schedule import (BUDGET_TOLERANCE, STAGE_IDS, budget_check,
                                build_default_plan, directive_at,
-                               phase_boundaries, plan_from_dict, plan_to_dict,
-                               resolve_stage)
+                               phase_boundaries, resolve_stage)
 
 
 @pytest.fixture(scope="module")
@@ -121,12 +120,6 @@ def test_budget_check_flags_large_errors(plan):
     rows = budget_check(plan, {"speech": {"amount": 1_000, "unit": "hours"}})
     [row] = [r for r in rows if r.data_class == "speech"]
     assert row.status == "fail"
-
-
-def test_plan_serialization_round_trip(plan):
-    doc = plan_to_dict(plan)
-    back = plan_from_dict(doc)
-    assert plan_to_dict(back) == doc
 
 
 def test_stage_aliases(plan):
