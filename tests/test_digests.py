@@ -102,3 +102,51 @@ def test_outputs_match_frozen_digests(tmp_path, monkeypatch, capsys, jobs):
     assert _digests(jobs) == EXPECTED
     out = capsys.readouterr().out
     assert "(1 skipped)" in out and "(0 deferred)" in out
+
+
+# build-talker bodies per mode and ratio. Each corpus holds non-BMP and CJK
+# text, an empty text and a voice found nowhere else (a skipped dialogue); the
+# dialogue corpus also has text-only user turns.
+TALKER_EXPECTED = {
+    ("dialogue", "1:1"):
+        "052767b516143a8bd7b4b065d983b3077b83f6444fdf6e10f1cb1829b6c0a7de",
+    ("dialogue", "7:2"):
+        "046b6faa141dfc62d8ff4d24fa4e325697a80a15bfebb28f18920dbc5f6b07ac",
+    ("long_text", "3:4"):
+        "fc030d4faeb7bde8247732ac27c83aa517b1e1f500194f0fbb0b11df0dcd5b77",
+    ("standard_sentence", "2:5"):
+        "f319aaf95971ce5ebdd7beddaf8642b833afcf33978f06b86391d5f162c8c330",
+}
+
+
+def _talker_corpus(mode: str) -> None:
+    if mode == "dialogue":
+        dialogues = synthetic.synth_corpus(12, 33, n_turns=4, speaker_pool=2)
+        dialogues[0].turns[1].text = "🎵 早上好 𝄞 \"q\" \\ ok"
+        dialogues[1].turns[3].text = ""
+        for k in (2, 5):
+            user = dialogues[k].turns[0]
+            user.text, user.audio, user.alignment = "用户 🙂 text only", None, []
+    else:
+        n_turns = 3 if mode == "long_text" else 1
+        dialogues = synthetic.synth_corpus(10, 34, n_turns=n_turns)
+        for k, d in enumerate(dialogues):
+            for t in d.turns:
+                t.speaker_id = f"voice{k % 3}"
+        dialogues[0].turns[-1].text = "🎵 早上好 𝄞 \"q\" \\ ok"
+        dialogues[1].turns[0].text = ""
+    for t in dialogues[-1].turns:
+        t.speaker_id = f"solo_{t.role}"
+    write_corpus(dialogues, "corpus.jsonl")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("mode, ratio", list(TALKER_EXPECTED))
+def test_talker_bodies_match_frozen_digests(tmp_path, monkeypatch, capsys, mode, ratio, jobs):
+    monkeypatch.chdir(tmp_path)
+    _talker_corpus(mode)
+    assert run(["build-talker", "--corpus", "corpus.jsonl", "--seed", "9", "--mode", mode,
+                "--ratio", ratio, "--out", "talker.jsonl", "--jobs", jobs]) == 0
+    assert "(1 skipped)" in capsys.readouterr().out
+    body = (tmp_path / "talker.jsonl").read_bytes().split(b"\n", 1)[1]
+    assert _sha(body) == TALKER_EXPECTED[mode, ratio]
