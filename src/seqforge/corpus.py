@@ -185,8 +185,8 @@ def _expect_pair(value, path: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
-def _parse_items(parse, items: list, path: str, key: str) -> list:
-    """[parse(item) for item in items]; a SchemaError gets the item's path as prefix.
+def _parse_items(parse, items: list, path: str, key: str, *args) -> list:
+    """[parse(item, *args) for item in items]; a SchemaError gets the item's path as prefix.
 
     Item parsers name a bad field relative to the item (".role: ..."), so no
     path string is built unless a check fails.
@@ -194,19 +194,26 @@ def _parse_items(parse, items: list, path: str, key: str) -> list:
     out = []
     try:
         for item in items:
-            out.append(parse(item))
+            out.append(parse(item, *args))
     except SchemaError as exc:
         raise SchemaError(f"{path}.{key}[{len(out)}]{exc}") from None
     return out
 
 
-def _parse_audio(doc, path: str) -> AudioTokenSpan:
+def _parse_audio(doc, path: str, may_hold_bools: bool = True) -> AudioTokenSpan:
+    """An audio object; may_hold_bools=False promises that doc holds no bool."""
     if type(doc) is not dict:
         _expect_object(doc, path)
     ids = doc.get("token_ids")
     if type(ids) is not list:
         ids = _expect_list(_require(doc, "token_ids", path), f"{path}.token_ids")
-    if not set(map(type, ids)) <= {int}:  # exact: a bool is not a token id
+    # Exact: a bool is not a token id. Bools sum as ints, so the cheaper sum
+    # test serves only where none can occur.
+    try:
+        exact = set(map(type, ids)) <= {int} if may_hold_bools else type(sum(ids)) is int
+    except (TypeError, OverflowError):  # a str, null, array or object; a float past a huge int
+        exact = False
+    if not exact:
         raise SchemaError(f"{path}.token_ids: expected integers")
     rate = doc.get("frame_rate_hz")
     dur = doc.get("duration_s")
@@ -239,10 +246,11 @@ def _parse_flag(doc) -> QualityFlag:
     return QualityFlag(kind, _parse_items(_parse_flag_span, spans, "", "spans"))
 
 
-def _parse_turn(doc) -> Turn:
+def _parse_turn(doc, may_hold_bools: bool = True) -> Turn:
     """One turn of a corpus line or of a backfill response.
 
     A SchemaError names the offending field relative to the turn (".text: ...").
+    may_hold_bools=False promises that doc holds no bool.
     """
     if type(doc) is not dict:
         _expect_object(doc, "")
@@ -257,7 +265,7 @@ def _parse_turn(doc) -> Turn:
         text = _expect_str(_require(doc, "text", ""), ".text")
     audio = doc.get("audio")
     if audio is not None:
-        audio = _parse_audio(audio, ".audio")
+        audio = _parse_audio(audio, ".audio", may_hold_bools)
     items = doc.get("alignment", [])
     if type(items) is not list:
         items = _expect_list(items, ".alignment")
@@ -291,11 +299,13 @@ def _parse_turn(doc) -> Turn:
     return Turn(role, speaker, text, audio, alignment, caption)
 
 
-def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
+def parse_dialogue(doc: dict, path: str = "dialogue", may_hold_bools: bool = True) -> Dialogue:
     """Structural parse of one dialogue object. Raises SchemaError.
 
     The error names the first offending field, in document order with the
     dialogue's fields before its flags and its flags before its turns.
+    may_hold_bools=False promises that doc holds no bool, which lets the
+    token-id check skip its bool test.
     """
     if type(doc) is not dict:
         _expect_object(doc, path)
@@ -315,7 +325,7 @@ def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
     turns = doc.get("turns")
     if type(turns) is not list:
         turns = _expect_list(_require(doc, "turns", path), f"{path}.turns")
-    turns = _parse_items(_parse_turn, turns, path, "turns")
+    turns = _parse_items(_parse_turn, turns, path, "turns", may_hold_bools)
     return Dialogue(did, turns, language, source, flags)
 
 
@@ -332,8 +342,9 @@ def parse_line(line_no: int, line: str) -> Dialogue | Reject:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         return Reject(line_no, f"invalid JSON: {exc.msg}")
-    try:
-        return parse_dialogue(doc, path="dialogue")
+    try:  # JSON has no bool without a true or false literal
+        return parse_dialogue(doc, path="dialogue",
+                              may_hold_bools="true" in line or "false" in line)
     except SchemaError as exc:
         return Reject(line_no, str(exc))
 
@@ -359,10 +370,15 @@ def parse_corpus(path) -> ParseResult:
 
     Malformed lines and lines repeating an earlier line's dialogue id go to the
     rejects report in line order, never silently dropped. Unreadable files raise.
+
+    Process-wide effect: once the lines are parsed, gc.freeze() moves every
+    object the process holds, not only the parsed corpus, out of the cyclic
+    collector's reach for good (unless gc.unfreeze() is called).
     """
     result = ParseResult(dialogues=[], rejects=[])
     # Parsed dialogues hold no reference cycles, so the cyclic collector would
-    # only re-traverse the growing list (about a quarter of the call).
+    # only re-traverse the growing list (about a quarter of the call) and,
+    # once re-enabled, every parsed object once more.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -374,6 +390,7 @@ def parse_corpus(path) -> ParseResult:
                 result.dialogues.append(item)
                 result.line_numbers.append(line_no)
     finally:
+        gc.freeze()
         if enabled:
             gc.enable()
     if repeated := repeated_ids(zip(result.line_numbers, (d.id for d in result.dialogues))):

@@ -11,11 +11,11 @@ a segment of the training sample itself. Assistant content is emitted as a
 repeating n-text/m-speech interleave so synthesis can start from partial
 text; a run-level shift token marks every stream switch.
 
-A sequence is held as runs, each (stream, ids, loss): one stream and one
-loss flag over a slice of ids. The per-token (stream, id) list and the
-speech loss mask are derived from the runs, and serialize_sequence writes
-the runs straight to text, byte-identical to json.dumps of the per-token
-form.
+assemble renders a sequence straight to its JSON text: the tokens as
+[stream, id] arrays and the speech loss mask as 0/1, each comma-separated.
+serialize_sequence only frames them, byte-identical to json.dumps of the
+per-token form, and the per-token (stream, id) list and mask are parsed
+back from the text on demand.
 
 Special-token ids are negative so they can never collide with the opaque
 non-negative speech/text id spaces. Text ids are Unicode scalar values of
@@ -95,16 +95,17 @@ class ReferenceSegment:
 @dataclass
 class TalkerSequence:
     mode: str
-    runs: list[tuple[str, list[int], bool]]  # (stream, ids, loss on every id)
+    token_text: str  # the tokens as comma-separated JSON [stream, id] arrays
+    mask_text: str  # the speech loss mask as comma-separated 0/1
     manifest: dict = field(default_factory=dict)
 
     @cached_property
     def tokens(self) -> list[tuple[str, int]]:
-        return [(stream, tid) for stream, ids, _ in self.runs for tid in ids]
+        return [tuple(token) for token in json.loads(f"[{self.token_text}]")]
 
     @cached_property
     def speech_loss_mask(self) -> list[bool]:
-        return [loss for _, ids, loss in self.runs for _ in ids]
+        return [flag == "1" for flag in self.mask_text[::2]]
 
 
 @dataclass
@@ -190,66 +191,64 @@ def select_reference(
 
 
 # --------------------------------------------------------------------------
-# stream interleaving
+# rendering
 # --------------------------------------------------------------------------
 
-def _interleave_runs(text_ids: list[int], speech_ids: list[int], ratio: StreamRatio):
-    """Yield (stream, ids) runs merging two id streams as repeating
-    n-text/m-speech runs; no run is empty.
+class _TextTokens(dict):
+    """character -> its text token's JSON text with the trailing comma, filled
+    on first use, so it holds only characters the process has rendered."""
 
-    When one stream is exhausted the remainder of the other is emitted
-    contiguously. Both streams keep their internal order; nothing is lost.
+    def __missing__(self, char):
+        token = self[char] = '["text",%d],' % ord(char)
+        return token
+
+
+class _SpeechTokens(dict):
+    """speech id -> its token's JSON text with the trailing comma, filled on
+    first use, so it holds only ids the process has rendered."""
+
+    def __missing__(self, tid):
+        token = self[tid] = '["speech",%d],' % tid
+        return token
+
+
+_TEXT_TOKENS = _TextTokens()
+_SPEECH_TOKENS = _SpeechTokens()
+_SPECIAL = {name: '["special",%d],' % tid for name, tid in SPECIAL_TOKENS.items()}
+_TEXT_SHIFT = _SPECIAL["TEXT_SHIFT"]
+_SPEECH_SHIFT = _SPECIAL["SPEECH_SHIFT"]
+
+
+def _interleave(text: str, speech: list[int], ratio: StreamRatio) -> tuple[str, str]:
+    """Token text and speech-loss mask text of one assistant block's content.
+
+    The streams merge as repeating n-text/m-speech runs, no run empty and a
+    shift token before every run but the first. With a = ceil(len(text)/n)
+    and b = ceil(len(speech)/m), the first min(a, b) - 1 pairs are full
+    chunks, the last pair takes the rest of the stream that runs out first,
+    and if a > b one text run follows. Only speech tokens carry loss.
     """
-    ti, si = 0, 0
-    nt, ns = len(text_ids), len(speech_ids)
-    while ti < nt or si < ns:
-        take = min(ratio.n_text, nt - ti) if si < ns else nt - ti
-        if take:
-            yield STREAM_TEXT, text_ids[ti:ti + take]
-            ti += take
-        take = min(ratio.m_speech, ns - si) if ti < nt else ns - si
-        if take:
-            yield STREAM_SPEECH, speech_ids[si:si + take]
-            si += take
-
-
-def text_ids_for(text: str) -> list[int]:
-    return [ord(c) for c in text]
+    n, m = ratio.n_text, ratio.m_speech
+    t = list(map(_TEXT_TOKENS.__getitem__, text))
+    s = list(map(_SPEECH_TOKENS.__getitem__, speech))
+    if not t or not s:
+        return "".join(t) + "".join(s), "0," * len(t) + "1," * len(s)
+    pairs = min(-(-len(t) // n), -(-len(s) // m))
+    text_runs = ["".join(t[i:i + n]) for i in range(0, pairs * n, n)]
+    speech_runs = ["".join(s[i:i + m]) for i in range(0, (pairs - 1) * m, m)]
+    speech_runs.append("".join(s[(pairs - 1) * m:]))
+    tokens = _TEXT_SHIFT.join(map(_SPEECH_SHIFT.join, zip(text_runs, speech_runs)))
+    mask = (("0," * (n + 1) + "1," * m + "0,") * (pairs - 1)
+            + "0," * (min(n, len(t) - (pairs - 1) * n) + 1) + "1," * (len(s) - (pairs - 1) * m))
+    if len(t) > pairs * n:
+        tokens += _TEXT_SHIFT + "".join(t[pairs * n:])
+        mask += "0," * (len(t) - pairs * n + 1)
+    return tokens, mask
 
 
 # --------------------------------------------------------------------------
 # assembly
 # --------------------------------------------------------------------------
-
-def _blocks(dialogue: Dialogue, mode: str, ratio: StreamRatio) -> list[tuple[int, list, bool]]:
-    """The mode's blocks, each (role token, content runs, loss on speech)."""
-    role_assistant = SPECIAL_TOKENS["ROLE_ASSISTANT"]
-    if mode != "dialogue":
-        # One assistant block over every turn; standard_sentence has exactly one.
-        text_ids: list[int] = []
-        speech_ids: list[int] = []
-        for i, turn in enumerate(dialogue.turns):
-            if turn.audio is None:
-                raise AssembleError(f"long_text turn {i} has no audio" if mode == "long_text"
-                                    else "standard_sentence utterance has no audio")
-            text_ids.extend(text_ids_for(turn.text))
-            speech_ids.extend(turn.audio.token_ids)
-        return [(role_assistant, _interleave_runs(text_ids, speech_ids, ratio), True)]
-    blocks = []
-    for i, turn in enumerate(dialogue.turns):
-        if turn.role == "assistant":
-            if turn.audio is None:
-                raise AssembleError(f"assistant turn {i} has no audio")
-            blocks.append((role_assistant, _interleave_runs(
-                text_ids_for(turn.text), turn.audio.token_ids, ratio), True))
-        elif turn.audio is not None:
-            blocks.append((SPECIAL_TOKENS["ROLE_USER"],
-                           [(STREAM_SPEECH, turn.audio.token_ids)], False))
-        else:
-            blocks.append((SPECIAL_TOKENS["ROLE_USER"],
-                           [(STREAM_TEXT, text_ids_for(turn.text))], False))
-    return blocks
-
 
 def assemble(
     dialogue: Dialogue,
@@ -278,23 +277,39 @@ def assemble(
     if reference.dialogue_id == dialogue.id:
         raise AssembleError("reference audio must come from an independent sample")
 
-    specials = SPECIAL_TOKENS
-    shift_to = {STREAM_TEXT: (STREAM_SPECIAL, [specials["TEXT_SHIFT"]], False),
-                STREAM_SPEECH: (STREAM_SPECIAL, [specials["SPEECH_SHIFT"]], False)}
-    eos = (STREAM_SPECIAL, [specials["EOS"]], False)
-    runs: list[tuple[str, list[int], bool]] = [
-        (STREAM_SPECIAL, [specials["REF_START"]], False),
-        (STREAM_SPEECH, reference.span.token_ids, False),
-        (STREAM_SPECIAL, [specials["REF_END"]], False)]
-    for role, content, loss_on_speech in _blocks(dialogue, mode, ratio):
-        runs.append((STREAM_SPECIAL, [role], False))
-        prev_stream = None
-        for stream, ids in content:
-            if stream != prev_stream and prev_stream is not None:
-                runs.append(shift_to[stream])
-            runs.append((stream, ids, loss_on_speech and stream == STREAM_SPEECH))
-            prev_stream = stream
-        runs.append(eos)
+    speech_token = _SPEECH_TOKENS.__getitem__
+    ref_ids = reference.span.token_ids
+    tokens = [_SPECIAL["REF_START"], *map(speech_token, ref_ids), _SPECIAL["REF_END"]]
+    mask = ["0," * (len(ref_ids) + 2)]
+    role_assistant, role_user, eos = (_SPECIAL[name] for name in (
+        "ROLE_ASSISTANT", "ROLE_USER", "EOS"))
+    if mode == "dialogue":
+        for i, turn in enumerate(dialogue.turns):
+            if turn.role == "assistant":
+                if turn.audio is None:
+                    raise AssembleError(f"assistant turn {i} has no audio")
+                content, content_mask = _interleave(turn.text, turn.audio.token_ids, ratio)
+                tokens += (role_assistant, content, eos)
+                mask += ("0,", content_mask, "0,")
+            elif turn.audio is not None:
+                tokens += (role_user, "".join(map(speech_token, turn.audio.token_ids)), eos)
+                mask.append("0," * (len(turn.audio.token_ids) + 2))
+            else:
+                tokens += (role_user, "".join(map(_TEXT_TOKENS.__getitem__, turn.text)), eos)
+                mask.append("0," * (len(turn.text) + 2))
+    else:
+        # One assistant block over every turn; standard_sentence has exactly one.
+        texts: list[str] = []
+        speech: list[int] = []
+        for i, turn in enumerate(dialogue.turns):
+            if turn.audio is None:
+                raise AssembleError(f"long_text turn {i} has no audio" if mode == "long_text"
+                                    else "standard_sentence utterance has no audio")
+            texts.append(turn.text)
+            speech += turn.audio.token_ids
+        content, content_mask = _interleave("".join(texts), speech, ratio)
+        tokens += (role_assistant, content, eos)
+        mask += ("0,", content_mask, "0,")
 
     manifest = {
         "dialogue_id": dialogue.id,
@@ -303,7 +318,7 @@ def assemble(
         "seed": seed,
         "ref_origin": [reference.dialogue_id, reference.turn_index],
     }
-    return TalkerSequence(mode=mode, runs=runs, manifest=manifest)
+    return TalkerSequence(mode, "".join(tokens)[:-1], "".join(mask)[:-1], manifest)
 
 
 # --------------------------------------------------------------------------
@@ -389,18 +404,11 @@ def _dumps(value) -> str:
     return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
 
 
-# One token as JSON with its trailing comma, by stream, for %-formatting a whole run.
-_TOKEN_FORMAT = {stream: f'["{stream}",%d],' for stream in (STREAM_SPECIAL, STREAM_TEXT,
-                                                             STREAM_SPEECH)}
-
-
 def serialize_sequence(seq: TalkerSequence) -> str:
-    """One JSON line {mode, tokens, speech_loss_mask, manifest}, written run by run.
+    """One JSON line {mode, tokens, speech_loss_mask, manifest} around the rendered text.
 
     Byte-identical to json.dumps(..., ensure_ascii=False, separators=(",", ":"))
     of the per-token form: tokens as [stream, id] arrays, the mask as 0/1.
     """
-    tokens = "".join(_TOKEN_FORMAT[stream] * len(ids) % tuple(ids) for stream, ids, _ in seq.runs)
-    mask = "".join(("1," if loss else "0,") * len(ids) for _, ids, loss in seq.runs)
-    return (f'{{"mode":{_dumps(seq.mode)},"tokens":[{tokens[:-1]}],'
-            f'"speech_loss_mask":[{mask[:-1]}],"manifest":{_dumps(seq.manifest)}}}')
+    return (f'{{"mode":{_dumps(seq.mode)},"tokens":[{seq.token_text}],'
+            f'"speech_loss_mask":[{seq.mask_text}],"manifest":{_dumps(seq.manifest)}}}')

@@ -5,7 +5,7 @@ import pytest
 from seqforge.cleaning import ClientError
 from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue, Turn,
                              serialize_dialogue)
-from seqforge.talker import StreamRatio, _interleave_runs
+from seqforge.talker import SPECIAL_TOKENS, StreamRatio
 
 
 def write_corpus(dialogues, path, extra_lines=()) -> None:
@@ -19,11 +19,99 @@ def write_corpus(dialogues, path, extra_lines=()) -> None:
             fh.write("\n")
 
 
+# --------------------------------------------------------------------------
+# talker reference: sequences as runs, which talker.assemble's rendered text
+# must match byte for byte
+# --------------------------------------------------------------------------
+
+def interleave_runs(text_ids: list[int], speech_ids: list[int], ratio: StreamRatio):
+    """Yield (stream, ids) runs merging two id streams as repeating
+    n-text/m-speech runs; no run is empty.
+
+    When one stream is exhausted the remainder of the other is emitted
+    contiguously. Both streams keep their internal order; nothing is lost.
+    """
+    ti, si = 0, 0
+    nt, ns = len(text_ids), len(speech_ids)
+    while ti < nt or si < ns:
+        take = min(ratio.n_text, nt - ti) if si < ns else nt - ti
+        if take:
+            yield "text", text_ids[ti:ti + take]
+            ti += take
+        take = min(ratio.m_speech, ns - si) if ti < nt else ns - si
+        if take:
+            yield "speech", speech_ids[si:si + take]
+            si += take
+
+
 def stream_interleave(text_ids: list[int], speech_ids: list[int],
                       ratio: StreamRatio) -> list[tuple[str, int]]:
-    """talker._interleave_runs flattened to (stream, id) tokens: the reference view."""
-    return [(stream, tid) for stream, ids in _interleave_runs(text_ids, speech_ids, ratio)
+    """interleave_runs flattened to (stream, id) tokens."""
+    return [(stream, tid) for stream, ids in interleave_runs(text_ids, speech_ids, ratio)
             for tid in ids]
+
+
+def text_ids_for(text: str) -> list[int]:
+    return [ord(c) for c in text]
+
+
+def _reference_blocks(dialogue: Dialogue, mode: str, ratio: StreamRatio):
+    """The mode's blocks, each (role token, content runs, loss on speech)."""
+    role_assistant = SPECIAL_TOKENS["ROLE_ASSISTANT"]
+    if mode != "dialogue":
+        text_ids = [c for turn in dialogue.turns for c in text_ids_for(turn.text)]
+        speech_ids = [s for turn in dialogue.turns for s in turn.audio.token_ids]
+        return [(role_assistant, interleave_runs(text_ids, speech_ids, ratio), True)]
+    blocks = []
+    for turn in dialogue.turns:
+        if turn.role == "assistant":
+            blocks.append((role_assistant, interleave_runs(
+                text_ids_for(turn.text), turn.audio.token_ids, ratio), True))
+        elif turn.audio is not None:
+            blocks.append((SPECIAL_TOKENS["ROLE_USER"], [("speech", turn.audio.token_ids)], False))
+        else:
+            blocks.append((SPECIAL_TOKENS["ROLE_USER"], [("text", text_ids_for(turn.text))], False))
+    return blocks
+
+
+def reference_runs(dialogue: Dialogue, mode: str, ratio: StreamRatio,
+                   reference) -> list[tuple[str, list[int], bool]]:
+    """A valid input's talker sequence as runs, each (stream, ids, loss on every id)."""
+    specials = SPECIAL_TOKENS
+    shift_to = {"text": ("special", [specials["TEXT_SHIFT"]], False),
+                "speech": ("special", [specials["SPEECH_SHIFT"]], False)}
+    runs = [("special", [specials["REF_START"]], False),
+            ("speech", reference.span.token_ids, False),
+            ("special", [specials["REF_END"]], False)]
+    for role, content, loss_on_speech in _reference_blocks(dialogue, mode, ratio):
+        runs.append(("special", [role], False))
+        prev_stream = None
+        for stream, ids in content:
+            if stream != prev_stream and prev_stream is not None:
+                runs.append(shift_to[stream])
+            runs.append((stream, ids, loss_on_speech and stream == "speech"))
+            prev_stream = stream
+        runs.append(("special", [specials["EOS"]], False))
+    return runs
+
+
+def reference_manifest(dialogue: Dialogue, mode: str, ratio: StreamRatio, seed: int,
+                       reference) -> dict:
+    return {"dialogue_id": dialogue.id, "mode": mode, "ratio": str(ratio), "seed": seed,
+            "ref_origin": [reference.dialogue_id, reference.turn_index]}
+
+
+def reference_line(dialogue: Dialogue, mode: str, ratio: StreamRatio, seed: int,
+                   reference) -> str:
+    """The talker output line, written run by run with one %-format per run."""
+    runs = reference_runs(dialogue, mode, ratio, reference)
+    token_format = {stream: f'["{stream}",%d],' for stream in ("special", "text", "speech")}
+    tokens = "".join(token_format[stream] * len(ids) % tuple(ids) for stream, ids, _ in runs)
+    mask = "".join(("1," if loss else "0,") * len(ids) for _, ids, loss in runs)
+    manifest = reference_manifest(dialogue, mode, ratio, seed, reference)
+    return (f'{{"mode":{json.dumps(mode)},"tokens":[{tokens[:-1]}],'
+            f'"speech_loss_mask":[{mask[:-1]}],'
+            f'"manifest":{json.dumps(manifest, ensure_ascii=False, separators=(",", ":"))}}}')
 
 
 def make_audio(n_tokens: int, rate: float = 12.5) -> AudioTokenSpan:

@@ -154,16 +154,49 @@ def test_parse_rejects_invalid_json_and_bad_enum(corpus_file):
     assert "language" in result.rejects[1].reason
 
 
-@pytest.mark.parametrize("field, value, reason", [
-    ("token_ids", [1, True], "dialogue.turns[0].audio.token_ids: expected integers"),
-    ("token_ids", [1, 2.0], "dialogue.turns[0].audio.token_ids: expected integers"),
-    ("text_range", [0, True], "dialogue.turns[0].alignment[0].text_range: expected [int, int]"),
-], ids=["token-bool", "token-float", "range-bool"])
-def test_parse_rejects_non_int_token_ids_and_ranges(field, value, reason):
-    doc = corpus.dialogue_to_dict(make_dialogue("d"))
+def test_parse_corpus_freezes_the_parsed_corpus(corpus_file):
+    path = corpus_file([make_dialogue(f"d{k}") for k in range(30)])
+    before = gc.get_freeze_count()
+    result = parse_corpus(path)
+    assert len(result.dialogues) == 30
+    assert gc.get_freeze_count() - before >= 30
+
+
+_IDS = "dialogue.turns[0].audio.token_ids: expected integers"
+
+
+@pytest.mark.parametrize("field, value, text, reason", [
+    ("token_ids", [1, True], "hello there", _IDS),
+    ("token_ids", [False], "hello there", _IDS),
+    ("token_ids", [1, True], "that is true", _IDS),
+    ("token_ids", [1, 2.0], "hello there", _IDS),
+    ("token_ids", [1.0], "hello there", _IDS),
+    ("token_ids", [2.5, -2.5], "hello there", _IDS),
+    ("token_ids", [10 ** 400, 1.0], "hello there", _IDS),
+    ("token_ids", [3, "7"], "hello there", _IDS),
+    ("token_ids", [None], "hello there", _IDS),
+    ("token_ids", [[1]], "hello there", _IDS),
+    ("token_ids", [0, {"id": 1}], "hello there", _IDS),
+    ("text_range", [0, True], "hello there",
+     "dialogue.turns[0].alignment[0].text_range: expected [int, int]"),
+], ids=["token-bool", "token-false", "token-bool-text-true", "token-float", "token-one-float",
+        "token-float-sum-int", "token-float-past-huge-int", "token-str", "token-null",
+        "token-list", "token-object", "range-bool"])
+def test_parse_rejects_non_int_token_ids_and_ranges(field, value, text, reason):
+    doc = corpus.dialogue_to_dict(make_dialogue("d", text=text))
     turn = doc["turns"][0]
     (turn["audio"] if field == "token_ids" else turn["alignment"][0])[field] = value
     assert corpus.parse_line(1, json.dumps(doc)) == corpus.Reject(1, reason)
+    with pytest.raises(corpus.SchemaError) as exc:  # no raw line: the full check
+        corpus.parse_dialogue(doc)
+    assert str(exc.value) == reason
+
+
+def test_parse_keeps_int_token_ids_of_any_size():
+    ids = [0, -1, 10 ** 30, 4095]
+    doc = corpus.dialogue_to_dict(make_dialogue("d"))
+    doc["turns"][0]["audio"]["token_ids"] = ids
+    assert corpus.parse_line(1, json.dumps(doc)).turns[0].audio.token_ids == ids
 
 
 @pytest.mark.parametrize("group, field, value, reason", [

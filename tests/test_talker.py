@@ -9,11 +9,11 @@ from seqforge.seeding import DetRng, derive_seed
 from seqforge.talker import (SPECIAL_TOKENS, AssembleError, NoReferenceError,
                              ReferenceSegment, StreamRatio, TalkerParseError,
                              assemble, build_reference_index, parse_sequence,
-                             select_reference, serialize_sequence,
-                             text_ids_for)
+                             select_reference, serialize_sequence)
 
 import synthetic
-from conftest import make_dialogue, make_turn, stream_interleave
+from conftest import (make_dialogue, make_turn, reference_line, reference_manifest,
+                      reference_runs, stream_interleave, text_ids_for)
 from seqforge.corpus import AudioTokenSpan, Dialogue, Turn
 
 
@@ -328,12 +328,65 @@ def test_serialize_sequence_equals_json_dumps_of_the_token_form(mode, ratio):
         ref_ids = [rng.randrange(5000) for _ in range(rng.randrange(0, 30))]
         ref = ReferenceSegment("参考-ß", rng.randrange(4), "spk_a",
                                AudioTokenSpan(ref_ids, 12.5, len(ref_ids) / 12.5))
-        seq = assemble(d, mode, StreamRatio.parse(ratio), rng.randrange(100), ref)
-        want = json.dumps({"mode": seq.mode, "tokens": seq.tokens,
-                           "speech_loss_mask": [1 if b else 0 for b in seq.speech_loss_mask],
-                           "manifest": seq.manifest},
+        ratio_, seed = StreamRatio.parse(ratio), rng.randrange(100)
+        seq = assemble(d, mode, ratio_, seed, ref)
+        runs = reference_runs(d, mode, ratio_, ref)
+        tokens = [(stream, tid) for stream, ids, _ in runs for tid in ids]
+        mask = [loss for _, ids, loss in runs for _ in ids]
+        want = json.dumps({"mode": mode, "tokens": tokens,
+                           "speech_loss_mask": [1 if b else 0 for b in mask],
+                           "manifest": reference_manifest(d, mode, ratio_, seed, ref)},
                           ensure_ascii=False, separators=(",", ":"))
         assert serialize_sequence(seq) == want, (mode, ratio, k)
+        assert seq.tokens == tokens and seq.speech_loss_mask == mask, (mode, ratio, k)
+
+
+_EDGE_IDS = (0, 10 ** 30, -1)
+
+
+def _ids(rng, n):
+    return [rng.choice(_EDGE_IDS) if rng.random() < 0.2 else rng.randrange(5000)
+            for _ in range(n)]
+
+
+def _turn_of(rng, role, speaker, n_text, n_speech):
+    text = "".join(rng.choice("ab早🎵\"") for _ in range(n_text))
+    audio = None if n_speech is None else AudioTokenSpan(_ids(rng, n_speech), 12.5, 1.0)
+    return Turn(role=role, speaker_id=speaker, text=text, audio=audio)
+
+
+def test_assemble_renders_the_reference_runs_byte_for_byte():
+    rng = random.Random(17)
+    ref = ReferenceSegment("r", 0, "spk_a", AudioTokenSpan([0, 10 ** 30, -1, 7], 12.5, 0.3))
+    ratios = [StreamRatio(n, m) for n in range(1, 9) for m in (1, 2, 3, 7, 15, 20)]
+    checked = 0
+    for ratio in ratios:
+        n, m = ratio.n_text, ratio.m_speech
+        # Assistant content of every shape: empty streams, exact multiples, one
+        # token past a chunk, text shorter and longer than speech.
+        lengths = sorted({0, 1, n - 1, n, n + 1, 3 * n, 3 * n + 1, m - 1, m, m + 1,
+                          2 * m + 1, 5 * m})
+        for n_text in lengths:
+            for n_speech in lengths:
+                turns = [_turn_of(rng, "user", "spk_u", rng.randrange(4),
+                                  rng.choice((None, rng.randrange(4)))),
+                         _turn_of(rng, "assistant", "spk_a", n_text, n_speech)]
+                d = Dialogue(id=f"d{checked}", turns=turns)
+                for mode, sample in (("dialogue", d),
+                                     ("standard_sentence", Dialogue(d.id, turns[1:]))):
+                    seq = assemble(sample, mode, ratio, 5, ref)
+                    assert serialize_sequence(seq) == reference_line(
+                        sample, mode, ratio, 5, ref), (mode, ratio, n_text, n_speech)
+                    checked += 1
+        for k in range(4):
+            turns = [_turn_of(rng, "user" if i % 2 == 0 else "assistant", "spk_s",
+                              rng.randrange(3 * n + 2), rng.randrange(3 * m + 2))
+                     for i in range(rng.randrange(1, 5))]
+            d = Dialogue(id=f"lt{k}", turns=turns)
+            seq = assemble(d, "long_text", ratio, k, ref)
+            assert serialize_sequence(seq) == reference_line(d, "long_text", ratio, k, ref)
+            checked += 1
+    assert checked == 10116
 
 
 def test_parse_error_when_ref_end_missing():
