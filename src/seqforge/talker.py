@@ -278,11 +278,11 @@ def assemble(
         raise AssembleError("reference audio must come from an independent sample")
 
     speech_token = _SPEECH_TOKENS.__getitem__
+    role_assistant, role_user = _SPECIAL["ROLE_ASSISTANT"], _SPECIAL["ROLE_USER"]
+    eos = _SPECIAL["EOS"]
     ref_ids = reference.span.token_ids
     tokens = [_SPECIAL["REF_START"], *map(speech_token, ref_ids), _SPECIAL["REF_END"]]
     mask = ["0," * (len(ref_ids) + 2)]
-    role_assistant, role_user, eos = (_SPECIAL[name] for name in (
-        "ROLE_ASSISTANT", "ROLE_USER", "EOS"))
     if mode == "dialogue":
         for i, turn in enumerate(dialogue.turns):
             if turn.role == "assistant":

@@ -162,30 +162,36 @@ def test_parse_corpus_freezes_the_parsed_corpus(corpus_file):
     assert gc.get_freeze_count() - before >= 30
 
 
-_IDS = "dialogue.turns[0].audio.token_ids: expected integers"
-
-
-@pytest.mark.parametrize("field, value, text, reason", [
-    ("token_ids", [1, True], "hello there", _IDS),
-    ("token_ids", [False], "hello there", _IDS),
-    ("token_ids", [1, True], "that is true", _IDS),
-    ("token_ids", [1, 2.0], "hello there", _IDS),
-    ("token_ids", [1.0], "hello there", _IDS),
-    ("token_ids", [2.5, -2.5], "hello there", _IDS),
-    ("token_ids", [10 ** 400, 1.0], "hello there", _IDS),
-    ("token_ids", [3, "7"], "hello there", _IDS),
-    ("token_ids", [None], "hello there", _IDS),
-    ("token_ids", [[1]], "hello there", _IDS),
-    ("token_ids", [0, {"id": 1}], "hello there", _IDS),
-    ("text_range", [0, True], "hello there",
-     "dialogue.turns[0].alignment[0].text_range: expected [int, int]"),
-], ids=["token-bool", "token-false", "token-bool-text-true", "token-float", "token-one-float",
-        "token-float-sum-int", "token-float-past-huge-int", "token-str", "token-null",
-        "token-list", "token-object", "range-bool"])
-def test_parse_rejects_non_int_token_ids_and_ranges(field, value, text, reason):
-    doc = corpus.dialogue_to_dict(make_dialogue("d", text=text))
+@pytest.mark.parametrize("field, value, reason", [
+    ("token_ids", [1, True], "dialogue.turns[0].audio.token_ids: expected integers"),
+    ("token_ids", [1, 2.0], "dialogue.turns[0].audio.token_ids: expected integers"),
+    ("text_range", [0, True], "dialogue.turns[0].alignment[0].text_range: expected [int, int]"),
+], ids=["token-bool", "token-float", "range-bool"])
+def test_parse_rejects_non_int_token_ids_and_ranges(field, value, reason):
+    doc = corpus.dialogue_to_dict(make_dialogue("d"))
     turn = doc["turns"][0]
     (turn["audio"] if field == "token_ids" else turn["alignment"][0])[field] = value
+    assert corpus.parse_line(1, json.dumps(doc)) == corpus.Reject(1, reason)
+
+
+# Token ids that are not ints, on lines with and without a true/false literal:
+# parse_line picks the token-id check by that literal.
+@pytest.mark.parametrize("ids, text", [
+    ([False], "hello there"),
+    ([1, True], "that is true"),
+    ([1.0], "hello there"),
+    ([2.5, -2.5], "hello there"),
+    ([10 ** 400, 1.0], "hello there"),
+    ([3, "7"], "hello there"),
+    ([None], "hello there"),
+    ([[1]], "hello there"),
+    ([0, {"id": 1}], "hello there"),
+], ids=["false", "bool-text-true", "one-float", "floats-sum-to-int", "float-past-huge-int",
+        "str", "null", "list", "object"])
+def test_parse_rejects_every_non_int_token_id(ids, text):
+    reason = "dialogue.turns[0].audio.token_ids: expected integers"
+    doc = corpus.dialogue_to_dict(make_dialogue("d", text=text))
+    doc["turns"][0]["audio"]["token_ids"] = ids
     assert corpus.parse_line(1, json.dumps(doc)) == corpus.Reject(1, reason)
     with pytest.raises(corpus.SchemaError) as exc:  # no raw line: the full check
         corpus.parse_dialogue(doc)
