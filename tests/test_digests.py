@@ -82,8 +82,14 @@ def _digests(jobs: str) -> dict[str, str]:
                 "--mode", "dialogue", "--ratio", "5:15",
                 "--out", "talker.jsonl", "--jobs", jobs]) == 0
     assert run(["stats", "--corpus", "corpus.jsonl", "--out", "stats.json"]) == 0
+    return _file_digests(EXPECTED)
+
+
+def _file_digests(names) -> dict[str, str]:
+    """sha256 of each named file, "path:header" or "path:body" of a sequence
+    file, manifests without their command."""
     digests = {}
-    for name in EXPECTED:
+    for name in names:
         path, _, part = name.partition(":")
         with open(path, "rb") as fh:
             data = fh.read()
@@ -150,3 +156,53 @@ def test_talker_bodies_match_frozen_digests(tmp_path, monkeypatch, capsys, mode,
     assert "(1 skipped)" in capsys.readouterr().out
     body = (tmp_path / "talker.jsonl").read_bytes().split(b"\n", 1)[1]
     assert _sha(body) == TALKER_EXPECTED[mode, ratio]
+
+
+# clean and build-thinker --masks on a corpus with captions and non-ASCII turn
+# text, including correctable and missing_context flags, so the outcomes carry
+# provenance digests of CJK and emoji requests.
+CAPTION_EXPECTED = {
+    "cleaned.jsonl":
+        "afbaab3cd81f89724fb1b1a6499433033d8216121c81ce16d53fdf5c02e30ba6",
+    "cleaned.jsonl.outcomes.jsonl":
+        "6e36695d9239c98054d4cbede35df24062f1e0f63877e47f999abe18e8418dfb",
+    "cleaned.jsonl.manifest.json":
+        "db32704291e34665183c47776622bb1bb8f5bd2c7a08b6f9b8fbc293472af22b",
+    "thinker.jsonl:header":
+        "7f94b2af6ae34651e66b0e9c82e677e5fbb066ecc37121e6055b6b0404fdefbc",
+    "thinker.jsonl:body":
+        "f8a8386749f7322bfadc6aecf4b294f20e211502c97971174c5ce77fc5ea7657",
+    "thinker.jsonl.manifest.json":
+        "70481a81ac754deb9fa3d6625d05eb15346b593536e7cd0aaee8ad5cd7705b5e",
+}
+
+_CAPTION_KINDS = (None, "logic_contradiction_correctable", "missing_context",
+                  "logic_contradiction_severe")
+
+
+def _caption_corpus() -> None:
+    dialogues = []
+    for k in range(12):
+        kind = _CAPTION_KINDS[k % len(_CAPTION_KINDS)]
+        d = synthetic.synth_dialogue(41, k, n_turns=4, segments_per_assistant=3,
+                                     speaker_pool=2, with_captions=True, flag_kind=kind,
+                                     truncate_first_turn=kind == "missing_context")
+        for t in d.turns:  # same length, so alignment spans and flag spans still fit
+            t.text = "早🎵" + t.text[2:] if k % 2 else t.text[:-2] + "😀好"
+        dialogues.append(d)
+    write_corpus(dialogues, "corpus.jsonl")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_caption_outputs_match_frozen_digests(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.chdir(tmp_path)
+    _caption_corpus()
+    assert run(["clean", "--corpus", "corpus.jsonl", "--client", "mock", "--seed", "3",
+                "--out", "cleaned.jsonl", "--jobs", jobs]) == 0
+    assert run(["build-thinker", "--corpus", "cleaned.jsonl", "--seed", "3",
+                "--masks", "cleaned.jsonl.outcomes.jsonl",
+                "--out", "thinker.jsonl", "--jobs", jobs]) == 0
+    assert "(0 deferred)" in capsys.readouterr().out
+    outcomes = (tmp_path / "cleaned.jsonl.outcomes.jsonl").read_text(encoding="utf-8")
+    assert '"request":' in outcomes and '"op":"backfill"' in outcomes
+    assert _file_digests(CAPTION_EXPECTED) == CAPTION_EXPECTED
