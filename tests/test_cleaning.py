@@ -425,6 +425,25 @@ def test_malformed_response_is_a_client_error(op, body, reason):
             _CALLS[op](url)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_service_error_defers_the_dialogue(tmp_path, monkeypatch, jobs):
+    monkeypatch.chdir(tmp_path)
+    dialogues = [flagged(kind, n_turns=4) for kind in (None, "logic_contradiction_correctable")]
+    for k, d in enumerate(dialogues):
+        d.id = f"d{k}"
+    write_corpus(dialogues, "corpus.jsonl")
+    with _serve(_FixedHandler, body=b'{"ok": false, "error": "overloaded"}') as url:
+        with open("http.json", "w", encoding="utf-8") as fh:
+            json.dump({"corrector_url": url, "synth_url": url}, fh)
+        assert run(["clean", "--corpus", "corpus.jsonl", "--client", "http", "--config",
+                    "http.json", "--out", "c.jsonl", "--jobs", jobs, "--retries", "1"]) == 0
+    [deferred] = map(json.loads, (tmp_path / "c.jsonl.deferred.jsonl").read_text(
+        encoding="utf-8").splitlines())
+    assert deferred["dialogue_id"] == "d1"
+    assert deferred["detail"] == f"service error from {url}/correct: overloaded"
+    assert [p["error"] for p in deferred["provenance"]] == [deferred["detail"]]
+
+
 @pytest.mark.parametrize("op", sorted(_CALLS))
 @pytest.mark.parametrize("body, length", [(b'{"ok": true, "result": "\xff"}', None),
                                           (b'{"ok": true', 100)],

@@ -108,6 +108,28 @@ def test_build_talker_dialogue_without_turns_exits_1(tmp_path, capsys, jobs):
     assert not list(tmp_path.glob("talker.jsonl*"))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("mode, n_turns, turn, message", [
+    ("dialogue", 2, 1, "assistant turn 1 has no audio"),
+    ("long_text", 3, 2, "long_text turn 2 has no audio"),
+    ("standard_sentence", 1, 0, "standard_sentence utterance has no audio"),
+])
+def test_build_talker_turn_without_audio_exits_1(tmp_path, capsys, mode, n_turns, turn,
+                                                 message, jobs):
+    dialogues = synthetic.synth_corpus(4, 3, n_turns=n_turns)
+    for d in dialogues:
+        for t in d.turns:
+            t.speaker_id = "a" if mode == "dialogue" and t.role == "assistant" else "u"
+    dialogues[2].turns[turn].audio = None
+    dialogues[2].turns[turn].alignment = []
+    path = write_corpus(tmp_path, dialogues)
+    out = tmp_path / "talker.jsonl"
+    assert run(["build-talker", "--corpus", str(path), "--seed", "3", "--mode", mode,
+                "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"assemble error: {message}\n"
+    assert not list(tmp_path.glob("talker.jsonl*"))
+
+
 def test_clean_mock_writes_outcomes_and_deferred(tmp_path):
     dialogues = [
         synthetic.synth_dialogue(1, 0, flag_kind="clean"),
@@ -172,6 +194,22 @@ def test_stats_feeds_plan_budget_without_transformation(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert any(r["status"] == "fail" for r in rows)
     assert any(r["status"] == "missing" for r in rows)
+
+
+def test_plan_budget_reports_a_token_budget_given_in_samples(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"speech": {"amount": 5, "unit": "samples"}}', encoding="utf-8")
+    assert run(["plan", "budget", "--stats", str(stats)]) == 0
+    row = {"declared_tokens": 14400000000.0, "derived_tokens": None, "relative_error": None}
+    missing = [("s2_alignment_cpt", "text", 144000000000.0),
+               ("s2_alignment_cpt", "audio", 144000000000.0),
+               ("s3_instruction_ft", "instruction_text", 12800000000.0),
+               ("talker_training", "talker_speech", 121950000000.0)]
+    expected = [{"stage_id": "s1_general_audio", "data_class": "speech", **row,
+                 "status": "unit_mismatch"}]
+    expected += [{"stage_id": stage, "data_class": cls, **row, "declared_tokens": tokens,
+                  "status": "missing"} for stage, cls, tokens in missing]
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_loss_check_cli(capsys):
@@ -671,6 +709,8 @@ _HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.
      "side.json: task 't': expected {\"languages\": [string], \"slots\""),
     (["templates", "expand", "--task", "t", "--registry", '@{"t": {"slots": []}}'], None,
      "side.json: task 't': task needs at least one slot"),
+    (["templates", "expand", "--task", "t", "--registry", "@[]"], None,
+     "side.json: expected a JSON object of tasks\n"),
     (["build-talker", "--seed", "1", "--mode", "bogus"], None, "unknown mode 'bogus'"),
     (["loss-check", "--cases", "0"], None, "--cases must be >= 1, got 0"),
     (["loss-check", "--epsilon", "0"], None, "--epsilon must be finite and > 0, got 0.0"),
@@ -707,7 +747,7 @@ _HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.
         "loss-epsilon-inf", "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region",
         "config-url-int", "config-timeout-nan", "config-timeout-zero",
         "config-timeout-negative", "config-key-typo", "config-key-seed", "config-key-retries",
-        "config-client-mock"])
+        "config-client-mock", "registry-array"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell

@@ -1,8 +1,8 @@
 """Schedule plan: golden constants, phase boundaries, budget arithmetic."""
 import pytest
 
-from seqforge.schedule import (BUDGET_TOLERANCE, STAGE_IDS, budget_check,
-                               build_default_plan, directive_at,
+from seqforge.schedule import (BUDGET_TOLERANCE, BUDGET_UNITS, PARAM_GROUPS, STAGE_IDS,
+                               budget_check, build_default_plan, directive_at,
                                phase_boundaries, resolve_stage)
 
 
@@ -13,6 +13,16 @@ def plan():
 
 def test_plan_has_all_six_stages(plan):
     assert [s.stage_id for s in plan] == list(STAGE_IDS)
+    # The plan is built only from these literals, and no constructor checks them.
+    for stage in plan:
+        assert stage.total_steps >= 1
+        assert sum(p.fraction for p in stage.phases) == 1
+        for p in stage.phases:
+            assert 0 < p.fraction <= 1
+            assert p.trainable and p.trainable <= set(PARAM_GROUPS)
+            assert p.lr is None or p.lr > 0
+        for budget in (*stage.token_budget.values(), *stage.sample_budget.values()):
+            assert budget.unit in BUDGET_UNITS and budget.amount >= 0
 
 
 def test_golden_learning_rates(plan):
