@@ -12,13 +12,13 @@ External clients are synchronous request/response with bounded retries;
 a failed call defers the whole dialogue with zero mutations. Deterministic
 mock clients ship with the toolkit so the full pipeline runs offline.
 """
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from seqforge import corpus as corpus_mod
 from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, Turn
+from seqforge.manifest import json_digest
 from seqforge.reporting import SchemaError
 from seqforge.seeding import DetRng, derive_seed
 
@@ -189,15 +189,11 @@ def route(dialogue: Dialogue) -> str:
     return "passthrough"
 
 
-def _digest(obj) -> str:
-    blob = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def _call_with_retry(provenance, op: str, turn_index, fn, request_doc, retries: int):
     """Run a client call with bounded retries; log every attempt."""
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
+    request = json_digest(request_doc)[:16]
     last_error = None
     for attempt in range(1, retries + 1):
         try:
@@ -205,12 +201,11 @@ def _call_with_retry(provenance, op: str, turn_index, fn, request_doc, retries: 
         except ClientError as exc:
             last_error = exc
             provenance.append({"op": op, "turn": turn_index, "attempt": attempt,
-                               "ok": False, "error": str(exc),
-                               "request": _digest(request_doc)})
+                               "ok": False, "error": str(exc), "request": request})
             continue
         provenance.append({"op": op, "turn": turn_index, "attempt": attempt,
-                           "ok": True, "request": _digest(request_doc),
-                           "response": _digest(_result_repr(result))})
+                           "ok": True, "request": request,
+                           "response": json_digest(_result_repr(result))[:16]})
         return result
     raise last_error
 

@@ -108,6 +108,13 @@ def _manifest_command(argv: list[str]) -> str:
     return " ".join(kept)
 
 
+def _print_report(doc) -> str:
+    """Print a report as indented JSON; return its text."""
+    text = json.dumps(doc, ensure_ascii=False, indent=2)
+    print(text)
+    return text
+
+
 # --------------------------------------------------------------------------
 # validate
 # --------------------------------------------------------------------------
@@ -122,7 +129,7 @@ def cmd_validate(args) -> int:
         "rejects": [{"line": r.line_number, "reason": r.reason} for r in result.rejects],
         "violations": [{"path": v.path, "message": v.message} for v in report.violations],
     }
-    print(json.dumps(doc, ensure_ascii=False, indent=2))
+    _print_report(doc)
     return 0 if not result.rejects and report.ok else 1
 
 
@@ -186,22 +193,28 @@ def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
     return [row[1:] for row in rows]
 
 
-def _publish(man, bodies: dict[str, list[str]], header: bool) -> None:
-    """Write each body and the sidecar to <path>.tmp, then move them into place.
+def _publish(args, config: dict, counts: dict, bodies: dict[str, list[str]],
+             header: bool) -> None:
+    """Write each body and the run's manifest to <path>.tmp, then move them into place.
 
-    The first body is the command's output: it gets the sidecar and, with
-    header, the manifest as its first line. Until the moves, every existing
-    output stays as it was. The old sidecar goes before the first move and
-    the new one comes last, so a run cut short between moves leaves none.
-    If a write or move raises, no <path>.tmp stays behind.
+    The first body is the command's output: it gets the manifest as its
+    sidecar and, with header, as its first line. Until the moves, every
+    existing output stays as it was. The old sidecar goes before the first
+    move and the new one comes last, so a run cut short between moves leaves
+    none. If a write or move raises, no <path>.tmp stays behind.
     """
+    from seqforge.manifest import file_digest, manifest_line
+
+    # stats takes no --seed; its manifest records master_seed null
+    manifest = manifest_line(_manifest_command(args.argv), getattr(args, "seed", None), config,
+                             {args.corpus: file_digest(args.corpus)}, counts)
     sidecar = f"{next(iter(bodies))}.manifest.json"
-    bodies = {**bodies, sidecar: [man.to_json()]}
+    bodies = {**bodies, sidecar: [manifest]}
     try:
         for k, (path, lines) in enumerate(bodies.items()):
             with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
                 if header and k == 0:
-                    fh.write(man.to_json() + "\n")
+                    fh.write(manifest + "\n")
                 for line in lines:
                     fh.write(line)
                     fh.write("\n")
@@ -214,16 +227,6 @@ def _publish(man, bodies: dict[str, list[str]], header: bool) -> None:
             with contextlib.suppress(OSError):  # moved, or never written
                 os.remove(f"{path}.tmp")
         raise
-
-
-def _manifest(args, config: dict, counts: dict):
-    from seqforge.manifest import RunManifest, file_digest
-
-    # stats takes no --seed; its manifest records master_seed null
-    return RunManifest(command=_manifest_command(args.argv),
-                       master_seed=getattr(args, "seed", None),
-                       config=config, input_digests={args.corpus: file_digest(args.corpus)},
-                       counts=counts)
 
 
 # --------------------------------------------------------------------------
@@ -291,11 +294,11 @@ def cmd_build_thinker(args) -> int:
     rows = _compile(_thinker_record, (policy, args.seed, masks), lines, args.jobs)
     if rows is None:
         return 1
-    man = _manifest(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
-                    {"dialogues": len(rows), "sequences": len(rows),
-                     "elements": sum(n for _, n, _ in rows),
-                     "loss_targets": sum(n for _, _, n in rows)})
-    _publish(man, {args.out: [line for line, _, _ in rows]}, header=True)
+    _publish(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
+             {"dialogues": len(rows), "sequences": len(rows),
+              "elements": sum(n for _, n, _ in rows),
+              "loss_targets": sum(n for _, _, n in rows)},
+             {args.out: [line for line, _, _ in rows]}, header=True)
     print(f"wrote {len(rows)} sequences to {args.out}")
     return 0
 
@@ -344,10 +347,10 @@ def cmd_build_talker(args) -> int:
     skipped = [reason for _, reason in rows if reason is not None]
     for reason in skipped:
         print(f"skip: {reason}", file=sys.stderr)
-    man = _manifest(args, {"mode": args.mode, "ratio": str(ratio)},
-                    {"dialogues": len(rows), "sequences": len(lines),
-                     "skipped_no_reference": len(skipped)})
-    _publish(man, {args.out: lines}, header=True)
+    _publish(args, {"mode": args.mode, "ratio": str(ratio)},
+             {"dialogues": len(rows), "sequences": len(lines),
+              "skipped_no_reference": len(skipped)},
+             {args.out: lines}, header=True)
     print(f"wrote {len(lines)} sequences to {args.out} ({len(skipped)} skipped)")
     return 0
 
@@ -370,6 +373,7 @@ def _make_clients(args):
 
 def _clean_record(state, task):
     from seqforge import cleaning, corpus
+    from seqforge.manifest import canonical_json
 
     corrector, synth, retries = state
     dialogue = corpus.parse_line(*task)
@@ -382,9 +386,7 @@ def _clean_record(state, task):
         return [corpus.Reject(task[0], str(v)) for v in violations]
     outcome = cleaning.clean_dialogue(dialogue, corrector, synth, retries=retries)
     return (dialogue.id, corpus.serialize_dialogue(outcome.dialogue),
-            json.dumps(cleaning.outcome_to_dict(outcome), ensure_ascii=False,
-                       separators=(",", ":")),
-            outcome.status)
+            canonical_json(cleaning.outcome_to_dict(outcome)), outcome.status)
 
 
 def cmd_clean(args) -> int:
@@ -400,11 +402,11 @@ def cmd_clean(args) -> int:
     if rows is None:
         return 1
     deferred = [outcome for _, outcome, status in rows if status == "deferred"]
-    man = _manifest(args, {"client": args.client, "retries": args.retries},
-                    {"dialogues": len(rows), "deferred": len(deferred)})
-    _publish(man, {args.out: [line for line, _, _ in rows],
-                   f"{args.out}.outcomes.jsonl": [outcome for _, outcome, _ in rows],
-                   f"{args.out}.deferred.jsonl": deferred}, header=False)
+    _publish(args, {"client": args.client, "retries": args.retries},
+             {"dialogues": len(rows), "deferred": len(deferred)},
+             {args.out: [line for line, _, _ in rows],
+              f"{args.out}.outcomes.jsonl": [outcome for _, outcome, _ in rows],
+              f"{args.out}.deferred.jsonl": deferred}, header=False)
     print(f"cleaned {len(rows)} dialogues -> {args.out} ({len(deferred)} deferred)")
     return 0
 
@@ -419,18 +421,18 @@ def cmd_plan(args) -> int:
 
     plan = schedule.build_default_plan()
     if args.plan_cmd == "show":
-        print(schedule.plan_to_json(plan))
+        _print_report(schedule.plan_to_dict(plan))
         return 0
     if args.plan_cmd == "directive":
         try:
             d = schedule.directive_at(plan, args.stage, args.step, args.total)
         except (KeyError, ValueError) as exc:  # unknown stage, step out of range
             raise UsageError(exc.args[0]) from None
-        print(json.dumps({
+        _print_report({
             "stage": d.stage_id, "step": d.step, "phase": d.phase_index,
             "trainable": sorted(d.trainable), "lr": d.lr,
             "budget_remaining": d.budget_remaining,
-        }, ensure_ascii=False, indent=2))
+        })
         return 0
     with _side_input("--stats", args.stats), open(args.stats, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -439,7 +441,7 @@ def cmd_plan(args) -> int:
         if type(stats) is not dict:
             raise SchemaError("expected a JSON object of budget stats")
         rows = schedule.budget_check(plan, stats)
-    print(json.dumps([row.__dict__ for row in rows], ensure_ascii=False, indent=2))
+    _print_report([row.__dict__ for row in rows])
     return 0 if all(r.status in ("pass", "missing", "unit_mismatch") for r in rows) else 1
 
 
@@ -511,11 +513,11 @@ def cmd_eval(args) -> int:
         rate = metrics.corpus_error_rate(list(zip(refs, hyps)), mode=args.eval_cmd,
                                          lang=getattr(args, "lang", "en"),
                                          normalize=not args.raw)
-        print(json.dumps({
+        _print_report({
             "metric": args.eval_cmd, "utterances": rate.utterances,
             "errors": rate.errors, "reference_length": rate.reference_length,
             "rate": rate.rate,
-        }, indent=2))
+        })
         return 0
     responses = _read_lines(args.responses)
     if not responses:
@@ -523,8 +525,8 @@ def cmd_eval(args) -> int:
         return 1
     acc = metrics.only_yes_accuracy(responses)
     passes = round(acc * len(responses))
-    print(json.dumps({"metric": "only_yes", "total": len(responses),
-                      "passes": passes, "accuracy": acc}, indent=2))
+    _print_report({"metric": "only_yes", "total": len(responses),
+                   "passes": passes, "accuracy": acc})
     return 0
 
 
@@ -563,15 +565,14 @@ def cmd_stats(args) -> int:
             "audio": {"amount": total_hours, "unit": "hours"},
         },
     }
-    blob = json.dumps(doc, ensure_ascii=False, indent=2)
-    print(blob)
+    blob = _print_report(doc)
     # Totals over part of a corpus must not reach a budget check as the whole.
     _report_rejects(result.rejects)
     if result.rejects:
         return 1
     if args.out:
-        _publish(_manifest(args, {}, {"dialogues": len(result.dialogues)}),
-                 {args.out: [blob]}, header=False)
+        _publish(args, {}, {"dialogues": len(result.dialogues)}, {args.out: [blob]},
+                 header=False)
     return 0
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from seqforge import LANGUAGES
 from seqforge.captions import CaptionRecord, validate_caption
+from seqforge.manifest import canonical_json
 # read_lines and NotUtf8Error live in reporting, so that eval reads text without
 # loading this data model; corpus re-exports them, as it does SchemaError.
 from seqforge.reporting import (NotUtf8Error, SchemaError, ValidationReport, Violation,
@@ -436,7 +437,7 @@ def dialogue_to_dict(d: Dialogue) -> dict:
 
 
 def serialize_dialogue(d: Dialogue) -> str:
-    return json.dumps(dialogue_to_dict(d), ensure_ascii=False, separators=(",", ":"))
+    return canonical_json(dialogue_to_dict(d))
 
 
 # --------------------------------------------------------------------------

@@ -1,20 +1,28 @@
-"""Reproducibility manifests for mutating commands.
+"""Canonical JSON and the reproducibility manifest of mutating commands.
 
-A manifest captures the command line, master seed, a hash of the canonical
-config serialization, content digests of every input, tool version and
-output counts. It deliberately contains no timestamps, so identical inputs,
-seed and version produce byte-identical manifests.
+Every JSON line seqforge emits is encoded here: ``canonical_json`` is the one
+compact encoding (no ASCII escapes, no spaces) of corpus lines, thinker and
+talker sequences, cleaning outcomes and manifests, and ``json_digest`` the
+one key-sorted sha256 of a JSON value (config hashes, cleaning provenance).
+
+A manifest captures the command line, master seed, the config and its
+digest, content digests of every input, tool version and output counts. It
+deliberately contains no timestamps, so identical inputs, seed and version
+produce byte-identical manifests.
 """
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from seqforge import __version__
 
+# Built once: json.dumps with these keywords would build an encoder per call.
+canonical_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_sorted_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode
 
-def config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+def json_digest(value) -> str:
+    """sha256 hex digest of value's canonical JSON with keys sorted."""
+    return hashlib.sha256(_sorted_json(value).encode("utf-8")).hexdigest()
 
 
 def file_digest(path) -> str:
@@ -25,29 +33,15 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    master_seed: int | None
-    config: dict
-    input_digests: dict[str, str] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    tool_version: str = __version__
-
-    @property
-    def config_hash(self) -> str:
-        return config_hash(self.config)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "master_seed": self.master_seed,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "input_digests": self.input_digests,
-            "counts": self.counts,
-            "tool_version": self.tool_version,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, separators=(",", ":"))
+def manifest_line(command: str, master_seed: int | None, config: dict,
+                  input_digests: dict[str, str], counts: dict[str, int]) -> str:
+    """The manifest as one canonical JSON line."""
+    return canonical_json({
+        "command": command,
+        "master_seed": master_seed,
+        "config": config,
+        "config_hash": json_digest(config),
+        "input_digests": input_digests,
+        "counts": counts,
+        "tool_version": __version__,
+    })

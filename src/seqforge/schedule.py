@@ -12,7 +12,6 @@ means steps 1..floor(0.3 * total). Fields with no established value
 (late-stage learning rates, step counts) stay None rather than being
 fabricated.
 """
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,27 +40,12 @@ class Budget:
     amount: float
     unit: str
 
-    def __post_init__(self):
-        if self.unit not in BUDGET_UNITS:
-            raise ValueError(f"unknown budget unit {self.unit!r}")
-        if self.amount < 0:
-            raise ValueError("budget amount must be >= 0")
-
 
 @dataclass(frozen=True)
 class Phase:
     fraction: Fraction
     trainable: frozenset[str]
     lr: float | None
-
-    def __post_init__(self):
-        if not 0 < self.fraction <= 1:
-            raise ValueError(f"phase fraction must be in (0, 1], got {self.fraction}")
-        unknown = self.trainable - set(PARAM_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown parameter groups: {sorted(unknown)}")
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -73,14 +57,6 @@ class StageSpec:
     sample_budget: dict[str, Budget] = field(default_factory=dict)
     data_hours: dict[str, float] = field(default_factory=dict)
     notes: str = ""
-
-    def __post_init__(self):
-        if self.stage_id not in STAGE_IDS:
-            raise ValueError(f"unknown stage id {self.stage_id!r}")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if sum(p.fraction for p in self.phases) != 1:
-            raise ValueError(f"{self.stage_id}: phase fractions must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -272,7 +248,3 @@ def plan_to_dict(plan: list[StageSpec]) -> dict:
             "notes": s.notes,
         })
     return {"stages": stages}
-
-
-def plan_to_json(plan: list[StageSpec]) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2, sort_keys=False)

@@ -13,8 +13,8 @@ text; a run-level shift token marks every stream switch.
 
 assemble renders a sequence straight to its JSON text: the tokens as
 [stream, id] arrays and the speech loss mask as 0/1, each comma-separated.
-serialize_sequence only frames them, byte-identical to json.dumps of the
-per-token form, and the per-token (stream, id) list and mask are parsed
+serialize_sequence only frames them, byte-identical to the canonical JSON
+of the per-token form, and the per-token (stream, id) list and mask are parsed
 back from the text on demand.
 
 Special-token ids are negative so they can never collide with the opaque
@@ -27,6 +27,7 @@ from functools import cached_property
 from importlib import resources
 
 from seqforge.corpus import AudioTokenSpan, Dialogue
+from seqforge.manifest import canonical_json
 from seqforge.seeding import DetRng, derive_seed
 
 STREAM_SPECIAL = "special"
@@ -194,27 +195,24 @@ def select_reference(
 # rendering
 # --------------------------------------------------------------------------
 
-class _TextTokens(dict):
-    """character -> its text token's JSON text with the trailing comma, filled
-    on first use, so it holds only characters the process has rendered."""
+class _TokenText(dict):
+    """key -> the JSON text of its token in one stream, with the trailing
+    comma; token_id maps a key to its id. Filled on first use, so it holds
+    only keys the process has rendered."""
 
-    def __missing__(self, char):
-        token = self[char] = '["text",%d],' % ord(char)
+    def __init__(self, stream: str, token_id):
+        super().__init__()
+        self.template = '["%s",%%d],' % stream
+        self.token_id = token_id
+
+    def __missing__(self, key):
+        token = self[key] = self.template % self.token_id(key)
         return token
 
 
-class _SpeechTokens(dict):
-    """speech id -> its token's JSON text with the trailing comma, filled on
-    first use, so it holds only ids the process has rendered."""
-
-    def __missing__(self, tid):
-        token = self[tid] = '["speech",%d],' % tid
-        return token
-
-
-_TEXT_TOKENS = _TextTokens()
-_SPEECH_TOKENS = _SpeechTokens()
-_SPECIAL = {name: '["special",%d],' % tid for name, tid in SPECIAL_TOKENS.items()}
+_TEXT_TOKENS = _TokenText(STREAM_TEXT, ord)  # keyed by character
+_SPEECH_TOKENS = _TokenText(STREAM_SPEECH, int)
+_SPECIAL = _TokenText(STREAM_SPECIAL, SPECIAL_TOKENS.__getitem__)  # keyed by name
 _TEXT_SHIFT = _SPECIAL["TEXT_SHIFT"]
 _SPEECH_SHIFT = _SPECIAL["SPEECH_SHIFT"]
 
@@ -400,15 +398,12 @@ def parse_sequence(tokens: list[tuple[str, int]]) -> ParsedTalker:
     return ParsedTalker(ref=ref, blocks=blocks)
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
-
-
 def serialize_sequence(seq: TalkerSequence) -> str:
     """One JSON line {mode, tokens, speech_loss_mask, manifest} around the rendered text.
 
-    Byte-identical to json.dumps(..., ensure_ascii=False, separators=(",", ":"))
-    of the per-token form: tokens as [stream, id] arrays, the mask as 0/1.
+    Byte-identical to canonical_json of the per-token form: tokens as
+    [stream, id] arrays, the mask as 0/1.
     """
-    return (f'{{"mode":{_dumps(seq.mode)},"tokens":[{seq.token_text}],'
-            f'"speech_loss_mask":[{seq.mask_text}],"manifest":{_dumps(seq.manifest)}}}')
+    return (f'{{"mode":{canonical_json(seq.mode)},"tokens":[{seq.token_text}],'
+            f'"speech_loss_mask":[{seq.mask_text}],'
+            f'"manifest":{canonical_json(seq.manifest)}}}')

@@ -11,11 +11,10 @@ Determinism contract: the per-dialogue random stream is derived from
 Outputs are therefore invariant under sharding and worker count.
 """
 import functools
-import json
 from dataclasses import dataclass, field
 
 from seqforge.corpus import AlignmentSpan, Dialogue
-from seqforge.manifest import config_hash
+from seqforge.manifest import canonical_json, json_digest
 from seqforge.seeding import DetRng, derive_seed
 
 TEXT = "text"
@@ -65,7 +64,7 @@ class TrainingSequence:
 
 @functools.cache  # the policy is frozen: one hash per policy, not per dialogue
 def policy_config_hash(policy: InterleavePolicy) -> str:
-    return config_hash(policy.to_json_dict())
+    return json_digest(policy.to_json_dict())
 
 
 def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -157,4 +156,4 @@ def sequence_to_dict(seq: TrainingSequence) -> dict:
 
 
 def serialize_sequence(seq: TrainingSequence) -> str:
-    return json.dumps(sequence_to_dict(seq), ensure_ascii=False, separators=(",", ":"))
+    return canonical_json(sequence_to_dict(seq))

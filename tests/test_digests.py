@@ -4,11 +4,14 @@ Criterion 9 only compares runs with each other, so a change that alters the
 bytes the same way on every run would still pass it. These pins do not move
 unless the output format changes on purpose.
 """
+import ast
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
+import seqforge
 from seqforge.cli import run
 
 import synthetic
@@ -206,3 +209,20 @@ def test_caption_outputs_match_frozen_digests(tmp_path, monkeypatch, capsys, job
     outcomes = (tmp_path / "cleaned.jsonl.outcomes.jsonl").read_text(encoding="utf-8")
     assert '"request":' in outcomes and '"op":"backfill"' in outcomes
     assert _file_digests(CAPTION_EXPECTED) == CAPTION_EXPECTED
+
+
+def test_only_manifest_sets_the_json_encoding():
+    """Canonical JSON is defined once, in seqforge.manifest: no other module
+    passes separators= or sort_keys= to json.dumps, json.dump or JSONEncoder."""
+    offenders = []
+    for path in sorted(Path(seqforge.__file__).parent.glob("*.py")):
+        if path.name == "manifest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("dumps", "dump", "JSONEncoder") and any(
+                        k.arg in ("separators", "sort_keys") for k in node.keywords):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
