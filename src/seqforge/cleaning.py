@@ -110,6 +110,8 @@ def _post_json(url: str, payload: dict, timeout: float, parse):
     except (urllib.error.URLError, OSError, http.client.HTTPException, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         raise ClientError(f"request to {url} failed: {exc}") from exc
+    except RecursionError:
+        raise ClientError(f"request to {url} failed: nested too deeply") from None
     try:
         doc = corpus_mod._expect_object(doc, "response")
         if not doc.get("ok"):

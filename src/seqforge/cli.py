@@ -50,6 +50,8 @@ def _side_input(flag: str, path):
         raise UsageError(f"{flag} {path} is not valid UTF-8 (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag} {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{flag} {path} is not valid JSON: nested too deeply") from None
     except SchemaError as exc:
         raise UsageError(f"{flag} {path}: {exc}") from None
 

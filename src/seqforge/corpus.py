@@ -224,7 +224,14 @@ def _parse_audio(doc, path: str, may_hold_bools: bool = True) -> AudioTokenSpan:
         dur = _require(doc, "duration_s", path)
         if not isinstance(rate, (int, float)) or not isinstance(dur, (int, float)):
             raise SchemaError(f"{path}: frame_rate_hz/duration_s must be numbers")
-    return AudioTokenSpan(list(ids), float(rate), float(dur))
+    try:  # JSON admits NaN, Infinity and integers past the float range
+        rate, dur = float(rate), float(dur)
+        finite = math.isfinite(rate) and math.isfinite(dur)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SchemaError(f"{path}: frame_rate_hz/duration_s must be finite numbers")
+    return AudioTokenSpan(list(ids), rate, dur)
 
 
 def _parse_flag_span(item) -> tuple[int, tuple[int, int]]:
@@ -343,6 +350,8 @@ def parse_line(line_no: int, line: str) -> Dialogue | Reject:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         return Reject(line_no, f"invalid JSON: {exc.msg}")
+    except RecursionError:
+        return Reject(line_no, "invalid JSON: nested too deeply")
     try:  # JSON has no bool without a true or false literal
         return parse_dialogue(doc, path="dialogue",
                               may_hold_bools="true" in line or "false" in line)

@@ -12,6 +12,7 @@ means steps 1..floor(0.3 * total). Fields with no established value
 (late-stage learning rates, step counts) stay None rather than being
 fabricated.
 """
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -197,7 +198,7 @@ def _as_tokens(budget_like: Budget) -> float | None:
 def budget_check(plan: list[StageSpec], stats: dict[str, dict]) -> list[BudgetRow]:
     """Compare declared budgets against corpus statistics.
 
-    stats maps data-class -> {"amount": x >= 0, "unit": one of BUDGET_UNITS};
+    stats maps data-class -> {"amount": finite x >= 0, "unit": one of BUDGET_UNITS};
     an entry of another shape raises SchemaError. Hours convert at
     corpus.ADAPTER_FRAME_RATE_HZ, and a relative error up to BUDGET_TOLERANCE
     passes; a class absent from stats yields a "missing" row rather than
@@ -211,8 +212,10 @@ def budget_check(plan: list[StageSpec], stats: dict[str, dict]) -> list[BudgetRo
             if entry is None:
                 rows.append(BudgetRow(stage.stage_id, cls, declared_tokens, None, None, "missing"))
                 continue
+            # The upper bound also refuses NaN, infinity and an int too large for a float.
             if not (type(entry) is dict and type(entry.get("amount")) in (int, float)
-                    and entry["amount"] >= 0 and entry.get("unit") in BUDGET_UNITS):
+                    and 0 <= entry["amount"] <= sys.float_info.max
+                    and entry.get("unit") in BUDGET_UNITS):
                 raise SchemaError(f"{cls}: expected {{\"amount\": number >= 0, "
                                   f"\"unit\": one of {list(BUDGET_UNITS)}}}")
             derived = _as_tokens(Budget(float(entry["amount"]), entry["unit"]))

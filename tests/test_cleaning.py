@@ -412,6 +412,9 @@ _MALFORMED = [
                                            "duration_s": 0.16}},
      "response.result.token_ids: expected array, got str"),
     ("synthesize", {"ok": True, "result": [1, 2]}, "response.result: expected object"),
+    ("synthesize", {"ok": True, "result": {"token_ids": [1], "frame_rate_hz": 12.5,
+                                           "duration_s": float("inf")}},
+     "response.result: frame_rate_hz/duration_s must be finite numbers"),
     ("synthesize", [], "response: expected object"),
 ]
 
@@ -445,13 +448,17 @@ def test_service_error_defers_the_dialogue(tmp_path, monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("op", sorted(_CALLS))
-@pytest.mark.parametrize("body, length", [(b'{"ok": true, "result": "\xff"}', None),
-                                          (b'{"ok": true', 100)],
-                         ids=["not-utf8", "truncated"])
-def test_unreadable_response_is_a_client_error(op, body, length):
+@pytest.mark.parametrize("body, length, detail", [
+    (b'{"ok": true, "result": "\xff"}', None, None),
+    (b'{"ok": true', 100, None),
+    (b"[" * 200_000, None, "nested too deeply"),
+], ids=["not-utf8", "truncated", "nested"])
+def test_unreadable_response_is_a_client_error(op, body, length, detail):
     with _serve(_FixedHandler, body=body, length=length) as url:
-        with pytest.raises(ClientError, match=re.escape(f"request to {url}/{op} failed")):
+        with pytest.raises(ClientError, match=re.escape(f"request to {url}/{op} failed")) as exc:
             _CALLS[op](url)
+    if detail is not None:
+        assert str(exc.value) == f"request to {url}/{op} failed: {detail}"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -3,6 +3,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -491,6 +492,47 @@ def test_corpus_commands_report_the_same_rejects(tmp_path, capsys, monkeypatch, 
         assert not list(tmp_path.glob("o.jsonl*"))
 
 
+_NOT_FINITE = "dialogue.turns[0].audio: frame_rate_hz/duration_s must be finite numbers"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("field, literal, reason", [
+    (None, "[" * 200_000, "invalid JSON: nested too deeply"),
+    ("frame_rate_hz", "NaN", _NOT_FINITE),
+    ("duration_s", "Infinity", _NOT_FINITE),
+    ("frame_rate_hz", "-Infinity", _NOT_FINITE),
+    ("duration_s", "1e400", _NOT_FINITE),
+    ("frame_rate_hz", "1" + "0" * 400, _NOT_FINITE),
+], ids=["nested", "rate-nan", "duration-inf", "rate-minus-inf", "duration-1e400",
+        "rate-10**400"])
+def test_corpus_commands_reject_lines_json_cannot_hold(tmp_path, capsys, monkeypatch, field,
+                                                       literal, reason, jobs):
+    """Deep nesting and numbers that are not finite floats are rejects of
+    line 2 in every corpus command, never a traceback."""
+    monkeypatch.setenv("FORGE_JOBS", jobs)
+    dialogues = synthetic.synth_corpus(3, 3)
+    line = corpus_mod.serialize_dialogue(dialogues.pop(1))
+    if field is None:
+        line = literal
+    else:  # the first turn's value
+        line = re.sub(f'"{field}":[^,}}]+', f'"{field}":{literal}', line, count=1)
+    path = tmp_path / "corpus.jsonl"
+    conftest.write_corpus(dialogues[:1], path, extra_lines=[line])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(corpus_mod.serialize_dialogue(dialogues[1]) + "\n")
+
+    assert run(["validate", "--corpus", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["rejects"] == [{"line": 2, "reason": reason}]
+    out = tmp_path / "o.jsonl"
+    for argv in (["stats"], ["clean", "--client", "mock", "--out", str(out)],
+                 ["build-thinker", "--seed", "1", "--out", str(out)],
+                 ["build-talker", "--seed", "1", "--out", str(out)]):
+        assert run(argv + ["--corpus", str(path)]) == 1
+        assert capsys.readouterr().err == f"reject line 2: {reason}\n"
+        assert not list(tmp_path.glob("o.jsonl*"))
+
+
 def test_stats_leaves_a_repeated_line_out_of_its_totals(tmp_path, capsys):
     dialogues = synthetic.synth_corpus(4, 2)
     kept = write_corpus(tmp_path, dialogues[:3], name="kept.jsonl")
@@ -709,8 +751,6 @@ _HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.
      "side.json: task 't': expected {\"languages\": [string], \"slots\""),
     (["templates", "expand", "--task", "t", "--registry", '@{"t": {"slots": []}}'], None,
      "side.json: task 't': task needs at least one slot"),
-    (["templates", "expand", "--task", "t", "--registry", "@[]"], None,
-     "side.json: expected a JSON object of tasks\n"),
     (["build-talker", "--seed", "1", "--mode", "bogus"], None, "unknown mode 'bogus'"),
     (["loss-check", "--cases", "0"], None, "--cases must be >= 1, got 0"),
     (["loss-check", "--epsilon", "0"], None, "--epsilon must be finite and > 0, got 0.0"),
@@ -738,6 +778,24 @@ _HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.
      "timeout_s; pass --retries instead\n"),
     (["clean", "--client", "mock"], '{%s}' % _HTTP_URLS,
      "forge: error: --config holds the HTTP services' settings; it needs --client http\n"),
+    (["templates", "expand", "--task", "t", "--registry", "@[]"], None,
+     "side.json: expected a JSON object of tasks\n"),
+    (["plan", "budget", "--stats", "@" + "[" * 200_000], None,
+     "side.json is not valid JSON: nested too deeply\n"),
+    (["build-thinker", "--seed", "1", "--masks", "@" + "[" * 200_000], None,
+     "side.json is not valid JSON: nested too deeply\n"),
+    (["templates", "expand", "--task", "t", "--registry", "@" + "[" * 200_000], None,
+     "side.json is not valid JSON: nested too deeply\n"),
+    (["clean"], "[" * 200_000, "c.json is not valid JSON: nested too deeply\n"),
+    (["plan", "budget", "--stats", '@{"speech": {"amount": Infinity, "unit": "hours"}}'], None,
+     "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of "
+     "['tokens', 'hours', 'samples']}\n"),
+    (["plan", "budget", "--stats", '@{"speech": {"amount": 1e400, "unit": "hours"}}'], None,
+     "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of "
+     "['tokens', 'hours', 'samples']}\n"),
+    (["plan", "budget", "--stats", '@{"speech": {"amount": 1%s, "unit": "tokens"}}' % ("0" * 400)],
+     None, "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of "
+     "['tokens', 'hours', 'samples']}\n"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "http-no-config", "stage", "step",
         "config-array", "config-float-bool", "config-float-overflow", "jobs-negative",
         "env-jobs-text", "env-jobs-zero", "masks-json", "stats-json", "registry-json",
@@ -747,7 +805,9 @@ _HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.
         "loss-epsilon-inf", "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region",
         "config-url-int", "config-timeout-nan", "config-timeout-zero",
         "config-timeout-negative", "config-key-typo", "config-key-seed", "config-key-retries",
-        "config-client-mock", "registry-array"])
+        "config-client-mock", "registry-array", "stats-nested", "masks-nested",
+        "registry-nested", "config-nested", "stats-amount-inf", "stats-amount-1e400",
+        "stats-amount-10**400"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell

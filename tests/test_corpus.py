@@ -336,6 +336,12 @@ REJECTS = [
     (("turns", 2, "audio", "frame_rate_hz"), [12.5],
      f"{_T2}.audio: frame_rate_hz/duration_s must be numbers"),
     (("turns", 2, "audio", "duration_s"), _DELETE, f"{_T2}.audio: missing field 'duration_s'"),
+    (("turns", 2, "audio", "duration_s"), float("nan"),
+     f"{_T2}.audio: frame_rate_hz/duration_s must be finite numbers"),
+    (("turns", 2, "audio", "duration_s"), float("inf"),
+     f"{_T2}.audio: frame_rate_hz/duration_s must be finite numbers"),
+    (("turns", 2, "audio", "frame_rate_hz"), float("-inf"),
+     f"{_T2}.audio: frame_rate_hz/duration_s must be finite numbers"),
 ]
 
 
