@@ -10,7 +10,6 @@ digest, content digests of every input, tool version and output counts. It
 deliberately contains no timestamps, so identical inputs, seed and version
 produce byte-identical manifests.
 """
-import hashlib
 import json
 
 from seqforge import __version__
@@ -22,10 +21,16 @@ _sorted_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_
 
 def json_digest(value) -> str:
     """sha256 hex digest of value's canonical JSON with keys sorted."""
+    # hashlib (~5 ms to import) is imported where used: validate loads this
+    # module through the corpus model for canonical_json alone.
+    import hashlib
+
     return hashlib.sha256(_sorted_json(value).encode("utf-8")).hexdigest()
 
 
 def file_digest(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -14,8 +14,8 @@ text; a run-level shift token marks every stream switch.
 assemble renders a sequence straight to its JSON text: the tokens as
 [stream, id] arrays and the speech loss mask as 0/1, each comma-separated.
 serialize_sequence only frames them, byte-identical to the canonical JSON
-of the per-token form, and the per-token (stream, id) list and mask are parsed
-back from the text on demand.
+of the per-token form, and the per-token (stream, id) list and mask are
+parsed back from the text on demand.
 
 Special-token ids are negative so they can never collide with the opaque
 non-negative speech/text id spaces. Text ids are Unicode scalar values of
