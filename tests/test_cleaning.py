@@ -412,10 +412,10 @@ _MALFORMED = [
                                            "duration_s": 0.16}},
      "response.result.token_ids: expected array, got str"),
     ("synthesize", {"ok": True, "result": [1, 2]}, "response.result: expected object"),
+    ("synthesize", [], "response: expected object"),
     ("synthesize", {"ok": True, "result": {"token_ids": [1], "frame_rate_hz": 12.5,
                                            "duration_s": float("inf")}},
      "response.result: frame_rate_hz/duration_s must be finite numbers"),
-    ("synthesize", [], "response: expected object"),
 ]
 
 
