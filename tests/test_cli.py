@@ -510,16 +510,13 @@ def test_corpus_commands_reject_lines_json_cannot_hold(tmp_path, capsys, monkeyp
     """Deep nesting and numbers that are not finite floats are rejects of
     line 2 in every corpus command, never a traceback."""
     monkeypatch.setenv("FORGE_JOBS", jobs)
-    dialogues = synthetic.synth_corpus(3, 3)
-    line = corpus_mod.serialize_dialogue(dialogues.pop(1))
+    lines = list(map(corpus_mod.serialize_dialogue, synthetic.synth_corpus(3, 3)))
     if field is None:
-        line = literal
+        lines[1] = literal
     else:  # the first turn's value
-        line = re.sub(f'"{field}":[^,}}]+', f'"{field}":{literal}', line, count=1)
+        lines[1] = re.sub(f'"{field}":[^,}}]+', f'"{field}":{literal}', lines[1], count=1)
     path = tmp_path / "corpus.jsonl"
-    conftest.write_corpus(dialogues[:1], path, extra_lines=[line])
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(corpus_mod.serialize_dialogue(dialogues[1]) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     assert run(["validate", "--corpus", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -706,6 +703,8 @@ def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
 
 # The two keys a clean --client http --config needs; nothing listens on port 1.
 _HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.0.1:1"'
+_AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of "
+                 "['tokens', 'hours', 'samples']}\n")
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -788,14 +787,11 @@ _HTTP_URLS = '"corrector_url": "http://127.0.0.1:1", "synth_url": "http://127.0.
      "side.json is not valid JSON: nested too deeply\n"),
     (["clean"], "[" * 200_000, "c.json is not valid JSON: nested too deeply\n"),
     (["plan", "budget", "--stats", '@{"speech": {"amount": Infinity, "unit": "hours"}}'], None,
-     "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of "
-     "['tokens', 'hours', 'samples']}\n"),
+     _AMOUNT_SHAPE),
     (["plan", "budget", "--stats", '@{"speech": {"amount": 1e400, "unit": "hours"}}'], None,
-     "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of "
-     "['tokens', 'hours', 'samples']}\n"),
+     _AMOUNT_SHAPE),
     (["plan", "budget", "--stats", '@{"speech": {"amount": 1%s, "unit": "tokens"}}' % ("0" * 400)],
-     None, "side.json: speech: expected {\"amount\": number >= 0, \"unit\": one of "
-     "['tokens', 'hours', 'samples']}\n"),
+     None, _AMOUNT_SHAPE),
 ], ids=["p-user", "ratio", "config-json", "http-url", "http-no-config", "stage", "step",
         "config-array", "config-float-bool", "config-float-overflow", "jobs-negative",
         "env-jobs-text", "env-jobs-zero", "masks-json", "stats-json", "registry-json",
