@@ -205,18 +205,20 @@ def _call_with_retry(provenance, op: str, turn_index, fn, request_doc, retries: 
             provenance.append({"op": op, "turn": turn_index, "attempt": attempt,
                                "ok": False, "error": str(exc), "request": request})
             continue
+        ids: list[str] = []
         provenance.append({"op": op, "turn": turn_index, "attempt": attempt,
                            "ok": True, "request": request,
-                           "response": json_digest(_result_repr(result))[:16]})
+                           "response": json_digest(_result_repr(result, ids), ids)[:16]})
         return result
     raise last_error
 
 
-def _result_repr(result):
+def _result_repr(result, ids: list[str]):
+    """result as a JSON value, its token ids marked and collected in ids (see splice_ids)."""
     if isinstance(result, AudioTokenSpan):
-        return corpus_mod._audio_dict(result)
+        return corpus_mod._audio_dict(result, ids)
     if isinstance(result, list) and result and isinstance(result[0], Turn):
-        return [corpus_mod._turn_dict(t) for t in result]
+        return [corpus_mod._turn_dict(t, ids) for t in result]
     return result
 
 

@@ -1,9 +1,10 @@
 """forge: command-line entry point.
 
-Exit codes: 0 success, 1 validation/compile failures, 2 usage errors.
-Every mutating command writes a reproducibility manifest (embedded as a
-header line in sequence outputs, plus a .manifest.json sidecar). All
-randomness flows from --seed; worker count never changes output bytes.
+Exit codes: 0 success, 1 validation/compile failures, 2 usage errors, 130
+interrupted. Every mutating command writes a reproducibility manifest
+(embedded as a header line in sequence outputs, plus a .manifest.json
+sidecar). All randomness flows from --seed; worker count never changes
+output bytes.
 """
 import argparse
 import contextlib
@@ -143,17 +144,61 @@ class _Failed(str):
     """Message of a record whose error fails the whole command (exit 1)."""
 
 
-_worker: tuple = ()  # (fn, state), set only inside pool workers
+class _Chunks:
+    """The chunk files of one run: <path>.<k>.tmp holds chunk k's lines of the
+    output at path. The process that computes a chunk writes them, so output
+    rows never cross a pipe, and _publish appends them in order. No chunk file
+    outlives the with block."""
+
+    def __init__(self, *paths: str):
+        self.paths = paths
+        self.n = 0  # chunks written or being written
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for k in range(self.n):
+            for path in self.paths:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(f"{path}.{k}.tmp")
 
 
-def _init_worker(fn, state) -> None:
+def _write_chunk(fn, state, tasks, paths, k: int) -> list:
+    """fn(state, task) for each task of chunk k. A row (dialogue id, lines,
+    *rest) has one line, or None, per path: they go to <path>.<k>.tmp, and
+    (dialogue id, *rest) comes back in the row's place."""
+    rows = []
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(f"{path}.{k}.tmp", "w", encoding="utf-8"))
+                 for path in paths]
+        for task in tasks:
+            row = fn(state, task)
+            if type(row) is tuple:
+                did, lines, *rest = row
+                for fh, line in zip(files, lines):
+                    if line is not None:
+                        fh.write(line)
+                        fh.write("\n")
+                row = (did, *rest)
+            rows.append(row)
+    return rows
+
+
+_worker: tuple = ()  # (fn, state, chunks of tasks, paths), set only inside pool workers
+
+
+def _init_worker(*worker) -> None:
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     global _worker
-    _worker = (fn, state)
+    _worker = worker
 
 
-def _run_in_worker(task):
-    fn, state = _worker
-    return fn(state, task)
+def _write_chunk_in_worker(k: int) -> list:
+    fn, state, parts, paths = _worker
+    return _write_chunk(fn, state, parts[k], paths, k)
 
 
 def _report_rejects(rejects) -> None:
@@ -162,25 +207,32 @@ def _report_rejects(rejects) -> None:
         print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
 
 
-def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
-    """Ordered map of fn(state, task) over tasks, then the one reject gate.
+def _compile(fn, state, tasks, jobs: int, chunks: _Chunks, rejects=()) -> list | None:
+    """Ordered map of fn(state, task) over tasks, writing chunks, then the one reject gate.
 
     Each task is (line number, record). fn returns a Reject, a list of them,
-    a _Failed, or a row (dialogue id, *outputs). Under a pool, fn and its
-    shared state reach each worker once through the initializer, so a task
-    carries only its own record. Returns the rows without their ids, or None
-    after reporting the rejects (the given ones, those fn returns and
-    repeated ids, in line order) or else the first failure.
+    a _Failed, or a row (dialogue id, lines, *rest) as _write_chunk takes it.
+    Contiguous chunks of tasks go to jobs pool workers (fork start: fn, its
+    shared state and the tasks reach each worker by the fork, and a chunk's
+    index is all a task message carries) or, at jobs 1, form one chunk in this
+    process. Returns each row's rest, or None after reporting the rejects (the
+    given ones, those fn returns and repeated ids, in line order) or else the
+    first failure.
     """
     from seqforge import corpus
 
-    if jobs <= 1 or len(tasks) <= 1:
-        rows = [fn(state, task) for task in tasks]
+    chunks.n = 1 if jobs <= 1 else max(1, min(len(tasks), jobs * 4))
+    bounds = [len(tasks) * k // chunks.n for k in range(chunks.n + 1)]
+    parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+    if chunks.n == 1:
+        written = [_write_chunk(fn, state, parts[0], chunks.paths, 0)]
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(fn, state)) as pool:
-            rows = pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
+        with multiprocessing.Pool(jobs, initializer=_init_worker,
+                                  initargs=(fn, state, parts, chunks.paths)) as pool:
+            written = pool.map(_write_chunk_in_worker, range(chunks.n), chunksize=1)
+    rows = [row for part in written for row in part]
     failed = next((row for row in rows if isinstance(row, _Failed)), None)
     rejects = [*rejects, *(row for row in rows if isinstance(row, corpus.Reject))]
     rejects += [r for row in rows if type(row) is list for r in row]
@@ -195,11 +247,23 @@ def _compile(fn, state, tasks, jobs: int, rejects=()) -> list | None:
     return [row[1:] for row in rows]
 
 
-def _publish(args, config: dict, counts: dict, bodies: dict[str, list[str]],
-             header: bool) -> None:
-    """Write each body and the run's manifest to <path>.tmp, then move them into place.
+def _append(fd: int, path: str) -> None:
+    """Append the file at path to fd, copied in the kernel."""
+    with open(path, "rb") as src:
+        size = os.fstat(src.fileno()).st_size
+        offset = 0
+        while offset < size:
+            sent = os.sendfile(fd, src.fileno(), offset, size - offset)
+            if not sent:
+                raise OSError(f"{path} shrank while it was copied")
+            offset += sent
 
-    The first body is the command's output: it gets the manifest as its
+
+def _publish(args, config: dict, counts: dict, chunks: _Chunks, header: bool) -> None:
+    """Join each output's chunk files and write the run's manifest, each to
+    <path>.tmp, then move them into place.
+
+    The first output is the command's own: it gets the manifest as its
     sidecar and, with header, as its first line. Until the moves, every
     existing output stays as it was. The old sidecar goes before the first
     move and the new one comes last, so a run cut short between moves leaves
@@ -210,22 +274,24 @@ def _publish(args, config: dict, counts: dict, bodies: dict[str, list[str]],
     # stats takes no --seed; its manifest records master_seed null
     manifest = manifest_line(_manifest_command(args.argv), getattr(args, "seed", None), config,
                              {args.corpus: file_digest(args.corpus)}, counts)
-    sidecar = f"{next(iter(bodies))}.manifest.json"
-    bodies = {**bodies, sidecar: [manifest]}
+    sidecar = f"{chunks.paths[0]}.manifest.json"
+    outputs = [*chunks.paths, sidecar]
     try:
-        for k, (path, lines) in enumerate(bodies.items()):
-            with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
-                if header and k == 0:
-                    fh.write(manifest + "\n")
-                for line in lines:
-                    fh.write(line)
-                    fh.write("\n")
+        for i, path in enumerate(chunks.paths):
+            with open(f"{path}.tmp", "wb") as out:
+                if header and i == 0:
+                    out.write(manifest.encode("utf-8") + b"\n")
+                    out.flush()
+                for k in range(chunks.n):
+                    _append(out.fileno(), f"{path}.{k}.tmp")
+        with open(f"{sidecar}.tmp", "w", encoding="utf-8") as fh:
+            fh.write(manifest + "\n")
         with contextlib.suppress(FileNotFoundError):
             os.remove(sidecar)
-        for path in bodies:
+        for path in outputs:
             os.replace(f"{path}.tmp", path)
     except BaseException:
-        for path in bodies:
+        for path in outputs:
             with contextlib.suppress(OSError):  # moved, or never written
                 os.remove(f"{path}.tmp")
         raise
@@ -249,7 +315,7 @@ def _thinker_record(state, task):
     except thinker_mod.CompileError as exc:
         return _Failed(f"compile error: {exc}")
     n_targets = sum(1 for e in seq.elements if e.loss_target)
-    return dialogue.id, thinker_mod.serialize_sequence(seq), len(seq.elements), n_targets
+    return dialogue.id, (thinker_mod.serialize_sequence(seq),), len(seq.elements), n_targets
 
 
 def _load_masks(path) -> dict[str, list]:
@@ -293,14 +359,14 @@ def cmd_build_thinker(args) -> int:
         raise UsageError(f"--p-user/--p-assistant: {exc}") from None
     lines = list(corpus.iter_lines(args.corpus))
     masks = _load_masks(args.masks) if args.masks else {}
-    rows = _compile(_thinker_record, (policy, args.seed, masks), lines, args.jobs)
-    if rows is None:
-        return 1
-    _publish(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
-             {"dialogues": len(rows), "sequences": len(rows),
-              "elements": sum(n for _, n, _ in rows),
-              "loss_targets": sum(n for _, _, n in rows)},
-             {args.out: [line for line, _, _ in rows]}, header=True)
+    with _Chunks(args.out) as chunks:
+        rows = _compile(_thinker_record, (policy, args.seed, masks), lines, args.jobs, chunks)
+        if rows is None:
+            return 1
+        _publish(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
+                 {"dialogues": len(rows), "sequences": len(rows),
+                  "elements": sum(n for n, _ in rows),
+                  "loss_targets": sum(n for _, n in rows)}, chunks, header=True)
     print(f"wrote {len(rows)} sequences to {args.out}")
     return 0
 
@@ -310,7 +376,7 @@ def cmd_build_thinker(args) -> int:
 # --------------------------------------------------------------------------
 
 def _talker_record(state, task):
-    """(id, line, None) for a compiled dialogue, (id, None, reason) for a skipped one."""
+    """(id, (line,), None) for a compiled dialogue, (id, (None,), reason) for a skipped one."""
     from seqforge import talker as talker_mod
 
     mode, ratio, seed, index, dialogues = state
@@ -320,10 +386,10 @@ def _talker_record(state, task):
         ref = talker_mod.select_reference(speaker, index, dialogue.id, seed)
         seq = talker_mod.assemble(dialogue, mode, ratio, seed, ref)
     except talker_mod.NoReferenceError as exc:
-        return dialogue.id, None, str(exc)
+        return dialogue.id, (None,), str(exc)
     except talker_mod.AssembleError as exc:
         return _Failed(f"assemble error: {exc}")
-    return dialogue.id, talker_mod.serialize_sequence(seq), None
+    return dialogue.id, (talker_mod.serialize_sequence(seq),), None
 
 
 def cmd_build_talker(args) -> int:
@@ -340,20 +406,20 @@ def cmd_build_talker(args) -> int:
     # the parsed list.
     result = corpus.parse_corpus(args.corpus)
     index = talker_mod.build_reference_index(result.dialogues)
-    rows = _compile(_talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
-                    list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs,
-                    result.rejects)
-    if rows is None:
-        return 1
-    lines = [line for line, _ in rows if line is not None]
-    skipped = [reason for _, reason in rows if reason is not None]
-    for reason in skipped:
-        print(f"skip: {reason}", file=sys.stderr)
-    _publish(args, {"mode": args.mode, "ratio": str(ratio)},
-             {"dialogues": len(rows), "sequences": len(lines),
-              "skipped_no_reference": len(skipped)},
-             {args.out: lines}, header=True)
-    print(f"wrote {len(lines)} sequences to {args.out} ({len(skipped)} skipped)")
+    with _Chunks(args.out) as chunks:
+        rows = _compile(_talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
+                        list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs,
+                        chunks, result.rejects)
+        if rows is None:
+            return 1
+        skipped = [reason for reason, in rows if reason is not None]
+        for reason in skipped:
+            print(f"skip: {reason}", file=sys.stderr)
+        n_lines = len(rows) - len(skipped)
+        _publish(args, {"mode": args.mode, "ratio": str(ratio)},
+                 {"dialogues": len(rows), "sequences": n_lines,
+                  "skipped_no_reference": len(skipped)}, chunks, header=True)
+    print(f"wrote {n_lines} sequences to {args.out} ({len(skipped)} skipped)")
     return 0
 
 
@@ -387,8 +453,10 @@ def _clean_record(state, task):
     if violations:
         return [corpus.Reject(task[0], str(v)) for v in violations]
     outcome = cleaning.clean_dialogue(dialogue, corrector, synth, retries=retries)
-    return (dialogue.id, corpus.serialize_dialogue(outcome.dialogue),
-            canonical_json(cleaning.outcome_to_dict(outcome)), outcome.status)
+    outcome_line = canonical_json(cleaning.outcome_to_dict(outcome))
+    deferred = outcome.status == "deferred"
+    return (dialogue.id, (corpus.serialize_dialogue(outcome.dialogue), outcome_line,
+                          outcome_line if deferred else None), deferred)
 
 
 def cmd_clean(args) -> int:
@@ -400,16 +468,15 @@ def cmd_clean(args) -> int:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     corrector, synth = _make_clients(args)
     lines = list(corpus.iter_lines(args.corpus))
-    rows = _compile(_clean_record, (corrector, synth, args.retries), lines, args.jobs)
-    if rows is None:
-        return 1
-    deferred = [outcome for _, outcome, status in rows if status == "deferred"]
-    _publish(args, {"client": args.client, "retries": args.retries},
-             {"dialogues": len(rows), "deferred": len(deferred)},
-             {args.out: [line for line, _, _ in rows],
-              f"{args.out}.outcomes.jsonl": [outcome for _, outcome, _ in rows],
-              f"{args.out}.deferred.jsonl": deferred}, header=False)
-    print(f"cleaned {len(rows)} dialogues -> {args.out} ({len(deferred)} deferred)")
+    with _Chunks(args.out, f"{args.out}.outcomes.jsonl", f"{args.out}.deferred.jsonl") as chunks:
+        rows = _compile(_clean_record, (corrector, synth, args.retries), lines, args.jobs,
+                        chunks)
+        if rows is None:
+            return 1
+        deferred = sum(deferred for deferred, in rows)
+        _publish(args, {"client": args.client, "retries": args.retries},
+                 {"dialogues": len(rows), "deferred": deferred}, chunks, header=False)
+    print(f"cleaned {len(rows)} dialogues -> {args.out} ({deferred} deferred)")
     return 0
 
 
@@ -554,6 +621,11 @@ def cmd_stats(args) -> int:
                     + t.audio.duration_s
                 total_seconds += t.audio.duration_s
     total_hours = total_seconds / 3600.0
+    try:
+        total_tokens = corpus.tokens_for_hours(total_hours)
+    except ValueError as exc:  # durations whose total is past the float range
+        print(f"forge: error: audio total: {exc}", file=sys.stderr)
+        return 1
     doc = {
         "dialogues": len(result.dialogues),
         "rejects": len(result.rejects),
@@ -561,7 +633,7 @@ def cmd_stats(args) -> int:
         "per_language": dict(sorted(per_language.items())),
         "flag_histogram": dict(sorted(flag_histogram.items())),
         "total_hours": total_hours,
-        "total_tokens_at_12p5hz": corpus.tokens_for_hours(total_hours),
+        "total_tokens_at_12p5hz": total_tokens,
         "budget_stats": {
             "speech": {"amount": total_hours, "unit": "hours"},
             "audio": {"amount": total_hours, "unit": "hours"},
@@ -573,8 +645,11 @@ def cmd_stats(args) -> int:
     if result.rejects:
         return 1
     if args.out:
-        _publish(args, {}, {"dialogues": len(result.dialogues)}, {args.out: [blob]},
-                 header=False)
+        with _Chunks(args.out) as chunks:
+            chunks.n = 1
+            with open(f"{args.out}.0.tmp", "w", encoding="utf-8") as fh:
+                fh.write(blob + "\n")
+            _publish(args, {}, {"dialogues": len(result.dialogues)}, chunks, header=False)
     return 0
 
 
@@ -717,6 +792,9 @@ def run(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:  # a flag value, or a path that fails to read or write
         print(f"forge: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # every output stays as it was: see _publish and _Chunks
+        print("forge: error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

@@ -5,6 +5,13 @@ strictly structural (field presence, types, enum membership); semantic
 invariants (role alternation, alignment partitions, token/duration bounds)
 are checked separately by ``validate_dialogue`` and never raise.
 
+Token ids are most of a corpus's bytes, and they stay JSON text from parse to
+output. ``parse_line`` cuts each compact id array out of the line (see
+``_decode_compact``), ``AudioTokenSpan`` keeps it as ``ids_text`` and every
+serializer splices it back in, so no id becomes an int on the way. A line the
+cut does not cover takes the full path, ``json.loads`` and an exact type
+test of each id, which alone reports rejects.
+
 ``parse_dialogue`` walks each document once. Every field gets an exact
 type test first (``type(x) is str``, an enum lookup in a frozenset). Only a
 value that fails it goes to the path-reporting helpers (``_require``,
@@ -22,11 +29,12 @@ corpora and serialization is byte-stable.
 import gc
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from seqforge import LANGUAGES
 from seqforge.captions import CaptionRecord, validate_caption
-from seqforge.manifest import canonical_json
+from seqforge.manifest import IDS_MARK, canonical_json, splice_ids
 # read_lines and NotUtf8Error live in reporting, so that eval reads text without
 # loading this data model; corpus re-exports them, as it does SchemaError.
 from seqforge.reporting import (NotUtf8Error, SchemaError, ValidationReport, Violation,
@@ -44,17 +52,55 @@ FLAG_KINDS = (
 ADAPTER_FRAME_RATE_HZ = 12.5
 
 
-@dataclass
 class AudioTokenSpan:
-    """Discrete speech tokens for one utterance (ids are opaque, >= 0)."""
+    """Discrete speech tokens for one utterance (ids are opaque, >= 0).
 
-    token_ids: list[int]
-    frame_rate_hz: float
-    duration_s: float
+    The ids are held as their compact JSON text, ids_text ("12,0,4095", empty
+    for none); AudioTokenSpan(token_ids=[...], ...) renders a list once.
+    token_ids decodes the text on first read, and from then on that list is
+    the span's ids: ids_text renders it, so a change made to it in place shows.
+    """
+
+    __slots__ = ("_text", "_ids", "frame_rate_hz", "duration_s")
+
+    def __init__(self, token_ids: list[int] | None, frame_rate_hz: float, duration_s: float,
+                 *, ids_text: str = ""):
+        self._text = ids_text if token_ids is None else canonical_json(list(token_ids))[1:-1]
+        self._ids = None
+        self.frame_rate_hz = frame_rate_hz
+        self.duration_s = duration_s
+
+    @property
+    def ids_text(self) -> str:
+        return self._text if self._ids is None else canonical_json(self._ids)[1:-1]
+
+    @property
+    def token_ids(self) -> list[int]:
+        if self._ids is None:
+            self._ids = json.loads(f"[{self._text}]")
+        return self._ids
+
+    @token_ids.setter
+    def token_ids(self, ids: list[int]) -> None:
+        self._ids = ids
 
     @property
     def n_tokens(self) -> int:
-        return len(self.token_ids)
+        if self._ids is not None:
+            return len(self._ids)
+        return self._text.count(",") + 1 if self._text else 0
+
+    def __eq__(self, other):
+        if type(other) is not AudioTokenSpan:
+            return NotImplemented
+        return ((self.ids_text, self.frame_rate_hz, self.duration_s)
+                == (other.ids_text, other.frame_rate_hz, other.duration_s))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"AudioTokenSpan(ids_text={self.ids_text!r}, "
+                f"frame_rate_hz={self.frame_rate_hz!r}, duration_s={self.duration_s!r})")
 
 
 @dataclass
@@ -135,7 +181,10 @@ def tokens_for_hours(hours: float, rate_hz: float = ADAPTER_FRAME_RATE_HZ) -> in
         raise ValueError(f"hours must be >= 0, got {hours}")
     if rate_hz <= 0:
         raise ValueError(f"rate_hz must be > 0, got {rate_hz}")
-    return _round_half_away(hours * 3600.0 * rate_hz)
+    tokens = hours * 3600.0 * rate_hz
+    if not math.isfinite(tokens):
+        raise ValueError(f"{hours} hours at {rate_hz} Hz is too many tokens to count")
+    return _round_half_away(tokens)
 
 
 # --------------------------------------------------------------------------
@@ -201,21 +250,19 @@ def _parse_items(parse, items: list, path: str, key: str, *args) -> list:
     return out
 
 
-def _parse_audio(doc, path: str, may_hold_bools: bool = True) -> AudioTokenSpan:
-    """An audio object; may_hold_bools=False promises that doc holds no bool."""
+def _parse_audio(doc, path: str) -> AudioTokenSpan:
+    """An audio object: its token_ids are an array of ints, or the text _decode_compact cut."""
     if type(doc) is not dict:
         _expect_object(doc, path)
     ids = doc.get("token_ids")
-    if type(ids) is not list:
-        ids = _expect_list(_require(doc, "token_ids", path), f"{path}.token_ids")
-    # Exact: a bool is not a token id. Bools sum as ints, so the cheaper sum
-    # test serves only where none can occur.
-    try:
-        exact = set(map(type, ids)) <= {int} if may_hold_bools else type(sum(ids)) is int
-    except (TypeError, OverflowError):  # a str, null, array or object; a float past a huge int
-        exact = False
-    if not exact:
-        raise SchemaError(f"{path}.token_ids: expected integers")
+    if type(ids) is _CutIds:
+        ids_text, ids = ids, None
+    else:
+        if type(ids) is not list:
+            ids = _expect_list(_require(doc, "token_ids", path), f"{path}.token_ids")
+        if not set(map(type, ids)) <= {int}:  # exact: a bool is not a token id
+            raise SchemaError(f"{path}.token_ids: expected integers")
+        ids_text = ""
     rate = doc.get("frame_rate_hz")
     dur = doc.get("duration_s")
     if not ((type(rate) is float or type(rate) is int)
@@ -231,7 +278,7 @@ def _parse_audio(doc, path: str, may_hold_bools: bool = True) -> AudioTokenSpan:
         finite = False
     if not finite:
         raise SchemaError(f"{path}: frame_rate_hz/duration_s must be finite numbers")
-    return AudioTokenSpan(list(ids), rate, dur)
+    return AudioTokenSpan(ids, rate, dur, ids_text=ids_text)
 
 
 def _parse_flag_span(item) -> tuple[int, tuple[int, int]]:
@@ -254,11 +301,10 @@ def _parse_flag(doc) -> QualityFlag:
     return QualityFlag(kind, _parse_items(_parse_flag_span, spans, "", "spans"))
 
 
-def _parse_turn(doc, may_hold_bools: bool = True) -> Turn:
+def _parse_turn(doc) -> Turn:
     """One turn of a corpus line or of a backfill response.
 
     A SchemaError names the offending field relative to the turn (".text: ...").
-    may_hold_bools=False promises that doc holds no bool.
     """
     if type(doc) is not dict:
         _expect_object(doc, "")
@@ -273,7 +319,7 @@ def _parse_turn(doc, may_hold_bools: bool = True) -> Turn:
         text = _expect_str(_require(doc, "text", ""), ".text")
     audio = doc.get("audio")
     if audio is not None:
-        audio = _parse_audio(audio, ".audio", may_hold_bools)
+        audio = _parse_audio(audio, ".audio")
     items = doc.get("alignment", [])
     if type(items) is not list:
         items = _expect_list(items, ".alignment")
@@ -307,13 +353,11 @@ def _parse_turn(doc, may_hold_bools: bool = True) -> Turn:
     return Turn(role, speaker, text, audio, alignment, caption)
 
 
-def parse_dialogue(doc: dict, path: str = "dialogue", may_hold_bools: bool = True) -> Dialogue:
+def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
     """Structural parse of one dialogue object. Raises SchemaError.
 
     The error names the first offending field, in document order with the
     dialogue's fields before its flags and its flags before its turns.
-    may_hold_bools=False promises that doc holds no bool, which lets the
-    token-id check skip its bool test.
     """
     if type(doc) is not dict:
         _expect_object(doc, path)
@@ -333,7 +377,7 @@ def parse_dialogue(doc: dict, path: str = "dialogue", may_hold_bools: bool = Tru
     turns = doc.get("turns")
     if type(turns) is not list:
         turns = _expect_list(_require(doc, "turns", path), f"{path}.turns")
-    turns = _parse_items(_parse_turn, turns, path, "turns", may_hold_bools)
+    turns = _parse_items(_parse_turn, turns, path, "turns")
     return Dialogue(did, turns, language, source, flags)
 
 
@@ -344,19 +388,116 @@ def iter_lines(path):
             yield line_no, stripped
 
 
-def parse_line(line_no: int, line: str) -> Dialogue | Reject:
-    """Parse one corpus line; a malformed line comes back as its Reject."""
+# A line nested deeper than this is a reject. Python's decoder recurses once per
+# level, so without a cap whether a line near the recursion limit decodes would
+# depend on the caller's stack depth, which --jobs changes.
+MAX_DEPTH = 512
+# A JSON string, or one bracket outside any string.
+_STRUCTURE = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
+
+
+def _too_deep(line: str) -> bool:
+    if line.count("[") + line.count("{") <= MAX_DEPTH:  # no scan for almost every line
+        return False
+    depth = 0
+    for token in _STRUCTURE.findall(line):
+        if token in ("[", "{"):
+            depth += 1
+            if depth > MAX_DEPTH:
+                return True
+        elif token in ("]", "}"):
+            depth -= 1
+    return False
+
+
+class _CutIds(str):
+    """The text of a token-id array that _decode_compact cut from a line."""
+
+    __slots__ = ()
+
+
+_ID_CHARS = str.maketrans("", "", "0123456789,")
+_cut: list[_CutIds] = []  # the current line's cut texts, last first
+
+
+def _hand_back(literal: str) -> _CutIds:
+    if literal != "NaN":  # Infinity or -Infinity: the full path decides
+        raise ValueError(literal)
+    return _cut.pop()
+
+
+_COMPACT_DECODER = json.JSONDecoder(parse_constant=_hand_back)
+
+
+def _compact(ids: str) -> bool:
+    """Whether ids is a non-empty run of JSON integers >= 0 joined by commas, no spaces."""
+    if not ids or ids.translate(_ID_CHARS) or ids[0] == "," or ids[-1] == "," or ",," in ids:
+        return False
+    if ids[0] == "0" and ids[1:2] not in ("", ","):
+        return False
+    at = ids.find(",0")
+    while at >= 0:  # a leading zero is not JSON
+        if ids[at + 2:at + 3] not in ("", ","):
+            return False
+        at = ids.find(",0", at + 2)
+    return True
+
+
+def _decode_compact(line: str) -> dict | None:
+    """line decoded with each compact "token_ids":[...] value left as its text.
+
+    Each array whose key follows a "{" or "," and whose text is compact is
+    replaced by the literal NaN, and the decoder's parse_constant hands the
+    cut texts back in order. A line that holds NaN itself is not cut, so every
+    NaN the decoder meets is a placeholder; a NaN cannot stand inside a
+    string, and a key follows "{" or "," only outside one. Returns None where
+    the cut does not apply or the rest does not decode (Infinity included):
+    the full path then decodes the line and reports what is wrong.
+    """
+    if "NaN" in line:
+        return None
+    pieces = line.split('"token_ids":[')
+    cut = []
+    for k in range(1, len(pieces)):
+        piece = pieces[k]
+        end = piece.find("]")
+        if end < 0 or not pieces[k - 1].endswith(("{", ",")) or not _compact(piece[:end]):
+            return None
+        cut.append(_CutIds(piece[:end]))
+        pieces[k] = "NaN" + piece[end + 1:]
+    cut.reverse()
+    _cut[:] = cut
+    try:
+        return _COMPACT_DECODER.decode('"token_ids":'.join(pieces))
+    except (ValueError, RecursionError):
+        return None
+
+
+def _parse_full(line_no: int, line: str) -> Dialogue | Reject:
+    """parse_line by json.loads and the exact walk: the path that reports rejects."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         return Reject(line_no, f"invalid JSON: {exc.msg}")
     except RecursionError:
         return Reject(line_no, "invalid JSON: nested too deeply")
-    try:  # JSON has no bool without a true or false literal
-        return parse_dialogue(doc, path="dialogue",
-                              may_hold_bools="true" in line or "false" in line)
+    try:
+        return parse_dialogue(doc)
     except SchemaError as exc:
         return Reject(line_no, str(exc))
+
+
+def parse_line(line_no: int, line: str) -> Dialogue | Reject:
+    """Parse one corpus line; a malformed line comes back as its Reject."""
+    if _too_deep(line):
+        return Reject(line_no, "invalid JSON: nested too deeply")
+    doc = _decode_compact(line)
+    if doc is not None:
+        try:
+            return parse_dialogue(doc)
+        except SchemaError:
+            pass  # the full path words the reject
+    return _parse_full(line_no, line)
 
 
 def repeated_ids(located) -> list[Reject]:
@@ -415,14 +556,21 @@ def parse_corpus(path) -> ParseResult:
 # serialization (canonical key order, compact)
 # --------------------------------------------------------------------------
 
-def _audio_dict(a: AudioTokenSpan) -> dict:
-    return {"token_ids": a.token_ids, "frame_rate_hz": a.frame_rate_hz, "duration_s": a.duration_s}
+def _audio_dict(a: AudioTokenSpan, ids: list[str] | None = None) -> dict:
+    """The audio as a JSON object. Given ids, the token ids are IDS_MARK and
+    their text is appended to ids, for splice_ids; else they are a list."""
+    if ids is None:
+        token_ids = a.token_ids
+    else:
+        ids.append(a.ids_text)
+        token_ids = IDS_MARK
+    return {"token_ids": token_ids, "frame_rate_hz": a.frame_rate_hz, "duration_s": a.duration_s}
 
 
-def _turn_dict(t: Turn) -> dict:
+def _turn_dict(t: Turn, ids: list[str] | None = None) -> dict:
     doc = {"role": t.role, "speaker_id": t.speaker_id, "text": t.text}
     if t.audio is not None:
-        doc["audio"] = _audio_dict(t.audio)
+        doc["audio"] = _audio_dict(t.audio, ids)
     doc["alignment"] = [
         {"text_range": list(s.text_range), "audio_range": list(s.audio_range), "index": s.index}
         for s in t.alignment
@@ -432,7 +580,8 @@ def _turn_dict(t: Turn) -> dict:
     return doc
 
 
-def dialogue_to_dict(d: Dialogue) -> dict:
+def dialogue_to_dict(d: Dialogue, ids: list[str] | None = None) -> dict:
+    """The dialogue as a JSON object; ids as for _audio_dict."""
     return {
         "id": d.id,
         "language": d.language,
@@ -441,12 +590,13 @@ def dialogue_to_dict(d: Dialogue) -> dict:
             {"kind": f.kind, "spans": [[ti, list(rng)] for ti, rng in f.spans]}
             for f in d.quality_flags
         ],
-        "turns": [_turn_dict(t) for t in d.turns],
+        "turns": [_turn_dict(t, ids) for t in d.turns],
     }
 
 
 def serialize_dialogue(d: Dialogue) -> str:
-    return canonical_json(dialogue_to_dict(d))
+    ids: list[str] = []
+    return splice_ids(canonical_json(dialogue_to_dict(d, ids)), "token_ids", ids)
 
 
 # --------------------------------------------------------------------------
@@ -454,14 +604,18 @@ def serialize_dialogue(d: Dialogue) -> str:
 # --------------------------------------------------------------------------
 
 def _validate_audio(report, audio: AudioTokenSpan, path: str) -> None:
-    if any(t < 0 for t in audio.token_ids):
+    if "-" in audio.ids_text:
         report.add(f"{path}.token_ids", "token ids must be >= 0")
     if audio.frame_rate_hz <= 0:
         report.add(f"{path}.frame_rate_hz", "frame rate must be > 0")
+    product = audio.duration_s * audio.frame_rate_hz
     if audio.duration_s < 0:
         report.add(f"{path}.duration_s", "duration must be >= 0")
+    elif not math.isfinite(product):
+        report.add(path, f"duration {audio.duration_s} s at {audio.frame_rate_hz} Hz "
+                         f"is too many tokens to count")
     else:
-        expected = _round_half_away(audio.duration_s * audio.frame_rate_hz)
+        expected = _round_half_away(product)
         if abs(audio.n_tokens - expected) > 1:
             report.add(
                 path,

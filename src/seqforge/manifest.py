@@ -18,14 +18,33 @@ from seqforge import __version__
 canonical_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _sorted_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode
 
+# Token-id arrays travel as their JSON text ("12,0,4095"). A value that holds
+# some is encoded with IDS_MARK in each array's place, and splice_ids puts the
+# texts in.
+IDS_MARK = "\x00"
 
-def json_digest(value) -> str:
-    """sha256 hex digest of value's canonical JSON with keys sorted."""
+
+def splice_ids(encoded: str, key: str, ids: list[str]) -> str:
+    """encoded with the value of each "<key>":IDS_MARK member replaced by the
+    next text of ids as an array, in document order.
+
+    Exact where every object key is the program's own: a string's encoding
+    never holds '":"' (a quote inside it is escaped), so each match is a
+    member named key whose value is the mark.
+    """
+    pieces = encoded.split(f'"{key}":"\\u0000"')
+    return pieces[0] + "".join(f'"{key}":[{text}]{piece}' for text, piece in zip(ids, pieces[1:]))
+
+
+def json_digest(value, ids: list[str] = ()) -> str:
+    """sha256 hex digest of value's canonical JSON with keys sorted; ids are
+    the texts of its "token_ids" marks, as for splice_ids."""
     # hashlib (~5 ms to import) is imported where used: validate loads this
     # module through the corpus model for canonical_json alone.
     import hashlib
 
-    return hashlib.sha256(_sorted_json(value).encode("utf-8")).hexdigest()
+    return hashlib.sha256(splice_ids(_sorted_json(value), "token_ids", ids)
+                          .encode("utf-8")).hexdigest()
 
 
 def file_digest(path) -> str:

@@ -218,7 +218,10 @@ def budget_check(plan: list[StageSpec], stats: dict[str, dict]) -> list[BudgetRo
                     and entry.get("unit") in BUDGET_UNITS):
                 raise SchemaError(f"{cls}: expected {{\"amount\": number >= 0, "
                                   f"\"unit\": one of {list(BUDGET_UNITS)}}}")
-            derived = _as_tokens(Budget(float(entry["amount"]), entry["unit"]))
+            try:
+                derived = _as_tokens(Budget(float(entry["amount"]), entry["unit"]))
+            except ValueError as exc:  # hours past the float range in tokens
+                raise SchemaError(f"{cls}: {exc}") from None
             if declared_tokens is None or derived is None:
                 rows.append(BudgetRow(stage.stage_id, cls, declared_tokens, derived,
                                       None, "unit_mismatch"))

@@ -211,30 +211,41 @@ class _TokenText(dict):
 
 
 _TEXT_TOKENS = _TokenText(STREAM_TEXT, ord)  # keyed by character
-_SPEECH_TOKENS = _TokenText(STREAM_SPEECH, int)
 _SPECIAL = _TokenText(STREAM_SPECIAL, SPECIAL_TOKENS.__getitem__)  # keyed by name
 _TEXT_SHIFT = _SPECIAL["TEXT_SHIFT"]
 _SPEECH_SHIFT = _SPECIAL["SPEECH_SHIFT"]
 
 
-def _interleave(text: str, speech: list[int], ratio: StreamRatio) -> tuple[str, str]:
+def _speech_run(ids: list[str]) -> str:
+    """The token text of one or more speech ids, given as their JSON texts;
+    each token has its trailing comma."""
+    return '["speech",' + '],["speech",'.join(ids) + "],"
+
+
+def _speech_tokens(ids_text: str) -> str:
+    """The token text of a span's ids_text, rendered whole."""
+    return '["speech",' + ids_text.replace(",", '],["speech",') + "]," if ids_text else ""
+
+
+def _interleave(text: str, speech: str, ratio: StreamRatio) -> tuple[str, str]:
     """Token text and speech-loss mask text of one assistant block's content.
 
-    The streams merge as repeating n-text/m-speech runs, no run empty and a
-    shift token before every run but the first. With a = ceil(len(text)/n)
-    and b = ceil(len(speech)/m), the first min(a, b) - 1 pairs are full
-    chunks, the last pair takes the rest of the stream that runs out first,
-    and if a > b one text run follows. Only speech tokens carry loss.
+    speech is the block's ids_text. The streams merge as repeating
+    n-text/m-speech runs, no run empty and a shift token before every run but
+    the first. With a = ceil(len(text)/n) and b = ceil(len(speech ids)/m), the
+    first min(a, b) - 1 pairs are full chunks, the last pair takes the rest of
+    the stream that runs out first, and if a > b one text run follows. Only
+    speech tokens carry loss.
     """
     n, m = ratio.n_text, ratio.m_speech
     t = list(map(_TEXT_TOKENS.__getitem__, text))
-    s = list(map(_SPEECH_TOKENS.__getitem__, speech))
+    s = speech.split(",") if speech else []
     if not t or not s:
-        return "".join(t) + "".join(s), "0," * len(t) + "1," * len(s)
+        return "".join(t) + _speech_tokens(speech), "0," * len(t) + "1," * len(s)
     pairs = min(-(-len(t) // n), -(-len(s) // m))
     text_runs = ["".join(t[i:i + n]) for i in range(0, pairs * n, n)]
-    speech_runs = ["".join(s[i:i + m]) for i in range(0, (pairs - 1) * m, m)]
-    speech_runs.append("".join(s[(pairs - 1) * m:]))
+    speech_runs = [_speech_run(s[i:i + m]) for i in range(0, (pairs - 1) * m, m)]
+    speech_runs.append(_speech_run(s[(pairs - 1) * m:]))
     tokens = _TEXT_SHIFT.join(map(_SPEECH_SHIFT.join, zip(text_runs, speech_runs)))
     mask = (("0," * (n + 1) + "1," * m + "0,") * (pairs - 1)
             + "0," * (min(n, len(t) - (pairs - 1) * n) + 1) + "1," * (len(s) - (pairs - 1) * m))
@@ -275,37 +286,37 @@ def assemble(
     if reference.dialogue_id == dialogue.id:
         raise AssembleError("reference audio must come from an independent sample")
 
-    speech_token = _SPEECH_TOKENS.__getitem__
     role_assistant, role_user = _SPECIAL["ROLE_ASSISTANT"], _SPECIAL["ROLE_USER"]
     eos = _SPECIAL["EOS"]
-    ref_ids = reference.span.token_ids
-    tokens = [_SPECIAL["REF_START"], *map(speech_token, ref_ids), _SPECIAL["REF_END"]]
-    mask = ["0," * (len(ref_ids) + 2)]
+    ref = reference.span
+    tokens = [_SPECIAL["REF_START"], _speech_tokens(ref.ids_text), _SPECIAL["REF_END"]]
+    mask = ["0," * (ref.n_tokens + 2)]
     if mode == "dialogue":
         for i, turn in enumerate(dialogue.turns):
             if turn.role == "assistant":
                 if turn.audio is None:
                     raise AssembleError(f"assistant turn {i} has no audio")
-                content, content_mask = _interleave(turn.text, turn.audio.token_ids, ratio)
+                content, content_mask = _interleave(turn.text, turn.audio.ids_text, ratio)
                 tokens += (role_assistant, content, eos)
                 mask += ("0,", content_mask, "0,")
             elif turn.audio is not None:
-                tokens += (role_user, "".join(map(speech_token, turn.audio.token_ids)), eos)
-                mask.append("0," * (len(turn.audio.token_ids) + 2))
+                tokens += (role_user, _speech_tokens(turn.audio.ids_text), eos)
+                mask.append("0," * (turn.audio.n_tokens + 2))
             else:
                 tokens += (role_user, "".join(map(_TEXT_TOKENS.__getitem__, turn.text)), eos)
                 mask.append("0," * (len(turn.text) + 2))
     else:
         # One assistant block over every turn; standard_sentence has exactly one.
         texts: list[str] = []
-        speech: list[int] = []
+        speech: list[str] = []
         for i, turn in enumerate(dialogue.turns):
             if turn.audio is None:
                 raise AssembleError(f"long_text turn {i} has no audio" if mode == "long_text"
                                     else "standard_sentence utterance has no audio")
             texts.append(turn.text)
-            speech += turn.audio.token_ids
-        content, content_mask = _interleave("".join(texts), speech, ratio)
+            if turn.audio.ids_text:
+                speech.append(turn.audio.ids_text)
+        content, content_mask = _interleave("".join(texts), ",".join(speech), ratio)
         tokens += (role_assistant, content, eos)
         mask += ("0,", content_mask, "0,")
 

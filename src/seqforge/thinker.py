@@ -11,10 +11,11 @@ Determinism contract: the per-dialogue random stream is derived from
 Outputs are therefore invariant under sharding and worker count.
 """
 import functools
+import json
 from dataclasses import dataclass, field
 
 from seqforge.corpus import AlignmentSpan, Dialogue
-from seqforge.manifest import canonical_json, json_digest
+from seqforge.manifest import IDS_MARK, canonical_json, json_digest, splice_ids
 from seqforge.seeding import DetRng, derive_seed
 
 TEXT = "text"
@@ -50,9 +51,13 @@ class Element:
     modality: str
     role: str
     text: str | None
-    tokens: list[int] | None
+    ids_text: str | None  # a speech element's token ids as JSON text, as in AudioTokenSpan
     loss_target: bool
     origin: tuple[str, int, int]  # (dialogue_id, turn_index, segment_index)
+
+    @property
+    def tokens(self) -> list[int] | None:
+        return None if self.ids_text is None else json.loads(f"[{self.ids_text}]")
 
 
 @dataclass
@@ -100,7 +105,7 @@ def interleave_dialogue(
                         f"dialogue {dialogue.id!r} turn {i}: speech modality drawn "
                         f"but the turn has no audio"
                     )
-                elements.append(Element(SPEECH, "user", None, turn.audio.token_ids,
+                elements.append(Element(SPEECH, "user", None, turn.audio.ids_text,
                                         False, (dialogue.id, i, 0)))
             else:
                 elements.append(Element(TEXT, "user", turn.text, None,
@@ -112,6 +117,7 @@ def interleave_dialogue(
         spans = turn.alignment or (AlignmentSpan((0, len(turn.text)), (0, 0), 0),)
         turn_masks = masks_by_turn.get(i, ())
         last = len(spans) - 1
+        ids = None  # the turn's id texts, split on the first speech segment
         for k, span in enumerate(spans):
             if k < last and rng.uniform() < policy.p_assistant_segment_speech:
                 if turn.audio is None:
@@ -119,8 +125,10 @@ def interleave_dialogue(
                         f"dialogue {dialogue.id!r} turn {i} segment {k}: speech "
                         f"modality drawn but the segment has no audio tokens"
                     )
+                if ids is None:
+                    ids = turn.audio.ids_text.split(",")
                 aus, aue = span.audio_range
-                elements.append(Element(SPEECH, "assistant", None, turn.audio.token_ids[aus:aue],
+                elements.append(Element(SPEECH, "assistant", None, ",".join(ids[aus:aue]),
                                         False, (dialogue.id, i, span.index)))
             else:
                 ts, te = span.text_range
@@ -141,14 +149,19 @@ def extract_loss_targets(seq: TrainingSequence) -> list[tuple[tuple[str, int, in
     return [(e.origin, e.text) for e in seq.elements if e.loss_target]
 
 
-def sequence_to_dict(seq: TrainingSequence) -> dict:
+def sequence_to_dict(seq: TrainingSequence, ids: list[str] | None = None) -> dict:
+    """The sequence as a JSON object. Given ids, each speech element's tokens
+    are IDS_MARK and their text is appended to ids, for splice_ids."""
     elements = []
     for e in seq.elements:
         doc = {"modality": e.modality, "role": e.role}
         if e.modality == TEXT:
             doc["text"] = e.text
-        else:
+        elif ids is None:
             doc["tokens"] = e.tokens
+        else:
+            ids.append(e.ids_text)
+            doc["tokens"] = IDS_MARK
         doc["loss_target"] = e.loss_target
         doc["origin"] = list(e.origin)
         elements.append(doc)
@@ -156,4 +169,5 @@ def sequence_to_dict(seq: TrainingSequence) -> dict:
 
 
 def serialize_sequence(seq: TrainingSequence) -> str:
-    return canonical_json(sequence_to_dict(seq))
+    ids: list[str] = []
+    return splice_ids(canonical_json(sequence_to_dict(seq, ids)), "tokens", ids)

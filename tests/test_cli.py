@@ -530,6 +530,114 @@ def test_corpus_commands_reject_lines_json_cannot_hold(tmp_path, capsys, monkeyp
         assert not list(tmp_path.glob("o.jsonl*"))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_nesting_near_the_recursion_limit_is_one_reject_at_any_jobs(tmp_path, jobs):
+    """Valid dialogues with an unknown field nested 960-996 deep are rejects at
+    --jobs 1 and 2 alike: whether such a line decoded once depended on the
+    caller's stack depth. A fresh `forge` process, so the stack is a real one."""
+    lines = list(map(corpus_mod.serialize_dialogue, synthetic.synth_corpus(11, 3)))
+    for k, depth in enumerate(range(960, 997, 4), 1):
+        lines[k] = '{"extra":' + "[" * depth + "]" * depth + "," + lines[k][1:]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "seqforge", "build-thinker", "--corpus", str(path),
+                           "--seed", "1", "--out", str(out), "--jobs", jobs],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "".join(
+        f"reject line {k}: invalid JSON: nested too deeply\n" for k in range(2, 12)))
+    assert not list(tmp_path.glob("o.jsonl*"))
+
+
+def _with_duration(tmp_path, duration: str):
+    """A two-dialogue corpus whose first turn lasts duration seconds."""
+    lines = list(map(corpus_mod.serialize_dialogue, synthetic.synth_corpus(2, 3)))
+    lines[0] = re.sub('"duration_s":[^,}]+', f'"duration_s":{duration}', lines[0], count=1)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_validate_reports_a_duration_too_long_to_count(tmp_path, capsys):
+    path = _with_duration(tmp_path, "1e308")
+    assert run(["validate", "--corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["violations"] == [
+        {"path": "synth-000000.turns[0].audio",
+         "message": "duration 1e+308 s at 12.5 Hz is too many tokens to count"}]
+    assert captured.err == ""
+
+
+def test_stats_of_durations_too_long_to_count_is_one_error(tmp_path, capsys):
+    path = _with_duration(tmp_path, "1e308")
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--corpus", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "forge: error: audio total: 2.777777777777778e+304 hours "
+                                       "at 12.5 Hz is too many tokens to count\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
+def test_plan_budget_of_hours_too_many_to_count_is_a_usage_error(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"speech": {"amount": 1e308, "unit": "hours"}}', encoding="utf-8")
+    assert run(["plan", "budget", "--stats", str(stats)]) == 2
+    assert capsys.readouterr() == ("", f"forge: error: --stats {stats}: speech: 1e+308 hours "
+                                       f"at 12.5 Hz is too many tokens to count\n")
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("command, where, jobs", [
+    ("build-talker", "record", "1"),
+    ("build-talker", "publish", "1"),
+    ("build-talker", "publish", "2"),
+    ("build-talker", "pool", "2"),
+    ("clean", "publish", "2"),
+    ("build-thinker", "pool", "2"),
+])
+def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
+        tmp_path, capsys, monkeypatch, command, where, jobs):
+    """KeyboardInterrupt from a record, from _publish or in the parent while
+    the workers map: exit 130 with one line, no .tmp file and no chunk file."""
+    import multiprocessing.pool
+
+    path = write_corpus(tmp_path, synthetic.synth_corpus(12, 3, speaker_pool=2))  # no skips
+    out = tmp_path / "o.jsonl"
+    argv = [command, "--corpus", str(path), "--out", str(out), "--jobs", jobs]
+    argv += ["--client", "mock"] if command == "clean" else ["--seed", "1"]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    if where == "record":
+        real, calls = cli._talker_record, []
+
+        def record(state, task):  # the fourth record is interrupted
+            calls.append(task)
+            return _interrupt() if len(calls) == 4 else real(state, task)
+        monkeypatch.setattr(cli, "_talker_record", record)
+    elif where == "publish":
+        monkeypatch.setattr(cli, "_append", _interrupt)
+    else:
+        real_map = multiprocessing.pool.Pool.map
+
+        def map_(self, *args, **kwargs):  # arrives once the workers wrote their chunks
+            real_map(self, *args, **kwargs)
+            raise KeyboardInterrupt
+        monkeypatch.setattr(multiprocessing.pool.Pool, "map", map_)
+    try:
+        code = run(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped run()")
+    assert code == 130
+    assert capsys.readouterr().err == "forge: error: interrupted\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_stats_leaves_a_repeated_line_out_of_its_totals(tmp_path, capsys):
     dialogues = synthetic.synth_corpus(4, 2)
     kept = write_corpus(tmp_path, dialogues[:3], name="kept.jsonl")

@@ -145,6 +145,37 @@ def test_parse_corpus_restores_the_gc_state(tmp_path, enabled, content):
         (gc.enable if was_enabled else gc.disable)()
 
 
+@pytest.mark.parametrize("past_cap, ok", [(0, True), (1, False)])
+def test_parse_line_caps_the_nesting_depth(past_cap, ok):
+    line = corpus.serialize_dialogue(make_dialogue("d"))
+    # an unknown field that takes the line to MAX_DEPTH + past_cap
+    depth = corpus.MAX_DEPTH + past_cap
+    deep = '{"extra":' + "[" * (depth - 1) + "]" * (depth - 1) + "," + line[1:]
+    expected = corpus.parse_line(3, line) if ok else corpus.Reject(
+        3, "invalid JSON: nested too deeply")
+    assert corpus.parse_line(3, deep) == expected
+
+
+def test_parse_line_counts_no_bracket_inside_a_string():
+    d = make_dialogue("d")
+    d.turns[0].text = '[{\\"' * corpus.MAX_DEPTH
+    assert corpus.parse_line(1, corpus.serialize_dialogue(d)) == d
+
+
+def test_audio_token_span_keeps_ids_as_text():
+    span = AudioTokenSpan([0, 10 ** 30, 7], 12.5, 0.24)
+    assert (span.ids_text, span.n_tokens) == ("0,1000000000000000000000000000000,7", 3)
+    assert span == AudioTokenSpan(None, 12.5, 0.24, ids_text=span.ids_text)
+    assert (AudioTokenSpan([], 12.5, 0.0).ids_text, AudioTokenSpan([], 12.5, 0.0).n_tokens) \
+        == ("", 0)
+    # token_ids is a decoded view; once read, a change made to it in place shows
+    span.token_ids[1] = -1
+    assert (span.ids_text, span.n_tokens) == ("0,-1,7", 3)
+    span.token_ids = [5]
+    assert (span.ids_text, span.n_tokens) == ("5", 1)
+    assert copy.deepcopy(span) == span
+
+
 def test_parse_rejects_invalid_json_and_bad_enum(corpus_file):
     bad_enum = json.dumps({"id": "x", "language": "klingon", "source": "synthetic", "turns": []})
     path = corpus_file([], extra_lines=["{not json", bad_enum])
@@ -782,6 +813,13 @@ def test_validate_token_duration_bound():
     d = Dialogue(id="d", turns=[turn])
     report = validate_dialogue(d)
     assert any("rounding bound" in v.message for v in report.violations)
+
+
+def test_validate_reports_a_duration_too_long_to_count():
+    d = make_dialogue("d")
+    d.turns[0].audio.duration_s = 1e308
+    assert [str(v) for v in validate_dialogue(d).violations] == [
+        "turns[0].audio: duration 1e+308 s at 12.5 Hz is too many tokens to count"]
 
 
 def test_validate_flag_rules():

@@ -6,13 +6,17 @@ non-compact array among compact ones, and token_ids keys inside unknown
 fields. They do not move unless the output format changes on purpose.
 """
 import hashlib
+import random
+import re
 
 import pytest
 
+from seqforge import corpus, thinker
 from seqforge.cli import run
 from seqforge.corpus import serialize_dialogue
 
 import synthetic
+from test_digests import EXPECTED, _digests
 
 FLAG_KINDS = (None, "logic_contradiction_correctable", "missing_context",
               "logic_contradiction_severe")
@@ -117,3 +121,169 @@ def test_talker_bodies_of_every_id_form_are_frozen(tmp_path, monkeypatch, capsys
                 "--ratio", "3:4", "--out", "talker.jsonl", "--jobs", jobs]) == 0
     assert "(1 skipped)" in capsys.readouterr().out
     assert _body_sha("talker.jsonl") == TALKER_EXPECTED[mode]
+
+
+# --------------------------------------------------------------------------
+# the compact cut against the full path
+# --------------------------------------------------------------------------
+
+def _outcome(item) -> str:
+    return item.reason if isinstance(item, corpus.Reject) else corpus.serialize_dialogue(item)
+
+
+def _array_spans(line: str) -> list[tuple[int, int]]:
+    """[start, end) of the text inside each "token_ids":[...] of line."""
+    spans, at = [], line.find('"token_ids":[')
+    while at >= 0:
+        start = at + len('"token_ids":[')
+        spans.append((start, line.index("]", start)))
+        at = line.find('"token_ids":[', start)
+    return spans
+
+
+def _edit_ids(rng: random.Random, line: str, edit) -> str:
+    """line with one id array's text replaced by edit(ids)."""
+    start, end = rng.choice(_array_spans(line))
+    return line[:start] + edit(line[start:end].split(","), rng) + line[end:]
+
+
+def _swap_id(value: str):
+    def edit(ids, rng):
+        ids[rng.randrange(len(ids))] = value
+        return ",".join(ids)
+    return edit
+
+
+def _at_number(value: str):
+    """Put value in place of a random number outside the id arrays."""
+    def mutate(rng, line):
+        sites = [m.span() for m in re.finditer(r'(?<=[:\[,])-?\d+(?:\.\d+)?(?:e[+-]?\d+)?', line)
+                 if not any(s <= m.start() < e for s, e in _array_spans(line))]
+        start, end = rng.choice(sites)
+        return line[:start] + value + line[end:]
+    return mutate
+
+
+def _in_text(value: str):
+    def mutate(rng, line):
+        at = line.index('"text":"') + len('"text":"')
+        return line[:at] + value + line[at:]
+    return mutate
+
+
+def _escaped_key(rng, line):
+    """A key holding a quote and token_ids, after a run of 0 to 4 backslashes."""
+    run = "\\" * rng.randrange(5)
+    return '{"x' + run + '"token_ids":[1,2],' + line[1:]
+
+
+def _duplicate_key(rng, line):
+    start, end = rng.choice(_array_spans(line))
+    second = rng.choice(["9,9", "", "1, 2", "01", "true"])
+    return line[:end] + '],"token_ids":[' + second + line[end:]
+
+
+# name -> mutation of a compact corpus line
+DIFFERENTIAL_MUTATIONS = {
+    "escaped-key": _escaped_key,
+    "duplicate-key": _duplicate_key,
+    "text-with-key": _in_text('\\"token_ids\\":[1,2]'),
+    "text-with-backslashes": _in_text('\\\\\\\\\\"token_ids\\":[3],'),
+    "text-nan": _in_text("NaN"),
+    "id-nan": lambda rng, line: _edit_ids(rng, line, _swap_id("NaN")),
+    "id-infinity": lambda rng, line: _edit_ids(rng, line, _swap_id("Infinity")),
+    "number-nan": _at_number("NaN"),
+    "number-infinity": _at_number("Infinity"),
+    "number-minus-infinity": _at_number("-Infinity"),
+    "extra-infinity": lambda rng, line: '{"extra":[Infinity],' + line[1:],
+    "leading-zero": lambda rng, line: _edit_ids(rng, line, _swap_id("0" + str(rng.randrange(10)))),
+    "first-leading-zero": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: "00," + ",".join(ids)),
+    "zero": lambda rng, line: _edit_ids(rng, line, _swap_id("0")),
+    "big": lambda rng, line: _edit_ids(rng, line, _swap_id(str(10 ** 30))),
+    "minus-one": lambda rng, line: _edit_ids(rng, line, _swap_id("-1")),
+    "float": lambda rng, line: _edit_ids(rng, line, _swap_id("1.0")),
+    "exponent": lambda rng, line: _edit_ids(rng, line, _swap_id("1e2")),
+    "true": lambda rng, line: _edit_ids(rng, line, _swap_id("true")),
+    "null": lambda rng, line: _edit_ids(rng, line, _swap_id("null")),
+    "nested": lambda rng, line: _edit_ids(rng, line, _swap_id("[1]")),
+    "empty-element": lambda rng, line: _edit_ids(rng, line, _swap_id("")),
+    "empty-array": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: ""),
+    "space-after-comma": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: ", ".join(ids)),
+    "space-inside": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: " " + ",".join(ids) + " "),
+    "space-before-array": lambda rng, line: line.replace('"token_ids":[', '"token_ids": [', 1),
+    "unclosed": lambda rng, line: line[:line.rindex("]")],
+    "extra-bracket": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: ",".join(ids) + "]"),
+    "unknown-field": lambda rng, line: '{"extra":{"token_ids":[5,6]},' + line[1:],
+    "unchanged": lambda rng, line: line,
+}
+
+
+def _differential_cases(seed: int) -> list[tuple[str, str]]:
+    rng = random.Random(seed)
+    dialogues = synthetic.synth_corpus(12, seed, n_turns=3, with_captions=True,
+                                       flag_kind="logic_contradiction_severe")
+    lines = [corpus.serialize_dialogue(d) for d in dialogues]
+    cases = []
+    for name, mutate in DIFFERENTIAL_MUTATIONS.items():
+        for _ in range(8):
+            line = rng.choice(lines)
+            for _ in range(rng.choice((1, 1, 2))):  # some lines take two mutations
+                line = mutate(rng, line)
+            cases.append((name, line))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_compact_cut_agrees_with_the_full_path(seed):
+    cut = declined = 0
+    for name, line in _differential_cases(seed):
+        assert _outcome(corpus.parse_line(1, line)) == _outcome(corpus._parse_full(1, line)), \
+            (name, line)
+        if corpus._decode_compact(line) is None:
+            declined += 1
+        else:
+            cut += 1
+    assert cut > 40 and declined > 100, (cut, declined)
+
+
+@pytest.mark.parametrize("line", [
+    '{"x\\"token_ids":[1],"id":"d"}',
+    '{"id":"d","turns":[],"language":"en","source":"podcast","t":"NaN","token_ids":[1]}',
+    '{"token_ids":[1],"token_ids":[2, 3]}',
+])
+def test_the_compact_cut_declines(line):
+    assert corpus._decode_compact(line) is None
+
+
+def test_the_compact_cut_keeps_each_array_as_text():
+    line = ('{"a":{"token_ids":[0,10,1000000000000000000000000000000]},'
+            '"b":[{"token_ids":[7]},{"token_ids":[1],"token_ids":[2,3]}]}')
+    assert corpus._decode_compact(line) == {
+        "a": {"token_ids": "0,10,1000000000000000000000000000000"},
+        "b": [{"token_ids": "7"}, {"token_ids": "2,3"}]}
+
+
+# --------------------------------------------------------------------------
+# the commands never decode token ids
+# --------------------------------------------------------------------------
+
+def _no_decoding(_):
+    raise AssertionError("token ids decoded")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_commands_never_decode_token_ids(tmp_path, monkeypatch, capsys, jobs):
+    """Every command keeps ids as text: with the decoded views patched to raise,
+    each still succeeds and gives the frozen bytes."""
+    monkeypatch.chdir(tmp_path)
+    for mode in TALKER_EXPECTED:  # written first: the edits read token_ids
+        _talker_corpus(mode, f"{mode}.jsonl")
+    monkeypatch.setattr(corpus.AudioTokenSpan, "token_ids", property(_no_decoding))
+    monkeypatch.setattr(thinker.Element, "tokens", property(_no_decoding))
+    assert _digests(jobs) == EXPECTED
+    assert run(["validate", "--corpus", "corpus.jsonl"]) == 0
+    assert run(["validate", "--corpus", "cleaned.jsonl"]) == 0
+    for mode in TALKER_EXPECTED:
+        assert run(["build-talker", "--corpus", f"{mode}.jsonl", "--seed", "6", "--mode", mode,
+                    "--ratio", "3:4", "--out", "talker.jsonl", "--jobs", jobs]) == 0
+        assert _body_sha("talker.jsonl") == TALKER_EXPECTED[mode]
