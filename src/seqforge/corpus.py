@@ -417,7 +417,9 @@ class _CutIds(str):
 
 
 _ID_CHARS = str.maketrans("", "", "0123456789,")
-_cut: list[_CutIds] = []  # the current line's cut texts, last first
+# The texts _decode_compact cut from the line it is decoding, last first; set
+# just before each decode, and _hand_back drains it during that decode.
+_cut: list[_CutIds] = []
 
 
 def _hand_back(literal: str) -> _CutIds:

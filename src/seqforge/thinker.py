@@ -149,25 +149,19 @@ def extract_loss_targets(seq: TrainingSequence) -> list[tuple[tuple[str, int, in
     return [(e.origin, e.text) for e in seq.elements if e.loss_target]
 
 
-def sequence_to_dict(seq: TrainingSequence, ids: list[str] | None = None) -> dict:
-    """The sequence as a JSON object. Given ids, each speech element's tokens
-    are IDS_MARK and their text is appended to ids, for splice_ids."""
+def serialize_sequence(seq: TrainingSequence) -> str:
+    """The sequence as one canonical JSON line; speech tokens are spliced in as text."""
+    ids: list[str] = []
     elements = []
     for e in seq.elements:
         doc = {"modality": e.modality, "role": e.role}
         if e.modality == TEXT:
             doc["text"] = e.text
-        elif ids is None:
-            doc["tokens"] = e.tokens
         else:
             ids.append(e.ids_text)
             doc["tokens"] = IDS_MARK
         doc["loss_target"] = e.loss_target
         doc["origin"] = list(e.origin)
         elements.append(doc)
-    return {"dialogue_id": seq.dialogue_id, "elements": elements, "manifest": seq.manifest}
-
-
-def serialize_sequence(seq: TrainingSequence) -> str:
-    ids: list[str] = []
-    return splice_ids(canonical_json(sequence_to_dict(seq, ids)), "tokens", ids)
+    doc = {"dialogue_id": seq.dialogue_id, "elements": elements, "manifest": seq.manifest}
+    return splice_ids(canonical_json(doc), "tokens", ids)

@@ -4,6 +4,11 @@ Frozen digests of clean, build-thinker and every build-talker mode on corpora
 whose lines hold ids 0 and 10**30, an empty id array, one line with a
 non-compact array among compact ones, and token_ids keys inside unknown
 fields. They do not move unless the output format changes on purpose.
+
+corpus.parse_line cuts compact id arrays out of a line as text and leaves
+every other line to the full json.loads path: a seeded differential test
+holds the two paths to the same dialogue or reject text, and a guard runs
+every corpus command with the decoded views of the ids patched to raise.
 """
 import hashlib
 import random
@@ -141,17 +146,20 @@ def _array_spans(line: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _edit_ids(rng: random.Random, line: str, edit) -> str:
-    """line with one id array's text replaced by edit(ids)."""
-    start, end = rng.choice(_array_spans(line))
-    return line[:start] + edit(line[start:end].split(","), rng) + line[end:]
+def _on_ids(edit):
+    """A mutation that replaces one id array's text with edit(its ids)."""
+    def mutate(rng, line):
+        start, end = rng.choice(_array_spans(line))
+        ids = line[start:end].split(",")
+        return line[:start] + edit(ids, rng) + line[end:]
+    return mutate
 
 
 def _swap_id(value: str):
     def edit(ids, rng):
         ids[rng.randrange(len(ids))] = value
         return ",".join(ids)
-    return edit
+    return _on_ids(edit)
 
 
 def _at_number(value: str):
@@ -190,29 +198,31 @@ DIFFERENTIAL_MUTATIONS = {
     "text-with-key": _in_text('\\"token_ids\\":[1,2]'),
     "text-with-backslashes": _in_text('\\\\\\\\\\"token_ids\\":[3],'),
     "text-nan": _in_text("NaN"),
-    "id-nan": lambda rng, line: _edit_ids(rng, line, _swap_id("NaN")),
-    "id-infinity": lambda rng, line: _edit_ids(rng, line, _swap_id("Infinity")),
+    "id-nan": _swap_id("NaN"),
+    "id-infinity": _swap_id("Infinity"),
     "number-nan": _at_number("NaN"),
     "number-infinity": _at_number("Infinity"),
     "number-minus-infinity": _at_number("-Infinity"),
     "extra-infinity": lambda rng, line: '{"extra":[Infinity],' + line[1:],
-    "leading-zero": lambda rng, line: _edit_ids(rng, line, _swap_id("0" + str(rng.randrange(10)))),
-    "first-leading-zero": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: "00," + ",".join(ids)),
-    "zero": lambda rng, line: _edit_ids(rng, line, _swap_id("0")),
-    "big": lambda rng, line: _edit_ids(rng, line, _swap_id(str(10 ** 30))),
-    "minus-one": lambda rng, line: _edit_ids(rng, line, _swap_id("-1")),
-    "float": lambda rng, line: _edit_ids(rng, line, _swap_id("1.0")),
-    "exponent": lambda rng, line: _edit_ids(rng, line, _swap_id("1e2")),
-    "true": lambda rng, line: _edit_ids(rng, line, _swap_id("true")),
-    "null": lambda rng, line: _edit_ids(rng, line, _swap_id("null")),
-    "nested": lambda rng, line: _edit_ids(rng, line, _swap_id("[1]")),
-    "empty-element": lambda rng, line: _edit_ids(rng, line, _swap_id("")),
-    "empty-array": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: ""),
-    "space-after-comma": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: ", ".join(ids)),
-    "space-inside": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: " " + ",".join(ids) + " "),
+    "leading-zero": _on_ids(lambda ids, rng: ",".join(ids[:-1] + ["0" + ids[-1]])),
+    "first-leading-zero": _on_ids(lambda ids, rng: "00," + ",".join(ids)),
+    "zero": _swap_id("0"),
+    "big": _swap_id(str(10 ** 30)),
+    "minus-one": _swap_id("-1"),
+    "float": _swap_id("1.0"),
+    "exponent": _swap_id("1e2"),
+    "true": _swap_id("true"),
+    "null": _swap_id("null"),
+    "nested": _swap_id("[1]"),
+    "empty-element": _swap_id(""),
+    "leading-comma": _on_ids(lambda ids, rng: "," + ",".join(ids)),
+    "trailing-comma": _on_ids(lambda ids, rng: ",".join(ids) + ","),
+    "empty-array": _on_ids(lambda ids, rng: ""),
+    "space-after-comma": _on_ids(lambda ids, rng: ", ".join(ids)),
+    "space-inside": _on_ids(lambda ids, rng: " " + ",".join(ids) + " "),
     "space-before-array": lambda rng, line: line.replace('"token_ids":[', '"token_ids": [', 1),
     "unclosed": lambda rng, line: line[:line.rindex("]")],
-    "extra-bracket": lambda rng, line: _edit_ids(rng, line, lambda ids, rng: ",".join(ids) + "]"),
+    "extra-bracket": _on_ids(lambda ids, rng: ",".join(ids) + "]"),
     "unknown-field": lambda rng, line: '{"extra":{"token_ids":[5,6]},' + line[1:],
     "unchanged": lambda rng, line: line,
 }
