@@ -30,6 +30,7 @@ import gc
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 from seqforge import LANGUAGES
@@ -95,8 +96,6 @@ class AudioTokenSpan:
             return NotImplemented
         return ((self.ids_text, self.frame_rate_hz, self.duration_s)
                 == (other.ids_text, other.frame_rate_hz, other.duration_s))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (f"AudioTokenSpan(ids_text={self.ids_text!r}, "
@@ -442,7 +441,9 @@ def _compact(ids: str) -> bool:
         if ids[at + 2:at + 3] not in ("", ","):
             return False
         at = ids.find(",0", at + 2)
-    return True
+    # An id longer than this is a decode error to json.loads, so the full path words it.
+    limit = sys.get_int_max_str_digits()
+    return not (limit and len(ids) > limit and max(map(len, ids.split(","))) > limit)
 
 
 def _decode_compact(line: str) -> dict | None:
@@ -481,6 +482,8 @@ def _parse_full(line_no: int, line: str) -> Dialogue | Reject:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         return Reject(line_no, f"invalid JSON: {exc.msg}")
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        return Reject(line_no, f"invalid JSON: {exc}")
     except RecursionError:
         return Reject(line_no, "invalid JSON: nested too deeply")
     try:

@@ -163,5 +163,5 @@ def serialize_sequence(seq: TrainingSequence) -> str:
         doc["loss_target"] = e.loss_target
         doc["origin"] = list(e.origin)
         elements.append(doc)
-    doc = {"dialogue_id": seq.dialogue_id, "elements": elements, "manifest": seq.manifest}
-    return splice_ids(canonical_json(doc), "tokens", ids)
+    sequence = {"dialogue_id": seq.dialogue_id, "elements": elements, "manifest": seq.manifest}
+    return splice_ids(canonical_json(sequence), "tokens", ids)

@@ -162,6 +162,16 @@ def test_parse_line_counts_no_bracket_inside_a_string():
     assert corpus.parse_line(1, corpus.serialize_dialogue(d)) == d
 
 
+@pytest.mark.parametrize("sep", [",", ", "])
+def test_parse_line_rejects_an_id_too_long_to_convert(sep):
+    """json.loads refuses an int of more than sys.get_int_max_str_digits()
+    digits; compact or not, the line is a reject, never a traceback."""
+    line = corpus.serialize_dialogue(make_dialogue("d"))
+    line = line.replace('"token_ids":[', '"token_ids":[' + "9" * 5000 + sep, 1)
+    reason = corpus.parse_line(4, line).reason
+    assert reason.startswith("invalid JSON: Exceeds the limit (4300 digits)"), reason
+
+
 def test_audio_token_span_keeps_ids_as_text():
     span = AudioTokenSpan([0, 10 ** 30, 7], 12.5, 0.24)
     assert (span.ids_text, span.n_tokens) == ("0,1000000000000000000000000000000,7", 3)

@@ -208,6 +208,7 @@ DIFFERENTIAL_MUTATIONS = {
     "first-leading-zero": _on_ids(lambda ids, rng: "00," + ",".join(ids)),
     "zero": _swap_id("0"),
     "big": _swap_id(str(10 ** 30)),
+    "too-many-digits": _swap_id("9" * 4301),
     "minus-one": _swap_id("-1"),
     "float": _swap_id("1.0"),
     "exponent": _swap_id("1e2"),
