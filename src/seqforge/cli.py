@@ -16,8 +16,9 @@ from seqforge import LANGUAGES, __version__
 
 # Each command imports the modules only it needs, so no command pays for
 # loading the others': eval, plan, templates and loss-check never load the
-# corpus data model or manifests, only loss-check loads numpy, only --jobs > 1
-# loads multiprocessing, and --version loads no seqforge module but this one.
+# corpus data model, the corpus commands' driver or manifests, only loss-check
+# loads numpy, only --jobs > 1 loads multiprocessing, and --version loads no
+# seqforge module but this one.
 
 
 class UsageError(Exception):
@@ -95,22 +96,6 @@ def _http_config(path) -> tuple[str, str, float]:
     return cfg["corrector_url"], cfg["synth_url"], float(timeout)
 
 
-def _manifest_command(argv: list[str]) -> str:
-    """Recorded command line with worker topology stripped.
-
-    --jobs changes execution layout, never output bytes, so it must not make
-    otherwise-identical runs produce different manifests.
-    """
-    kept = []
-    args = iter(argv)
-    for arg in args:
-        if arg == "--jobs":
-            next(args, None)  # its value
-        elif not arg.startswith("--jobs="):
-            kept.append(arg)
-    return " ".join(kept)
-
-
 def _print_report(doc) -> str:
     """Print a report as indented JSON; return its text."""
     text = json.dumps(doc, ensure_ascii=False, indent=2)
@@ -137,173 +122,13 @@ def cmd_validate(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# corpus compilers: ordered map -> gate on rejects -> publish
-# --------------------------------------------------------------------------
-
-class _Failed(str):
-    """Message of a record whose error fails the whole command (exit 1)."""
-
-
-class _Chunks:
-    """The chunk files of one run: <path>.<k>.tmp holds chunk k's lines of the
-    output at path. The process that computes a chunk writes them, so output
-    rows never cross a pipe, and _publish appends them in order. No chunk file
-    outlives the with block."""
-
-    def __init__(self, *paths: str):
-        self.paths = paths
-        self.n = 0  # chunks written or being written
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for k in range(self.n):
-            for path in self.paths:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(f"{path}.{k}.tmp")
-
-
-def _write_chunk(fn, state, tasks, paths, k: int) -> list:
-    """fn(state, task) for each task of chunk k. A row (dialogue id, lines,
-    *rest) has one line, or None, per path: they go to <path>.<k>.tmp, and
-    (dialogue id, *rest) comes back in the row's place."""
-    rows = []
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(f"{path}.{k}.tmp", "w", encoding="utf-8"))
-                 for path in paths]
-        for task in tasks:
-            row = fn(state, task)
-            if type(row) is tuple:
-                did, lines, *rest = row
-                for fh, line in zip(files, lines):
-                    if line is not None:
-                        fh.write(line)
-                        fh.write("\n")
-                row = (did, *rest)
-            rows.append(row)
-    return rows
-
-
-_worker: tuple = ()  # (fn, state, chunks of tasks, paths), set only inside pool workers
-
-
-def _init_worker(*worker) -> None:
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    global _worker
-    _worker = worker
-
-
-def _write_chunk_in_worker(k: int) -> list:
-    fn, state, parts, paths = _worker
-    return _write_chunk(fn, state, parts[k], paths, k)
-
-
-def _report_rejects(rejects) -> None:
-    """One stderr line per reject, in line order: the text every corpus command prints."""
-    for r in sorted(rejects, key=lambda r: r.line_number):
-        print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
-
-
-def _compile(fn, state, tasks, jobs: int, chunks: _Chunks, rejects=()) -> list | None:
-    """Ordered map of fn(state, task) over tasks, writing chunks, then the one reject gate.
-
-    Each task is (line number, record). fn returns a Reject, a list of them,
-    a _Failed, or a row (dialogue id, lines, *rest) as _write_chunk takes it.
-    Contiguous chunks of tasks go to jobs pool workers (fork start: fn, its
-    shared state and the tasks reach each worker by the fork, and a chunk's
-    index is all a task message carries) or, at jobs 1, form one chunk in this
-    process. Returns each row's rest, or None after reporting the rejects (the
-    given ones, those fn returns and repeated ids, in line order) or else the
-    first failure.
-    """
-    from seqforge import corpus
-
-    chunks.n = 1 if jobs <= 1 else max(1, min(len(tasks), jobs * 4))
-    bounds = [len(tasks) * k // chunks.n for k in range(chunks.n + 1)]
-    parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
-    if chunks.n == 1:
-        written = [_write_chunk(fn, state, parts[0], chunks.paths, 0)]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs, initializer=_init_worker,
-                                  initargs=(fn, state, parts, chunks.paths)) as pool:
-            written = pool.map(_write_chunk_in_worker, range(chunks.n), chunksize=1)
-    rows = [row for part in written for row in part]
-    failed = next((row for row in rows if isinstance(row, _Failed)), None)
-    rejects = [*rejects, *(row for row in rows if isinstance(row, corpus.Reject))]
-    rejects += [r for row in rows if type(row) is list for r in row]
-    rejects += corpus.repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
-                                   if type(row) is tuple)
-    _report_rejects(rejects)
-    if rejects:
-        return None
-    if failed is not None:
-        print(failed, file=sys.stderr)
-        return None
-    return [row[1:] for row in rows]
-
-
-def _append(fd: int, path: str) -> None:
-    """Append the file at path to fd, copied in the kernel."""
-    with open(path, "rb") as src:
-        size = os.fstat(src.fileno()).st_size
-        offset = 0
-        while offset < size:
-            sent = os.sendfile(fd, src.fileno(), offset, size - offset)
-            if not sent:
-                raise OSError(f"{path} shrank while it was copied")
-            offset += sent
-
-
-def _publish(args, config: dict, counts: dict, chunks: _Chunks, header: bool) -> None:
-    """Join each output's chunk files and write the run's manifest, each to
-    <path>.tmp, then move them into place.
-
-    The first output is the command's own: it gets the manifest as its
-    sidecar and, with header, as its first line. Until the moves, every
-    existing output stays as it was. The old sidecar goes before the first
-    move and the new one comes last, so a run cut short between moves leaves
-    none. If a write or move raises, no <path>.tmp stays behind.
-    """
-    from seqforge.manifest import file_digest, manifest_line
-
-    # stats takes no --seed; its manifest records master_seed null
-    manifest = manifest_line(_manifest_command(args.argv), getattr(args, "seed", None), config,
-                             {args.corpus: file_digest(args.corpus)}, counts)
-    sidecar = f"{chunks.paths[0]}.manifest.json"
-    outputs = [*chunks.paths, sidecar]
-    try:
-        for i, path in enumerate(chunks.paths):
-            with open(f"{path}.tmp", "wb") as out:
-                if header and i == 0:
-                    out.write(manifest.encode("utf-8") + b"\n")
-                    out.flush()
-                for k in range(chunks.n):
-                    _append(out.fileno(), f"{path}.{k}.tmp")
-        with open(f"{sidecar}.tmp", "w", encoding="utf-8") as fh:
-            fh.write(manifest + "\n")
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(sidecar)
-        for path in outputs:
-            os.replace(f"{path}.tmp", path)
-    except BaseException:
-        for path in outputs:
-            with contextlib.suppress(OSError):  # moved, or never written
-                os.remove(f"{path}.tmp")
-        raise
-
-
-# --------------------------------------------------------------------------
 # build-thinker
 # --------------------------------------------------------------------------
 
 def _thinker_record(state, task):
     from seqforge import corpus
     from seqforge import thinker as thinker_mod
+    from seqforge.driver import Failed
 
     policy, seed, masks = state
     dialogue = corpus.parse_line(*task)
@@ -313,7 +138,7 @@ def _thinker_record(state, task):
         seq = thinker_mod.interleave_dialogue(dialogue, policy, seed,
                                               masked_spans=masks.get(dialogue.id))
     except thinker_mod.CompileError as exc:
-        return _Failed(f"compile error: {exc}")
+        return Failed(f"compile error: {exc}")
     n_targets = sum(1 for e in seq.elements if e.loss_target)
     return dialogue.id, (thinker_mod.serialize_sequence(seq),), len(seq.elements), n_targets
 
@@ -349,7 +174,7 @@ def _load_masks(path) -> dict[str, list]:
 
 
 def cmd_build_thinker(args) -> int:
-    from seqforge import corpus
+    from seqforge import corpus, driver
     from seqforge import thinker as thinker_mod
 
     try:
@@ -359,11 +184,12 @@ def cmd_build_thinker(args) -> int:
         raise UsageError(f"--p-user/--p-assistant: {exc}") from None
     lines = list(corpus.iter_lines(args.corpus))
     masks = _load_masks(args.masks) if args.masks else {}
-    with _Chunks(args.out) as chunks:
-        rows = _compile(_thinker_record, (policy, args.seed, masks), lines, args.jobs, chunks)
+    with driver.Chunks(args.out) as chunks:
+        rows = driver.compile_records(_thinker_record, (policy, args.seed, masks), lines,
+                                      args.jobs, chunks)
         if rows is None:
             return 1
-        _publish(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
+        driver.publish(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
                  {"dialogues": len(rows), "sequences": len(rows),
                   "elements": sum(n for n, _ in rows),
                   "loss_targets": sum(n for _, n in rows)}, chunks, header=True)
@@ -378,6 +204,7 @@ def cmd_build_thinker(args) -> int:
 def _talker_record(state, task):
     """(id, (line,), None) for a compiled dialogue, (id, (None,), reason) for a skipped one."""
     from seqforge import talker as talker_mod
+    from seqforge.driver import Failed
 
     mode, ratio, seed, index, dialogues = state
     dialogue = dialogues[task[1]]
@@ -388,12 +215,12 @@ def _talker_record(state, task):
     except talker_mod.NoReferenceError as exc:
         return dialogue.id, (None,), str(exc)
     except talker_mod.AssembleError as exc:
-        return _Failed(f"assemble error: {exc}")
+        return Failed(f"assemble error: {exc}")
     return dialogue.id, (talker_mod.serialize_sequence(seq),), None
 
 
 def cmd_build_talker(args) -> int:
-    from seqforge import corpus
+    from seqforge import corpus, driver
     from seqforge import talker as talker_mod
 
     if args.mode not in talker_mod.MODES:
@@ -406,17 +233,18 @@ def cmd_build_talker(args) -> int:
     # the parsed list.
     result = corpus.parse_corpus(args.corpus)
     index = talker_mod.build_reference_index(result.dialogues)
-    with _Chunks(args.out) as chunks:
-        rows = _compile(_talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
-                        list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs,
-                        chunks, result.rejects)
+    with driver.Chunks(args.out) as chunks:
+        rows = driver.compile_records(
+            _talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
+            list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs, chunks,
+            result.rejects)
         if rows is None:
             return 1
         skipped = [reason for reason, in rows if reason is not None]
         for reason in skipped:
             print(f"skip: {reason}", file=sys.stderr)
         n_lines = len(rows) - len(skipped)
-        _publish(args, {"mode": args.mode, "ratio": str(ratio)},
+        driver.publish(args, {"mode": args.mode, "ratio": str(ratio)},
                  {"dialogues": len(rows), "sequences": n_lines,
                   "skipped_no_reference": len(skipped)}, chunks, header=True)
     print(f"wrote {n_lines} sequences to {args.out} ({len(skipped)} skipped)")
@@ -460,7 +288,7 @@ def _clean_record(state, task):
 
 
 def cmd_clean(args) -> int:
-    from seqforge import cleaning, corpus
+    from seqforge import cleaning, corpus, driver
 
     if args.retries is None:
         args.retries = cleaning.DEFAULT_RETRIES
@@ -468,13 +296,14 @@ def cmd_clean(args) -> int:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     corrector, synth = _make_clients(args)
     lines = list(corpus.iter_lines(args.corpus))
-    with _Chunks(args.out, f"{args.out}.outcomes.jsonl", f"{args.out}.deferred.jsonl") as chunks:
-        rows = _compile(_clean_record, (corrector, synth, args.retries), lines, args.jobs,
-                        chunks)
+    with driver.Chunks(args.out, f"{args.out}.outcomes.jsonl",
+                       f"{args.out}.deferred.jsonl") as chunks:
+        rows = driver.compile_records(_clean_record, (corrector, synth, args.retries), lines,
+                                      args.jobs, chunks)
         if rows is None:
             return 1
         deferred = sum(deferred for deferred, in rows)
-        _publish(args, {"client": args.client, "retries": args.retries},
+        driver.publish(args, {"client": args.client, "retries": args.retries},
                  {"dialogues": len(rows), "deferred": deferred}, chunks, header=False)
     print(f"cleaned {len(rows)} dialogues -> {args.out} ({deferred} deferred)")
     return 0
@@ -604,7 +433,7 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    from seqforge import corpus
+    from seqforge import corpus, driver
 
     result = corpus.parse_corpus(args.corpus)
     per_source_seconds: dict[str, float] = {}
@@ -641,15 +470,15 @@ def cmd_stats(args) -> int:
     }
     blob = _print_report(doc)
     # Totals over part of a corpus must not reach a budget check as the whole.
-    _report_rejects(result.rejects)
+    driver.report_rejects(result.rejects)
     if result.rejects:
         return 1
     if args.out:
-        with _Chunks(args.out) as chunks:
+        with driver.Chunks(args.out) as chunks:
             chunks.n = 1
             with open(f"{args.out}.0.tmp", "w", encoding="utf-8") as fh:
                 fh.write(blob + "\n")
-            _publish(args, {}, {"dialogues": len(result.dialogues)}, chunks, header=False)
+            driver.publish(args, {}, {"dialogues": len(result.dialogues)}, chunks, header=False)
     return 0
 
 
@@ -792,7 +621,7 @@ def run(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:  # a flag value, or a path that fails to read or write
         print(f"forge: error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:  # every output stays as it was: see _publish and _Chunks
+    except KeyboardInterrupt:  # every output stays as it was: see seqforge.driver
         print("forge: error: interrupted", file=sys.stderr)
         return 130
 

@@ -1,0 +1,184 @@
+"""The corpus commands' driver: an ordered map of a record function over a
+corpus, the one reject gate, and publishing the outputs.
+
+clean, build-thinker and build-talker take one path at any --jobs. Their
+tasks are cut into contiguous chunks; the process that computes chunk k,
+this one at --jobs 1 or a pool worker, writes the chunk's lines of each
+output to <path>.<k>.tmp itself, so output rows never cross a pipe. publish
+joins the chunk files behind the header and moves every output into place.
+Only the corpus commands load this module.
+"""
+import contextlib
+import os
+import sys
+
+
+class Failed(str):
+    """Message of a record whose error fails the whole command (exit 1)."""
+
+
+class Chunks:
+    """The chunk files of one run: <path>.<k>.tmp holds chunk k's lines of the
+    output at path. No chunk file outlives the with block."""
+
+    def __init__(self, *paths: str):
+        self.paths = paths
+        self.n = 0  # chunks written or being written
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for k in range(self.n):
+            for path in self.paths:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(f"{path}.{k}.tmp")
+
+
+def _write_chunk(fn, state, tasks, paths, k: int) -> list:
+    """fn(state, task) for each task of chunk k. A row (dialogue id, lines,
+    *rest) has one line, or None, per path: they go to <path>.<k>.tmp, and
+    (dialogue id, *rest) comes back in the row's place."""
+    rows = []
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(f"{path}.{k}.tmp", "w", encoding="utf-8"))
+                 for path in paths]
+        for task in tasks:
+            row = fn(state, task)
+            if type(row) is tuple:
+                did, lines, *rest = row
+                for fh, line in zip(files, lines):
+                    if line is not None:
+                        fh.write(line)
+                        fh.write("\n")
+                row = (did, *rest)
+            rows.append(row)
+    return rows
+
+
+_worker: tuple = ()  # (fn, state, chunks of tasks, paths), set only inside pool workers
+
+
+def _init_worker(*worker) -> None:
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    global _worker
+    _worker = worker
+
+
+def _write_chunk_in_worker(k: int) -> list:
+    fn, state, parts, paths = _worker
+    return _write_chunk(fn, state, parts[k], paths, k)
+
+
+def report_rejects(rejects) -> None:
+    """One stderr line per reject, in line order: the text every corpus command prints."""
+    for r in sorted(rejects, key=lambda r: r.line_number):
+        print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
+
+
+def compile_records(fn, state, tasks, jobs: int, chunks: Chunks, rejects=()) -> list | None:
+    """Ordered map of fn(state, task) over tasks, writing chunks, then the one reject gate.
+
+    Each task is (line number, record). fn returns a Reject, a list of them,
+    a Failed, or a row (dialogue id, lines, *rest) as _write_chunk takes it.
+    Contiguous chunks of tasks go to jobs pool workers (fork start: fn, its
+    shared state and the tasks reach each worker by the fork, and a chunk's
+    index is all a task message carries) or, at jobs 1, form one chunk in this
+    process. Returns each row's rest, or None after reporting the rejects (the
+    given ones, those fn returns and repeated ids, in line order) or else the
+    first failure.
+    """
+    from seqforge import corpus
+
+    chunks.n = 1 if jobs <= 1 else max(1, min(len(tasks), jobs * 4))
+    bounds = [len(tasks) * k // chunks.n for k in range(chunks.n + 1)]
+    parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+    if chunks.n == 1:
+        written = [_write_chunk(fn, state, parts[0], chunks.paths, 0)]
+    else:
+        import multiprocessing
+
+        with multiprocessing.Pool(jobs, initializer=_init_worker,
+                                  initargs=(fn, state, parts, chunks.paths)) as pool:
+            written = pool.map(_write_chunk_in_worker, range(chunks.n), chunksize=1)
+    rows = [row for part in written for row in part]
+    failed = next((row for row in rows if isinstance(row, Failed)), None)
+    rejects = [*rejects, *(row for row in rows if isinstance(row, corpus.Reject))]
+    rejects += [r for row in rows if type(row) is list for r in row]
+    rejects += corpus.repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
+                                   if type(row) is tuple)
+    report_rejects(rejects)
+    if rejects:
+        return None
+    if failed is not None:
+        print(failed, file=sys.stderr)
+        return None
+    return [row[1:] for row in rows]
+
+
+def _manifest_command(argv: list[str]) -> str:
+    """Recorded command line with worker topology stripped.
+
+    --jobs changes execution layout, never output bytes, so it must not make
+    otherwise-identical runs produce different manifests.
+    """
+    kept = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--jobs":
+            next(args, None)  # its value
+        elif not arg.startswith("--jobs="):
+            kept.append(arg)
+    return " ".join(kept)
+
+
+def _append(fd: int, path: str) -> None:
+    """Append the file at path to fd, copied in the kernel."""
+    with open(path, "rb") as src:
+        size = os.fstat(src.fileno()).st_size
+        offset = 0
+        while offset < size:
+            sent = os.sendfile(fd, src.fileno(), offset, size - offset)
+            if not sent:
+                raise OSError(f"{path} shrank while it was copied")
+            offset += sent
+
+
+def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool) -> None:
+    """Join each output's chunk files and write the run's manifest, each to
+    <path>.tmp, then move them into place.
+
+    The first output is the command's own: it gets the manifest as its
+    sidecar and, with header, as its first line. Until the moves, every
+    existing output stays as it was. The old sidecar goes before the first
+    move and the new one comes last, so a run cut short between moves leaves
+    none. If a write or move raises, no <path>.tmp stays behind.
+    """
+    from seqforge.manifest import file_digest, manifest_line
+
+    # stats takes no --seed; its manifest records master_seed null
+    manifest = manifest_line(_manifest_command(args.argv), getattr(args, "seed", None), config,
+                             {args.corpus: file_digest(args.corpus)}, counts)
+    sidecar = f"{chunks.paths[0]}.manifest.json"
+    outputs = [*chunks.paths, sidecar]
+    try:
+        for i, path in enumerate(chunks.paths):
+            with open(f"{path}.tmp", "wb") as out:
+                if header and i == 0:
+                    out.write(manifest.encode("utf-8") + b"\n")
+                    out.flush()
+                for k in range(chunks.n):
+                    _append(out.fileno(), f"{path}.{k}.tmp")
+        with open(f"{sidecar}.tmp", "w", encoding="utf-8") as fh:
+            fh.write(manifest + "\n")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar)
+        for path in outputs:
+            os.replace(f"{path}.tmp", path)
+    except BaseException:
+        for path in outputs:
+            with contextlib.suppress(OSError):  # moved, or never written
+                os.remove(f"{path}.tmp")
+        raise

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from seqforge import cli
+from seqforge import cli, driver
 from seqforge import corpus as corpus_mod
 from seqforge.cli import run
 
@@ -602,7 +602,7 @@ def _interrupt(*args, **kwargs):
 ])
 def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
         tmp_path, capsys, monkeypatch, command, where, jobs):
-    """KeyboardInterrupt from a record, from _publish or in the parent while
+    """KeyboardInterrupt from a record, from publish or in the parent while
     the workers map: exit 130 with one line, no .tmp file and no chunk file."""
     import multiprocessing.pool
 
@@ -621,7 +621,7 @@ def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
             return _interrupt() if len(calls) == 4 else real(state, task)
         monkeypatch.setattr(cli, "_talker_record", record)
     elif where == "publish":
-        monkeypatch.setattr(cli, "_append", _interrupt)
+        monkeypatch.setattr(driver, "_append", _interrupt)
     else:
         real_map = multiprocessing.pool.Pool.map
 
