@@ -652,6 +652,108 @@ def test_stats_leaves_a_repeated_line_out_of_its_totals(tmp_path, capsys):
                             f"(first on line 2)\n")
 
 
+def _mixed_corpus(path) -> None:
+    """Seven lines: a dialogue, a line that is not JSON, a schema reject, a
+    dialogue with an empty id (the second kept dialogue), a repeat of line 1's
+    id, a dialogue with an alignment gap and one more dialogue."""
+    kinds = ("clean", "logic_contradiction_correctable", "logic_contradiction_severe", None)
+    sources = ("podcast", "real_life", "real_life", "audiobook")
+    dialogues = [synthetic.synth_dialogue(7, k, n_turns=3, speaker_pool=2, flag_kind=kind,
+                                          language=("en", "zh")[k % 2], source=source)
+                 for k, (kind, source) in enumerate(zip(kinds, sources))]
+    dialogues[1].id = ""
+    dialogues[2].turns[1].alignment[0].text_range = (1, dialogues[2].turns[1].alignment[0]
+                                                     .text_range[1])
+    dialogues[3].turns[2].audio = None
+    dialogues[3].turns[2].alignment = []
+    lines = list(map(corpus_mod.serialize_dialogue, dialogues))
+    lines[1:1] = ["{not json", '{"id": "x"}']
+    lines.insert(4, lines[0])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_MIXED_REJECTS = ("reject line 2: invalid JSON: Expecting property name enclosed in double quotes\n"
+                  "reject line 3: dialogue: missing field 'language'\n"
+                  "reject line 5: duplicate dialogue id 'synth-000000' (first on line 1)\n")
+_MIXED_VALIDATE = """\
+{
+  "dialogues": 4,
+  "rejects": [
+    {
+      "line": 2,
+      "reason": "invalid JSON: Expecting property name enclosed in double quotes"
+    },
+    {
+      "line": 3,
+      "reason": "dialogue: missing field 'language'"
+    },
+    {
+      "line": 5,
+      "reason": "duplicate dialogue id 'synth-000000' (first on line 1)"
+    }
+  ],
+  "violations": [
+    {
+      "path": "1.id",
+      "message": "empty id"
+    },
+    {
+      "path": "synth-000002.turns[1].alignment[0].text_range",
+      "message": "gap after previous span ending at 0"
+    }
+  ]
+}
+"""
+_MIXED_STATS = """\
+{
+  "dialogues": 4,
+  "rejects": 3,
+  "per_source_hours": {
+    "audiobook": 0.002444444444444445,
+    "podcast": 0.004533333333333334,
+    "real_life": 0.009555555555555555
+  },
+  "per_language": {
+    "en": 2,
+    "zh": 2
+  },
+  "flag_histogram": {
+    "clean": 1,
+    "logic_contradiction_correctable": 1,
+    "logic_contradiction_severe": 1
+  },
+  "total_hours": 0.016533333333333334,
+  "total_tokens_at_12p5hz": 744,
+  "budget_stats": {
+    "speech": {
+      "amount": 0.016533333333333334,
+      "unit": "hours"
+    },
+    "audio": {
+      "amount": 0.016533333333333334,
+      "unit": "hours"
+    }
+  }
+}
+"""
+
+
+def test_corpus_commands_on_a_mixed_corpus_are_pinned(tmp_path, capsys):
+    """validate's and stats' whole output and build-talker's rejects on one
+    corpus with every kind of dropped line and a violation."""
+    path = tmp_path / "corpus.jsonl"
+    _mixed_corpus(path)
+    assert run(["validate", "--corpus", str(path)]) == 1
+    assert capsys.readouterr() == (_MIXED_VALIDATE, "")
+    assert run(["stats", "--corpus", str(path), "--out", str(tmp_path / "stats.json")]) == 1
+    assert capsys.readouterr() == (_MIXED_STATS, _MIXED_REJECTS)
+    for jobs in ("1", "2"):
+        assert run(["build-talker", "--corpus", str(path), "--seed", "1",
+                    "--out", str(tmp_path / "o.jsonl"), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == _MIXED_REJECTS
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
 def test_stats_with_rejects_publishes_no_out(tmp_path, capsys):
     dialogues = synthetic.synth_corpus(4, 2)
     dialogues[3].id = dialogues[1].id
