@@ -63,7 +63,7 @@ def _side_input(flag: str, path):
 # with a pointer to that flag.
 _URL_KEYS = ("corrector_url", "synth_url")
 _HTTP_CONFIG_KEYS = (*_URL_KEYS, "timeout_s")
-_KEYS_NOW_FLAGS = {"client": "--client", "seed": "--seed", "retries": "--retries"}
+_KEYS_NOW_FLAGS = {"client": "--client", "retries": "--retries"}
 
 
 def _http_config(path) -> tuple[str, str, float]:
@@ -107,18 +107,31 @@ def _print_report(doc) -> str:
 # validate
 # --------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def _parsed_record(summary, task):
+    """A corpus line's Reject, or (dialogue id, no lines, summary(line number, dialogue))."""
     from seqforge import corpus
 
-    result = corpus.parse_corpus(args.corpus)
-    report = corpus.validate_corpus(result.dialogues)
-    doc = {
-        "dialogues": len(result.dialogues),
-        "rejects": [{"line": r.line_number, "reason": r.reason} for r in result.rejects],
-        "violations": [{"path": v.path, "message": v.message} for v in report.violations],
-    }
-    _print_report(doc)
-    return 0 if not result.rejects and report.ok else 1
+    dialogue = corpus.parse_line(*task)
+    if isinstance(dialogue, corpus.Reject):
+        return dialogue
+    return dialogue.id, (), summary(task[0], dialogue)
+
+
+def cmd_validate(args) -> int:
+    from seqforge import corpus, driver
+
+    rows, rejects, _ = driver.map_records(
+        _parsed_record, lambda _, d: corpus.validate_dialogue(d).violations,
+        corpus.iter_lines(args.corpus), 1, driver.Chunks())
+    # A path starts with the dialogue's id, or its position among those kept.
+    violations = [{"path": f"{did or n}.{v.path}", "message": v.message}
+                  for n, (did, found) in enumerate(rows) for v in found]
+    _print_report({
+        "dialogues": len(rows),
+        "rejects": [{"line": r.line_number, "reason": r.reason} for r in rejects],
+        "violations": violations,
+    })
+    return 0 if not rejects and not violations else 1
 
 
 # --------------------------------------------------------------------------
@@ -182,11 +195,10 @@ def cmd_build_thinker(args) -> int:
             p_user_speech=args.p_user, p_assistant_segment_speech=args.p_assistant)
     except ValueError as exc:
         raise UsageError(f"--p-user/--p-assistant: {exc}") from None
-    lines = list(corpus.iter_lines(args.corpus))
     masks = _load_masks(args.masks) if args.masks else {}
     with driver.Chunks(args.out) as chunks:
-        rows = driver.compile_records(_thinker_record, (policy, args.seed, masks), lines,
-                                      args.jobs, chunks)
+        rows = driver.compile_records(_thinker_record, (policy, args.seed, masks),
+                                      corpus.iter_lines(args.corpus), args.jobs, chunks)
         if rows is None:
             return 1
         driver.publish(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
@@ -206,8 +218,8 @@ def _talker_record(state, task):
     from seqforge import talker as talker_mod
     from seqforge.driver import Failed
 
-    mode, ratio, seed, index, dialogues = state
-    dialogue = dialogues[task[1]]
+    mode, ratio, seed, index = state
+    dialogue = task[1]
     try:
         speaker = talker_mod.reference_speaker(dialogue, mode)
         ref = talker_mod.select_reference(speaker, index, dialogue.id, seed)
@@ -229,15 +241,17 @@ def cmd_build_talker(args) -> int:
         ratio = talker_mod.StreamRatio.parse(args.ratio)
     except ValueError:
         raise UsageError(f"--ratio must be N:M with N, M >= 1, got {args.ratio!r}") from None
-    # The reference index spans the corpus: a task's record is its position in
-    # the parsed list.
-    result = corpus.parse_corpus(args.corpus)
-    index = talker_mod.build_reference_index(result.dialogues)
+    # The reference index spans the corpus, so every dialogue is held before
+    # the first one is assembled.
+    held = driver.compile_records(_parsed_record, lambda *task: task,
+                                  corpus.iter_lines(args.corpus), 1, driver.Chunks())
+    if held is None:
+        return 1
+    tasks = [task for task, in held]
+    index = talker_mod.build_reference_index([dialogue for _, dialogue in tasks])
     with driver.Chunks(args.out) as chunks:
-        rows = driver.compile_records(
-            _talker_record, (args.mode, ratio, args.seed, index, result.dialogues),
-            list(zip(result.line_numbers, range(len(result.dialogues)))), args.jobs, chunks,
-            result.rejects)
+        rows = driver.compile_records(_talker_record, (args.mode, ratio, args.seed, index),
+                                      tasks, args.jobs, chunks)
         if rows is None:
             return 1
         skipped = [reason for reason, in rows if reason is not None]
@@ -295,11 +309,10 @@ def cmd_clean(args) -> int:
     if args.retries < 1:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     corrector, synth = _make_clients(args)
-    lines = list(corpus.iter_lines(args.corpus))
     with driver.Chunks(args.out, f"{args.out}.outcomes.jsonl",
                        f"{args.out}.deferred.jsonl") as chunks:
-        rows = driver.compile_records(_clean_record, (corrector, synth, args.retries), lines,
-                                      args.jobs, chunks)
+        rows = driver.compile_records(_clean_record, (corrector, synth, args.retries),
+                                      corpus.iter_lines(args.corpus), args.jobs, chunks)
         if rows is None:
             return 1
         deferred = sum(deferred for deferred, in rows)
@@ -435,20 +448,22 @@ def cmd_eval(args) -> int:
 def cmd_stats(args) -> int:
     from seqforge import corpus, driver
 
-    result = corpus.parse_corpus(args.corpus)
+    rows, rejects, _ = driver.map_records(
+        _parsed_record, lambda _, d: (d.language, d.source, [f.kind for f in d.quality_flags],
+                                      [t.audio.duration_s for t in d.turns if t.audio]),
+        corpus.iter_lines(args.corpus), 1, driver.Chunks())
     per_source_seconds: dict[str, float] = {}
     per_language: dict[str, int] = {}
     flag_histogram: dict[str, int] = {}
     total_seconds = 0.0
-    for d in result.dialogues:
-        per_language[d.language] = per_language.get(d.language, 0) + 1
-        for f in d.quality_flags:
-            flag_histogram[f.kind] = flag_histogram.get(f.kind, 0) + 1
-        for t in d.turns:
-            if t.audio is not None:
-                per_source_seconds[d.source] = per_source_seconds.get(d.source, 0.0) \
-                    + t.audio.duration_s
-                total_seconds += t.audio.duration_s
+    # Summed turn by turn in corpus order, so the totals' float bytes are fixed.
+    for _, (language, source, kinds, durations) in rows:
+        per_language[language] = per_language.get(language, 0) + 1
+        for kind in kinds:
+            flag_histogram[kind] = flag_histogram.get(kind, 0) + 1
+        for duration in durations:
+            per_source_seconds[source] = per_source_seconds.get(source, 0.0) + duration
+            total_seconds += duration
     total_hours = total_seconds / 3600.0
     try:
         total_tokens = corpus.tokens_for_hours(total_hours)
@@ -456,8 +471,8 @@ def cmd_stats(args) -> int:
         print(f"forge: error: audio total: {exc}", file=sys.stderr)
         return 1
     doc = {
-        "dialogues": len(result.dialogues),
-        "rejects": len(result.rejects),
+        "dialogues": len(rows),
+        "rejects": len(rejects),
         "per_source_hours": {k: v / 3600.0 for k, v in sorted(per_source_seconds.items())},
         "per_language": dict(sorted(per_language.items())),
         "flag_histogram": dict(sorted(flag_histogram.items())),
@@ -470,15 +485,15 @@ def cmd_stats(args) -> int:
     }
     blob = _print_report(doc)
     # Totals over part of a corpus must not reach a budget check as the whole.
-    driver.report_rejects(result.rejects)
-    if result.rejects:
+    driver.report_rejects(rejects)
+    if rejects:
         return 1
     if args.out:
         with driver.Chunks(args.out) as chunks:
             chunks.n = 1
             with open(f"{args.out}.0.tmp", "w", encoding="utf-8") as fh:
                 fh.write(blob + "\n")
-            driver.publish(args, {}, {"dialogues": len(result.dialogues)}, chunks, header=False)
+            driver.publish(args, {}, {"dialogues": len(rows)}, chunks, header=False)
     return 0
 
 
@@ -547,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--client", choices=("mock", "http"), default="mock")
     p.add_argument("--config", help="--client http only: JSON object of "
                    + ", ".join(_HTTP_CONFIG_KEYS))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--retries", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, help="worker processes (default: FORGE_JOBS or 1)")

@@ -26,7 +26,6 @@ Serialization is canonical: fixed key order, compact separators, sorted
 multi-tag sets. ``parse -> serialize -> parse`` is the identity on valid
 corpora and serialization is byte-stable.
 """
-import gc
 import json
 import math
 import re
@@ -146,13 +145,6 @@ class Dialogue:
 class Reject:
     line_number: int
     reason: str
-
-
-@dataclass
-class ParseResult:
-    dialogues: list[Dialogue]
-    rejects: list[Reject]
-    line_numbers: list[int] = field(default_factory=list)  # the line of each dialogue
 
 
 # --------------------------------------------------------------------------
@@ -409,6 +401,13 @@ def _too_deep(line: str) -> bool:
     return False
 
 
+# Each escape, left to right: a surrogate pair, a lone surrogate (the group, a
+# str no UTF-8 output can hold), or any other escape, an escaped backslash too.
+_LONE_SURROGATE = re.compile(
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)")
+
+
 class _CutIds(str):
     """The text of a token-id array that _decode_compact cut from a line."""
 
@@ -496,6 +495,8 @@ def parse_line(line_no: int, line: str) -> Dialogue | Reject:
     """Parse one corpus line; a malformed line comes back as its Reject."""
     if _too_deep(line):
         return Reject(line_no, "invalid JSON: nested too deeply")
+    if "\\" in line and any(_LONE_SURROGATE.findall(line)):  # 1 char: ~10x faster than "\\u"
+        return Reject(line_no, "invalid JSON: unpaired surrogate escape")
     doc = _decode_compact(line)
     if doc is not None:
         try:
@@ -503,58 +504,6 @@ def parse_line(line_no: int, line: str) -> Dialogue | Reject:
         except SchemaError:
             pass  # the full path words the reject
     return _parse_full(line_no, line)
-
-
-def repeated_ids(located) -> list[Reject]:
-    """A Reject for each (line number, dialogue id) whose id an earlier line has.
-
-    Seeds and masks are keyed by dialogue id, so two dialogues with one id
-    would share one seed stream and one masks entry.
-    """
-    first: dict[str, int] = {}
-    rejects = []
-    for line_no, did in located:
-        first_line = first.setdefault(did, line_no)
-        if first_line != line_no:
-            rejects.append(Reject(
-                line_no, f"duplicate dialogue id {did!r} (first on line {first_line})"))
-    return rejects
-
-
-def parse_corpus(path) -> ParseResult:
-    """Parse a line-delimited corpus file.
-
-    Malformed lines and lines repeating an earlier line's dialogue id go to the
-    rejects report in line order, never silently dropped. Unreadable files raise.
-
-    Process-wide effect: once the lines are parsed, gc.freeze() moves every
-    object the process holds, not only the parsed corpus, out of the cyclic
-    collector's reach for good (unless gc.unfreeze() is called).
-    """
-    result = ParseResult(dialogues=[], rejects=[])
-    # Parsed dialogues hold no reference cycles, so the cyclic collector would
-    # only re-traverse the growing list (about a quarter of the call) and,
-    # once re-enabled, every parsed object once more.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for line_no, line in iter_lines(path):
-            item = parse_line(line_no, line)
-            if isinstance(item, Reject):
-                result.rejects.append(item)
-            else:
-                result.dialogues.append(item)
-                result.line_numbers.append(line_no)
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
-    if repeated := repeated_ids(zip(result.line_numbers, (d.id for d in result.dialogues))):
-        dropped = {r.line_number for r in repeated}
-        kept = [(n, d) for n, d in zip(result.line_numbers, result.dialogues) if n not in dropped]
-        result.line_numbers, result.dialogues = map(list, zip(*kept))  # never empty: firsts stay
-        result.rejects = sorted(result.rejects + repeated, key=lambda r: r.line_number)
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -721,7 +670,7 @@ def validate_flags(d: Dialogue) -> ValidationReport:
 
 
 def validate_corpus(dialogues) -> ValidationReport:
-    """Per-dialogue invariants by dialogue id (parse_corpus rejects repeated ids)."""
+    """Per-dialogue invariants by dialogue id, or by position where the id is empty."""
     report = ValidationReport()
     for n, d in enumerate(dialogues):
         for v in validate_dialogue(d).violations:

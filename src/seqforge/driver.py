@@ -1,14 +1,15 @@
 """The corpus commands' driver: an ordered map of a record function over a
 corpus, the one reject gate, and publishing the outputs.
 
-clean, build-thinker and build-talker take one path at any --jobs. Their
-tasks are cut into contiguous chunks; the process that computes chunk k,
-this one at --jobs 1 or a pool worker, writes the chunk's lines of each
-output to <path>.<k>.tmp itself, so output rows never cross a pipe. publish
-joins the chunk files behind the header and moves every output into place.
-Only the corpus commands load this module.
+All five corpus commands map through map_records; validate, stats and any
+map at --jobs 1 read the corpus as a stream. The process that computes chunk
+k of the tasks, this one at --jobs 1 or a pool worker, writes the chunk's
+lines of each output to <path>.<k>.tmp itself, so output rows never cross a
+pipe. publish joins the chunk files behind the header and moves every output
+into place. Only the corpus commands load this module.
 """
 import contextlib
+import gc
 import os
 import sys
 
@@ -36,9 +37,9 @@ class Chunks:
 
 
 def _write_chunk(fn, state, tasks, paths, k: int) -> list:
-    """fn(state, task) for each task of chunk k. A row (dialogue id, lines,
-    *rest) has one line, or None, per path: they go to <path>.<k>.tmp, and
-    (dialogue id, *rest) comes back in the row's place."""
+    """(line number, fn(state, task)) for each task of chunk k. A row (dialogue
+    id, lines, *rest) has one line, or None, per path: they go to
+    <path>.<k>.tmp, and (dialogue id, *rest) comes back in the row's place."""
     rows = []
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(f"{path}.{k}.tmp", "w", encoding="utf-8"))
@@ -52,7 +53,7 @@ def _write_chunk(fn, state, tasks, paths, k: int) -> list:
                         fh.write(line)
                         fh.write("\n")
                 row = (did, *rest)
-            rows.append(row)
+            rows.append((task[0], row))
     return rows
 
 
@@ -73,47 +74,81 @@ def _write_chunk_in_worker(k: int) -> list:
 
 
 def report_rejects(rejects) -> None:
-    """One stderr line per reject, in line order: the text every corpus command prints."""
-    for r in sorted(rejects, key=lambda r: r.line_number):
+    """One stderr line per reject: the text every corpus command prints."""
+    for r in rejects:
         print(f"reject line {r.line_number}: {r.reason}", file=sys.stderr)
 
 
-def compile_records(fn, state, tasks, jobs: int, chunks: Chunks, rejects=()) -> list | None:
-    """Ordered map of fn(state, task) over tasks, writing chunks, then the one reject gate.
+def map_records(fn, state, tasks, jobs: int, chunks: Chunks) -> tuple[list, list, Failed | None]:
+    """Ordered map of fn(state, task) over tasks, writing chunks.
 
     Each task is (line number, record). fn returns a Reject, a list of them,
     a Failed, or a row (dialogue id, lines, *rest) as _write_chunk takes it.
-    Contiguous chunks of tasks go to jobs pool workers (fork start: fn, its
-    shared state and the tasks reach each worker by the fork, and a chunk's
-    index is all a task message carries) or, at jobs 1, form one chunk in this
-    process. Returns each row's rest, or None after reporting the rejects (the
-    given ones, those fn returns and repeated ids, in line order) or else the
-    first failure.
-    """
-    from seqforge import corpus
+    At jobs 1 the tasks are a stream read in this process; above, contiguous
+    chunks go to jobs pool workers (fork start: fn, state and the tasks reach
+    each worker by the fork, and a task message is a chunk's index).
 
-    chunks.n = 1 if jobs <= 1 else max(1, min(len(tasks), jobs * 4))
-    bounds = [len(tasks) * k // chunks.n for k in range(chunks.n + 1)]
-    parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+    Returns each row (dialogue id, *rest) whose id no earlier row has, in
+    input order; every reject in line order, repeated ids included; and the
+    first Failed, or None.
+    """
+    from seqforge.corpus import Reject
+
+    chunks.n = 1
+    if jobs > 1:
+        tasks = list(tasks)  # the chunks are cut before the pool forks
+        chunks.n = max(1, min(len(tasks), jobs * 4))
     if chunks.n == 1:
-        written = [_write_chunk(fn, state, parts[0], chunks.paths, 0)]
+        # Rows hold no cycles: the collector would only re-traverse them, and
+        # frozen, a pool forked later does not copy them on write.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            written = [_write_chunk(fn, state, tasks, chunks.paths, 0)]
+        finally:
+            gc.freeze()
+            if enabled:
+                gc.enable()
     else:
         import multiprocessing
 
+        bounds = [len(tasks) * k // chunks.n for k in range(chunks.n + 1)]
+        parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(jobs, initializer=_init_worker,
                                   initargs=(fn, state, parts, chunks.paths)) as pool:
             written = pool.map(_write_chunk_in_worker, range(chunks.n), chunksize=1)
-    rows = [row for part in written for row in part]
-    failed = next((row for row in rows if isinstance(row, Failed)), None)
-    rejects = [*rejects, *(row for row in rows if isinstance(row, corpus.Reject))]
-    rejects += [r for row in rows if type(row) is list for r in row]
-    rejects += corpus.repeated_ids((line_no, row[0]) for (line_no, _), row in zip(tasks, rows)
-                                   if type(row) is tuple)
+    rows, rejects, failure = [], [], None
+    # Seeds and masks are keyed by dialogue id, so two dialogues with one id
+    # would share one seed stream and one masks entry.
+    first: dict[str, int] = {}
+    for part in written:
+        for line_no, row in part:
+            if type(row) is tuple:
+                first_line = first.setdefault(row[0], line_no)
+                if first_line == line_no:
+                    rows.append(row)
+                else:
+                    rejects.append(Reject(line_no, f"duplicate dialogue id {row[0]!r} "
+                                                   f"(first on line {first_line})"))
+            elif type(row) is list:
+                rejects += row
+            elif type(row) is Failed:
+                if failure is None:
+                    failure = row
+            else:
+                rejects.append(row)
+    return rows, rejects, failure
+
+
+def compile_records(fn, state, tasks, jobs: int, chunks: Chunks) -> list | None:
+    """map_records, then the one reject gate. Returns each row's rest, or None
+    after reporting every reject or, if there is none, the first failure."""
+    rows, rejects, failure = map_records(fn, state, tasks, jobs, chunks)
     report_rejects(rejects)
     if rejects:
         return None
-    if failed is not None:
-        print(failed, file=sys.stderr)
+    if failure is not None:
+        print(failure, file=sys.stderr)
         return None
     return [row[1:] for row in rows]
 
@@ -158,7 +193,7 @@ def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool) -> N
     """
     from seqforge.manifest import file_digest, manifest_line
 
-    # stats takes no --seed; its manifest records master_seed null
+    # stats and clean take no --seed; their manifests record master_seed null
     manifest = manifest_line(_manifest_command(args.argv), getattr(args, "seed", None), config,
                              {args.corpus: file_digest(args.corpus)}, counts)
     sidecar = f"{chunks.paths[0]}.manifest.json"

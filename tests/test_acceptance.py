@@ -302,7 +302,7 @@ def _full_pipeline(workdir, jobs: str) -> dict[str, bytes]:
 
     assert run(["validate", "--corpus", "corpus.jsonl"]) == 0
     assert run(["clean", "--corpus", "corpus.jsonl", "--client", "mock",
-                "--seed", "5", "--out", "cleaned.jsonl", "--jobs", jobs]) == 0
+                "--out", "cleaned.jsonl", "--jobs", jobs]) == 0
     assert run(["build-thinker", "--corpus", "cleaned.jsonl", "--seed", "5",
                 "--masks", "cleaned.jsonl.outcomes.jsonl",
                 "--out", "thinker.jsonl", "--jobs", jobs]) == 0

@@ -1,5 +1,6 @@
 """CLI wiring: exit codes, manifests, determinism, integration paths."""
 import argparse
+import ast
 import errno
 import json
 import os
@@ -141,8 +142,8 @@ def test_clean_mock_writes_outcomes_and_deferred(tmp_path):
     out = tmp_path / "cleaned.jsonl"
     assert run(["clean", "--corpus", str(path), "--client", "mock",
                 "--out", str(out)]) == 0
-    cleaned = corpus_mod.parse_corpus(out)
-    assert len(cleaned.dialogues) == 3 and not cleaned.rejects
+    cleaned = [corpus_mod.parse_line(*task) for task in corpus_mod.iter_lines(out)]
+    assert [d.id for d in cleaned] == [d.id for d in dialogues]
     outcomes = [json.loads(line) for line in
                 (tmp_path / "cleaned.jsonl.outcomes.jsonl").read_text().splitlines()]
     assert [o["branch"] for o in outcomes] == [
@@ -375,6 +376,19 @@ def test_missing_input_file_exits_2(tmp_path, capsys, missing, directory):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["stats", "--out", "o.jsonl"], ["clean", "--out", "o.jsonl"],
+    ["build-thinker", "--seed", "1", "--out", "o.jsonl"],
+    ["build-talker", "--seed", "1", "--out", "o.jsonl", "--jobs", "2"],
+], ids=lambda argv: argv[0])
+def test_corpus_commands_exit_2_on_a_missing_corpus(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--corpus", "absent.jsonl"]) == 2
+    assert capsys.readouterr() == (
+        "", "forge: error: [Errno 2] No such file or directory: 'absent.jsonl'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["validate", "eval", "build-thinker"])
 def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, command):
     path = write_corpus(tmp_path, synthetic.synth_corpus(40, 6))
@@ -503,18 +517,21 @@ _NOT_FINITE = "dialogue.turns[0].audio: frame_rate_hz/duration_s must be finite 
     ("frame_rate_hz", "-Infinity", _NOT_FINITE),
     ("duration_s", "1e400", _NOT_FINITE),
     ("frame_rate_hz", "1" + "0" * 400, _NOT_FINITE),
+    ("id", '"\\ud800x"', "invalid JSON: unpaired surrogate escape"),
 ], ids=["nested", "rate-nan", "duration-inf", "rate-minus-inf", "duration-1e400",
-        "rate-10**400"])
+        "rate-10**400", "id-lone-surrogate"])
 def test_corpus_commands_reject_lines_json_cannot_hold(tmp_path, capsys, monkeypatch, field,
                                                        literal, reason, jobs):
-    """Deep nesting and numbers that are not finite floats are rejects of
-    line 2 in every corpus command, never a traceback."""
+    """Deep nesting, numbers that are not finite floats and strings no UTF-8
+    output can hold are rejects of line 2 in every corpus command, never a
+    traceback."""
     monkeypatch.setenv("FORGE_JOBS", jobs)
     lines = list(map(corpus_mod.serialize_dialogue, synthetic.synth_corpus(3, 3)))
     if field is None:
         lines[1] = literal
     else:  # the first turn's value
-        lines[1] = re.sub(f'"{field}":[^,}}]+', f'"{field}":{literal}', lines[1], count=1)
+        lines[1] = re.sub(f'"{field}":[^,}}]+', lambda _: f'"{field}":{literal}', lines[1],
+                          count=1)
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -804,8 +821,7 @@ def test_cli_surface_is_pinned():
         "forge build-thinker": ["--corpus", "--jobs", "--masks", "--out", "--p-assistant",
                                 "--p-user", "--seed"],
         "forge build-talker": ["--corpus", "--jobs", "--mode", "--out", "--ratio", "--seed"],
-        "forge clean": ["--client", "--config", "--corpus", "--jobs", "--out", "--retries",
-                        "--seed"],
+        "forge clean": ["--client", "--config", "--corpus", "--jobs", "--out", "--retries"],
         "forge plan": [],
         "forge plan show": [],
         "forge plan directive": ["--stage", "--step", "--total"],
@@ -887,28 +903,15 @@ def test_clean_cut_short_between_moves_leaves_no_sidecar(tmp_path, monkeypatch, 
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_clean_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    kinds = (None, "clean", "logic_contradiction_correctable", "logic_contradiction_severe")
-    dialogues = [synthetic.synth_dialogue(1, k, flag_kind=kind) for k, kind in enumerate(kinds)]
-    dialogues.append(synthetic.synth_dialogue(1, 4, n_turns=3, truncate_first_turn=True,
-                                              flag_kind="missing_context"))
-    write_corpus(tmp_path, dialogues)
-    runs = []
-    for seed in ("0", "5"):
-        assert run(["clean", "--client", "mock", "--corpus", "corpus.jsonl", "--seed", seed,
-                    "--out", "cleaned.jsonl"]) == 0
-        runs.append({p.name: p.read_bytes() for p in tmp_path.glob("cleaned.jsonl*")})
-    assert sorted(runs[0]) == ["cleaned.jsonl", "cleaned.jsonl.deferred.jsonl",
-                               "cleaned.jsonl.manifest.json", "cleaned.jsonl.outcomes.jsonl"]
-    sidecars = [json.loads(r.pop("cleaned.jsonl.manifest.json")) for r in runs]
-    assert runs[0] == runs[1]
-    assert [s.pop("master_seed") for s in sidecars] == [0, 5]
-    # The command line records the flag; nothing else in the manifest moves with it.
-    assert [s.pop("command") for s in sidecars] == [
-        f"forge clean --client mock --corpus corpus.jsonl --seed {seed} --out cleaned.jsonl"
-        for seed in (0, 5)]
-    assert sidecars[0] == sidecars[1]
+def test_clean_takes_no_seed(tmp_path, capsys):
+    """No cleaning branch draws a random number: the mock clients derive their
+    output from content hashes."""
+    path = write_corpus(tmp_path, synthetic.synth_corpus(2, 1))
+    assert run(["clean", "--client", "mock", "--corpus", str(path), "--seed", "5",
+                "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "forge: error: unrecognized arguments: --seed 5")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # The two keys a clean --client http --config needs; nothing listens on port 1.
@@ -980,8 +983,7 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
     (["clean"], '{%s, "sed": 3}' % _HTTP_URLS,
      "forge: error: --config key 'sed' is not one of corrector_url, synth_url, timeout_s\n"),
     (["clean"], '{%s, "seed": 3}' % _HTTP_URLS,
-     "forge: error: --config key 'seed' is not one of corrector_url, synth_url, timeout_s; "
-     "pass --seed instead\n"),
+     "forge: error: --config key 'seed' is not one of corrector_url, synth_url, timeout_s\n"),
     (["clean"], '{%s, "retries": 2}' % _HTTP_URLS,
      "forge: error: --config key 'retries' is not one of corrector_url, synth_url, "
      "timeout_s; pass --retries instead\n"),
@@ -1044,6 +1046,36 @@ def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypa
     assert "Traceback" not in err
     assert not (tmp_path / "o.jsonl").exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_corpus_commands_map_through_the_driver():
+    """One path per corpus command: cli parses a corpus line only inside a
+    _*_record function, reads a corpus only as the tasks of a driver map,
+    and no module of seqforge defines parse_corpus."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    offenders = []
+
+    def is_call(node, owner, names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == owner
+                and node.func.attr in names)
+
+    mapped = {id(arg) for node in ast.walk(tree)
+              if is_call(node, "driver", ("map_records", "compile_records"))
+              for arg in node.args}
+    records = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and fn.name.startswith("_") and fn.name.endswith("_record")
+               for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if is_call(node, "corpus", ("parse_line",)) and id(node) not in records:
+            offenders.append(f"parse_line on line {node.lineno}")
+        if is_call(node, "corpus", ("iter_lines",)) and id(node) not in mapped:
+            offenders.append(f"iter_lines on line {node.lineno}")
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(
+            path.read_text(encoding="utf-8"))) if isinstance(node, ast.FunctionDef)
+            and node.name == "parse_corpus"]
+    assert offenders == []
 
 
 def test_importing_the_cli_does_not_load_numpy(tmp_path):

@@ -9,11 +9,11 @@ import random
 
 import pytest
 
-from seqforge import corpus
+from seqforge import corpus, driver
 from seqforge.captions import CaptionRecord
 from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue,
                              QualityFlag, Turn, downsample_frames,
-                             parse_corpus, tokens_for_hours, validate_dialogue)
+                             tokens_for_hours, validate_dialogue)
 
 import synthetic
 from conftest import make_dialogue, make_turn
@@ -74,30 +74,46 @@ def test_tokens_for_hours_rejects_bad_args():
 # parsing
 # --------------------------------------------------------------------------
 
+def _parse_record(state, task):
+    """A corpus line's Reject, or (id, no output lines, line number, dialogue)."""
+    dialogue = corpus.parse_line(*task)
+    if isinstance(dialogue, corpus.Reject):
+        return dialogue
+    return dialogue.id, (), task[0], dialogue
+
+
+def map_corpus(path, jobs: int = 1):
+    """(line numbers, dialogues, rejects) of a corpus file, mapped by the
+    driver as every corpus command maps it."""
+    rows, rejects, failure = driver.map_records(_parse_record, None, corpus.iter_lines(path),
+                                                jobs, driver.Chunks())
+    assert failure is None
+    return [n for _, n, _ in rows], [d for _, _, d in rows], rejects
+
+
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    result = parse_corpus(path)
-    assert result.dialogues == [] and result.rejects == []
+    assert map_corpus(path) == map_corpus(path, jobs=2) == ([], [], [])
 
 
 def test_parse_single_valid_dialogue(corpus_file):
     path = corpus_file([make_dialogue("d1")])
-    result = parse_corpus(path)
-    assert len(result.dialogues) == 1
-    assert result.rejects == []
-    assert result.dialogues[0].id == "d1"
-    assert [t.role for t in result.dialogues[0].turns] == ["user", "assistant"]
+    _, dialogues, rejects = map_corpus(path)
+    assert len(dialogues) == 1
+    assert rejects == []
+    assert dialogues[0].id == "d1"
+    assert [t.role for t in dialogues[0].turns] == ["user", "assistant"]
 
 
 def test_parse_rejects_line_missing_turns(corpus_file):
     bad = json.dumps({"id": "broken", "language": "en", "source": "synthetic"})
     path = corpus_file([make_dialogue("ok")], extra_lines=[bad])
-    result = parse_corpus(path)
-    assert len(result.dialogues) == 1
-    assert len(result.rejects) == 1
-    assert result.rejects[0].line_number == 2
-    assert "turns" in result.rejects[0].reason
+    _, dialogues, rejects = map_corpus(path)
+    assert len(dialogues) == 1
+    assert len(rejects) == 1
+    assert rejects[0].line_number == 2
+    assert "turns" in rejects[0].reason
 
 
 def test_parse_records_the_line_of_each_dialogue(tmp_path):
@@ -105,41 +121,67 @@ def test_parse_records_the_line_of_each_dialogue(tmp_path):
     lines = [corpus.serialize_dialogue(make_dialogue("a")), "", "{not json",
              corpus.serialize_dialogue(make_dialogue("b"))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = parse_corpus(path)
-    assert [d.id for d in result.dialogues] == ["a", "b"]
-    assert result.line_numbers == [1, 4]
+    line_numbers, dialogues, _ = map_corpus(path)
+    assert [d.id for d in dialogues] == ["a", "b"]
+    assert line_numbers == [1, 4]
 
 
 def test_parse_corpus_rejects_a_repeated_id(tmp_path):
+    """Repeated ids and the other rejects come back in line order, and only
+    the first line of each id is kept, at --jobs 1 and 2 alike."""
     path = tmp_path / "corpus.jsonl"
     lines = [corpus.serialize_dialogue(make_dialogue(did)) for did in ("a", "b", "a")]
     lines[1:1] = ["{not json"]
-    lines += [corpus.serialize_dialogue(make_dialogue("a")), "", lines[2]]
+    lines += [corpus.serialize_dialogue(make_dialogue("a")), "", lines[2], '{"id": "c"}']
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = parse_corpus(path)
-    assert [d.id for d in result.dialogues] == ["a", "b"]
-    assert result.line_numbers == [1, 3]
-    assert result.rejects == [
+    line_numbers, dialogues, rejects = map_corpus(path)
+    assert [d.id for d in dialogues] == ["a", "b"]
+    assert line_numbers == [1, 3]
+    assert rejects == [
         corpus.Reject(2, "invalid JSON: Expecting property name enclosed in double quotes"),
         corpus.Reject(4, "duplicate dialogue id 'a' (first on line 1)"),
         corpus.Reject(5, "duplicate dialogue id 'a' (first on line 1)"),
-        corpus.Reject(7, "duplicate dialogue id 'b' (first on line 3)")]
-    assert corpus.validate_corpus(result.dialogues).ok
+        corpus.Reject(7, "duplicate dialogue id 'b' (first on line 3)"),
+        corpus.Reject(8, "dialogue: missing field 'language'")]
+    assert corpus.validate_corpus(dialogues).ok
+    assert map_corpus(path, jobs=2) == (line_numbers, dialogues, rejects)
+
+
+def test_map_records_returns_the_first_failure_and_every_reject():
+    """A record may return a list of rejects or a failure; the rejects of
+    every chunk come back in line order and the failure is the first one."""
+    def record(state, task):
+        line_no, kind = task
+        if kind == "fail":
+            return driver.Failed(f"failed {line_no}")
+        if kind == "two":
+            return [corpus.Reject(line_no, "x"), corpus.Reject(line_no, "y")]
+        return corpus.Reject(line_no, kind) if kind else (str(line_no), (), line_no)
+
+    tasks = [(1, None), (2, "fail"), (3, "two"), (5, None), (6, "fail"), (7, "z")]
+    expected = ([("1", 1), ("5", 5)], [corpus.Reject(3, "x"), corpus.Reject(3, "y"),
+                                       corpus.Reject(7, "z")], "failed 2")
+    assert driver.map_records(record, None, iter(tasks), 1, driver.Chunks()) == expected
+    assert driver.map_records(record, None, iter(tasks), 2, driver.Chunks()) == expected
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("content", [b"", b"{not json}\n", b'{"id": "\xff"}\n'])
 def test_parse_corpus_restores_the_gc_state(tmp_path, enabled, content):
+    """map_records runs its in-process chunk with the cyclic collector off
+    and restores the caller's state, also when the corpus turns out not to be
+    UTF-8 after two good lines."""
     path = tmp_path / "corpus.jsonl"
-    path.write_bytes(content)
+    good = "".join(corpus.serialize_dialogue(make_dialogue(f"d{k}")) + "\n" for k in range(2))
+    path.write_bytes(good.encode("utf-8") + content)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         if b"\xff" in content:
-            with pytest.raises(corpus.NotUtf8Error):
-                parse_corpus(path)
+            with pytest.raises(corpus.NotUtf8Error, match="line 3 is not valid UTF-8"):
+                map_corpus(path)
         else:
-            parse_corpus(path)
+            map_corpus(path)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
@@ -160,6 +202,34 @@ def test_parse_line_counts_no_bracket_inside_a_string():
     d = make_dialogue("d")
     d.turns[0].text = '[{\\"' * corpus.MAX_DEPTH
     assert corpus.parse_line(1, corpus.serialize_dialogue(d)) == d
+
+
+@pytest.mark.parametrize("escape, decoded", [
+    (r"\ud800x", None), (r"x\uDFFF", None), (r"\udc00\ud800", None), (r"\ud83dA", None),
+    (r"\\\ud800", None), (r"\ud83d\ude00", "😀"), (r"\uD83D\uDE00\u00e9", "😀é"),
+    (r"\\ud800", "\\ud800"), (r"\\\\ud800", "\\\\ud800"),
+])
+@pytest.mark.parametrize("where", ["id", "text", "key"])
+def test_parse_line_rejects_an_unpaired_surrogate_escape(escape, decoded, where):
+    """A lone surrogate decodes to a str no UTF-8 output can hold; a pair is a
+    character, and after an escaped backslash "ud800" is plain text."""
+    line = corpus.serialize_dialogue(make_dialogue("d"))
+    if where == "id":
+        line = line.replace('"id":"d"', f'"id":"{escape}"')
+    elif where == "text":
+        line = line.replace('"text":"', f'"text":"{escape}', 1)
+    else:
+        line = f'{{"{escape}":0,{line[1:]}'
+    assert line.count(escape) == 1
+    parsed = corpus.parse_line(5, line)
+    if decoded is None:
+        assert parsed == corpus.Reject(5, "invalid JSON: unpaired surrogate escape")
+    elif where == "id":
+        assert parsed.id == decoded
+    elif where == "text":
+        assert parsed.turns[0].text.startswith(decoded)
+    else:
+        assert parsed.id == "d"
 
 
 @pytest.mark.parametrize("sep", [",", ", "])
@@ -189,17 +259,19 @@ def test_audio_token_span_keeps_ids_as_text():
 def test_parse_rejects_invalid_json_and_bad_enum(corpus_file):
     bad_enum = json.dumps({"id": "x", "language": "klingon", "source": "synthetic", "turns": []})
     path = corpus_file([], extra_lines=["{not json", bad_enum])
-    result = parse_corpus(path)
-    assert result.dialogues == []
-    assert [r.line_number for r in result.rejects] == [1, 2]
-    assert "language" in result.rejects[1].reason
+    _, dialogues, rejects = map_corpus(path)
+    assert dialogues == []
+    assert [r.line_number for r in rejects] == [1, 2]
+    assert "language" in rejects[1].reason
 
 
 def test_parse_corpus_freezes_the_parsed_corpus(corpus_file):
+    """The in-process map freezes what it built: a pool forked after it does
+    not copy the held dialogues on write when its workers collect."""
     path = corpus_file([make_dialogue(f"d{k}") for k in range(30)])
     before = gc.get_freeze_count()
-    result = parse_corpus(path)
-    assert len(result.dialogues) == 30
+    _, dialogues, _ = map_corpus(path)
+    assert len(dialogues) == 30
     assert gc.get_freeze_count() - before >= 30
 
 
@@ -770,15 +842,15 @@ def test_parse_of_a_mutant_is_frozen(n):
 
 def test_parse_unreadable_file_raises(tmp_path):
     with pytest.raises(OSError):
-        parse_corpus(tmp_path / "missing.jsonl")
+        map_corpus(tmp_path / "missing.jsonl")
 
 
 def test_parse_serialize_parse_identity(corpus_file):
     dialogues = synthetic.synth_corpus(20, 11, with_captions=True,
                                        flag_kind="logic_contradiction_severe")
     path = corpus_file(dialogues)
-    first = parse_corpus(path)
-    lines1 = [corpus.serialize_dialogue(d) for d in first.dialogues]
+    _, first, _ = map_corpus(path)
+    lines1 = [corpus.serialize_dialogue(d) for d in first]
     reparsed = [corpus.parse_dialogue(json.loads(line)) for line in lines1]
     lines2 = [corpus.serialize_dialogue(d) for d in reparsed]
     assert lines1 == lines2

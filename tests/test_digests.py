@@ -28,7 +28,7 @@ EXPECTED = {
     "cleaned.jsonl.deferred.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cleaned.jsonl.manifest.json":
-        "0476be305ca8c0943582b4975253be2149d5b5c1dfe2282ec074d3f0c69e86c6",
+        "3b5a98ffe3cdd3c625f9ae53c4efaeca7e59c2e2794bae4f1e8769e9903be704",
     "thinker.jsonl:header":
         "97ca7b57f9fca2ac8695c97a7afc2c1bc13acd3e5e48f2f35deafc40f9a58749",
     "thinker.jsonl:body":
@@ -76,7 +76,7 @@ def _write_corpus() -> None:
 
 def _digests(jobs: str) -> dict[str, str]:
     _write_corpus()
-    assert run(["clean", "--corpus", "corpus.jsonl", "--client", "mock", "--seed", "5",
+    assert run(["clean", "--corpus", "corpus.jsonl", "--client", "mock",
                 "--out", "cleaned.jsonl", "--jobs", jobs]) == 0
     assert run(["build-thinker", "--corpus", "cleaned.jsonl", "--seed", "5",
                 "--masks", "cleaned.jsonl.outcomes.jsonl",
@@ -170,7 +170,7 @@ CAPTION_EXPECTED = {
     "cleaned.jsonl.outcomes.jsonl":
         "6e36695d9239c98054d4cbede35df24062f1e0f63877e47f999abe18e8418dfb",
     "cleaned.jsonl.manifest.json":
-        "db32704291e34665183c47776622bb1bb8f5bd2c7a08b6f9b8fbc293472af22b",
+        "067834a981a7ec68045a7664d436c3b1ff7fcd293b26fcbe4abd5eae480fb2a5",
     "thinker.jsonl:header":
         "7f94b2af6ae34651e66b0e9c82e677e5fbb066ecc37121e6055b6b0404fdefbc",
     "thinker.jsonl:body":
@@ -200,7 +200,7 @@ def _caption_corpus() -> None:
 def test_caption_outputs_match_frozen_digests(tmp_path, monkeypatch, capsys, jobs):
     monkeypatch.chdir(tmp_path)
     _caption_corpus()
-    assert run(["clean", "--corpus", "corpus.jsonl", "--client", "mock", "--seed", "3",
+    assert run(["clean", "--corpus", "corpus.jsonl", "--client", "mock",
                 "--out", "cleaned.jsonl", "--jobs", jobs]) == 0
     assert run(["build-thinker", "--corpus", "cleaned.jsonl", "--seed", "3",
                 "--masks", "cleaned.jsonl.outcomes.jsonl",
