@@ -11,6 +11,10 @@ Routing is driven by upstream quality flags:
 External clients are synchronous request/response with bounded retries;
 a failed call defers the whole dialogue with zero mutations. Deterministic
 mock clients ship with the toolkit so the full pipeline runs offline.
+
+``outcome_line`` writes an outcome's line straight from its fields, equal to
+canonical_json of ``outcome_to_dict``; only its provenance entries, dicts
+already, go through canonical_json.
 """
 import json
 from dataclasses import dataclass, field, replace
@@ -18,7 +22,7 @@ from typing import Protocol
 
 from seqforge import corpus as corpus_mod
 from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, Turn
-from seqforge.manifest import json_digest
+from seqforge.manifest import canonical_json, json_digest, json_string
 from seqforge.reporting import SchemaError
 from seqforge.seeding import DetRng, derive_seed
 
@@ -214,7 +218,7 @@ def _call_with_retry(provenance, op: str, turn_index, fn, request_doc, retries: 
 
 
 def _result_repr(result, ids: list[str]):
-    """result as a JSON value, its token ids marked and collected in ids (see splice_ids)."""
+    """result as a JSON value, its token ids marked and collected in ids (see json_digest)."""
     if isinstance(result, AudioTokenSpan):
         return corpus_mod._audio_dict(result, ids)
     if isinstance(result, list) and result and isinstance(result[0], Turn):
@@ -365,6 +369,15 @@ def clean_dialogue(
     if branch == "context_completion":
         return apply_context_completion(dialogue, corrector, synth, retries=retries)
     return apply_logic_correction(dialogue, corrector, synth, retries=retries)
+
+
+def outcome_line(outcome: CleaningOutcome) -> str:
+    """canonical_json(outcome_to_dict(outcome)), written straight from the fields."""
+    detail = "null" if outcome.detail is None else json_string(outcome.detail)
+    return (f'{{"dialogue_id":{json_string(outcome.dialogue.id)},'
+            f'"branch":{json_string(outcome.branch)},"status":{json_string(outcome.status)},'
+            f'"masked_spans":[{corpus_mod.spans_text(outcome.masked_spans)}],'
+            f'"provenance":{canonical_json(outcome.provenance)},"detail":{detail}}}')
 
 
 def outcome_to_dict(outcome: CleaningOutcome) -> dict:

@@ -152,8 +152,8 @@ def _thinker_record(state, task):
                                               masked_spans=masks.get(dialogue.id))
     except thinker_mod.CompileError as exc:
         return Failed(f"compile error: {exc}")
-    n_targets = sum(1 for e in seq.elements if e.loss_target)
-    return dialogue.id, (thinker_mod.serialize_sequence(seq),), len(seq.elements), n_targets
+    return (dialogue.id, (thinker_mod.serialize_sequence(seq),), seq.n_elements,
+            seq.n_loss_targets)
 
 
 def _load_masks(path) -> dict[str, list]:
@@ -196,6 +196,7 @@ def cmd_build_thinker(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--p-user/--p-assistant: {exc}") from None
     masks = _load_masks(args.masks) if args.masks else {}
+    digest = driver.input_digest(args.corpus)
     with driver.Chunks(args.out) as chunks:
         rows = driver.compile_records(_thinker_record, (policy, args.seed, masks),
                                       corpus.iter_lines(args.corpus), args.jobs, chunks)
@@ -204,7 +205,8 @@ def cmd_build_thinker(args) -> int:
         driver.publish(args, {"policy": policy.to_json_dict(), "masks": bool(args.masks)},
                  {"dialogues": len(rows), "sequences": len(rows),
                   "elements": sum(n for n, _ in rows),
-                  "loss_targets": sum(n for _, n in rows)}, chunks, header=True)
+                  "loss_targets": sum(n for _, n in rows)}, chunks, header=True,
+                 digest=digest)
     print(f"wrote {len(rows)} sequences to {args.out}")
     return 0
 
@@ -241,6 +243,7 @@ def cmd_build_talker(args) -> int:
         ratio = talker_mod.StreamRatio.parse(args.ratio)
     except ValueError:
         raise UsageError(f"--ratio must be N:M with N, M >= 1, got {args.ratio!r}") from None
+    digest = driver.input_digest(args.corpus)
     # The reference index spans the corpus, so every dialogue is held before
     # the first one is assembled.
     held = driver.compile_records(_parsed_record, lambda *task: task,
@@ -260,7 +263,7 @@ def cmd_build_talker(args) -> int:
         n_lines = len(rows) - len(skipped)
         driver.publish(args, {"mode": args.mode, "ratio": str(ratio)},
                  {"dialogues": len(rows), "sequences": n_lines,
-                  "skipped_no_reference": len(skipped)}, chunks, header=True)
+                  "skipped_no_reference": len(skipped)}, chunks, header=True, digest=digest)
     print(f"wrote {n_lines} sequences to {args.out} ({len(skipped)} skipped)")
     return 0
 
@@ -283,7 +286,6 @@ def _make_clients(args):
 
 def _clean_record(state, task):
     from seqforge import cleaning, corpus
-    from seqforge.manifest import canonical_json
 
     corrector, synth, retries = state
     dialogue = corpus.parse_line(*task)
@@ -295,7 +297,7 @@ def _clean_record(state, task):
     if violations:
         return [corpus.Reject(task[0], str(v)) for v in violations]
     outcome = cleaning.clean_dialogue(dialogue, corrector, synth, retries=retries)
-    outcome_line = canonical_json(cleaning.outcome_to_dict(outcome))
+    outcome_line = cleaning.outcome_line(outcome)
     deferred = outcome.status == "deferred"
     return (dialogue.id, (corpus.serialize_dialogue(outcome.dialogue), outcome_line,
                           outcome_line if deferred else None), deferred)
@@ -309,6 +311,7 @@ def cmd_clean(args) -> int:
     if args.retries < 1:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     corrector, synth = _make_clients(args)
+    digest = driver.input_digest(args.corpus)
     with driver.Chunks(args.out, f"{args.out}.outcomes.jsonl",
                        f"{args.out}.deferred.jsonl") as chunks:
         rows = driver.compile_records(_clean_record, (corrector, synth, args.retries),
@@ -317,7 +320,8 @@ def cmd_clean(args) -> int:
             return 1
         deferred = sum(deferred for deferred, in rows)
         driver.publish(args, {"client": args.client, "retries": args.retries},
-                 {"dialogues": len(rows), "deferred": deferred}, chunks, header=False)
+                 {"dialogues": len(rows), "deferred": deferred}, chunks, header=False,
+                 digest=digest)
     print(f"cleaned {len(rows)} dialogues -> {args.out} ({deferred} deferred)")
     return 0
 
@@ -448,6 +452,7 @@ def cmd_eval(args) -> int:
 def cmd_stats(args) -> int:
     from seqforge import corpus, driver
 
+    digest = driver.input_digest(args.corpus) if args.out else None
     rows, rejects, _ = driver.map_records(
         _parsed_record, lambda _, d: (d.language, d.source, [f.kind for f in d.quality_flags],
                                       [t.audio.duration_s for t in d.turns if t.audio]),
@@ -493,7 +498,8 @@ def cmd_stats(args) -> int:
             chunks.n = 1
             with open(f"{args.out}.0.tmp", "w", encoding="utf-8") as fh:
                 fh.write(blob + "\n")
-            driver.publish(args, {}, {"dialogues": len(rows)}, chunks, header=False)
+            driver.publish(args, {}, {"dialogues": len(rows)}, chunks, header=False,
+                           digest=digest)
     return 0
 
 

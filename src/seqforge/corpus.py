@@ -8,7 +8,7 @@ are checked separately by ``validate_dialogue`` and never raise.
 Token ids are most of a corpus's bytes, and they stay JSON text from parse to
 output. ``parse_line`` cuts each compact id array out of the line (see
 ``_decode_compact``), ``AudioTokenSpan`` keeps it as ``ids_text`` and every
-serializer splices it back in, so no id becomes an int on the way. A line the
+serializer writes it in place, so no id becomes an int on the way. A line the
 cut does not cover takes the full path, ``json.loads`` and an exact type
 test of each id, which alone reports rejects.
 
@@ -23,18 +23,25 @@ valid document builds no path strings. The turn and audio parsers also read
 the responses of the HTTP cleaning clients.
 
 Serialization is canonical: fixed key order, compact separators, sorted
-multi-tag sets. ``parse -> serialize -> parse`` is the identity on valid
-corpora and serialization is byte-stable.
+multi-tag sets. ``serialize_dialogue`` writes the line straight from the
+fields with fixed-key templates, each string through ``json_string``; it
+equals canonical_json of ``dialogue_to_dict`` (which the HTTP payloads and
+provenance digests use) for the types the model declares: str, int, and a
+float or int number. ``parse -> serialize -> parse`` is the identity on
+valid corpora and serialization is byte-stable.
+
+``validate_dialogue`` builds a violation's path only when it reports one.
 """
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
 
 from seqforge import LANGUAGES
 from seqforge.captions import CaptionRecord, validate_caption
-from seqforge.manifest import IDS_MARK, canonical_json, splice_ids
+from seqforge.manifest import IDS_MARK, canonical_json, json_number, json_string
 # read_lines and NotUtf8Error live in reporting, so that eval reads text without
 # loading this data model; corpus re-exports them, as it does SchemaError.
 from seqforge.reporting import (NotUtf8Error, SchemaError, ValidationReport, Violation,
@@ -512,7 +519,7 @@ def parse_line(line_no: int, line: str) -> Dialogue | Reject:
 
 def _audio_dict(a: AudioTokenSpan, ids: list[str] | None = None) -> dict:
     """The audio as a JSON object. Given ids, the token ids are IDS_MARK and
-    their text is appended to ids, for splice_ids; else they are a list."""
+    their text is appended to ids, for json_digest; else they are a list."""
     if ids is None:
         token_ids = a.token_ids
     else:
@@ -548,37 +555,67 @@ def dialogue_to_dict(d: Dialogue, ids: list[str] | None = None) -> dict:
     }
 
 
+def spans_text(spans) -> str:
+    """(turn index, (start, end)) pairs as the text inside their JSON array."""
+    return ",".join([f"[{ti},[{s},{e}]]" for ti, (s, e) in spans])
+
+
+_SPAN_FIELDS = operator.attrgetter("text_range", "audio_range", "index")
+
+
+def _turn_text(t: Turn) -> str:
+    """canonical_json(_turn_dict(t)), its token ids as an array."""
+    head = (f'{{"role":{json_string(t.role)},"speaker_id":{json_string(t.speaker_id)},'
+            f'"text":{json_string(t.text)}')
+    a = t.audio
+    if a is not None:
+        head += (f',"audio":{{"token_ids":[{a.ids_text}],'
+                 f'"frame_rate_hz":{json_number(a.frame_rate_hz)},'
+                 f'"duration_s":{json_number(a.duration_s)}}}')
+    alignment = ",".join([f'{{"text_range":[{ts},{te}],"audio_range":[{aus},{aue}],'
+                          f'"index":{k}}}'
+                          for (ts, te), (aus, aue), k in map(_SPAN_FIELDS, t.alignment)])
+    if t.caption is None:
+        return f'{head},"alignment":[{alignment}]}}'
+    return f'{head},"alignment":[{alignment}],"caption":{canonical_json(t.caption.to_json_dict())}}}'
+
+
 def serialize_dialogue(d: Dialogue) -> str:
-    ids: list[str] = []
-    return splice_ids(canonical_json(dialogue_to_dict(d, ids)), "token_ids", ids)
+    """The dialogue as one corpus line: canonical_json(dialogue_to_dict(d))
+    with the token ids as arrays, written straight from the fields."""
+    flags = ",".join([f'{{"kind":{json_string(f.kind)},"spans":[{spans_text(f.spans)}]}}'
+                      for f in d.quality_flags])
+    return (f'{{"id":{json_string(d.id)},"language":{json_string(d.language)},'
+            f'"source":{json_string(d.source)},"quality_flags":[{flags}],'
+            f'"turns":[{",".join(map(_turn_text, d.turns))}]}}')
 
 
 # --------------------------------------------------------------------------
 # validation (never raises)
 # --------------------------------------------------------------------------
 
-def _validate_audio(report, audio: AudioTokenSpan, path: str) -> None:
+def _validate_audio(report, audio: AudioTokenSpan, i: int) -> None:
     if "-" in audio.ids_text:
-        report.add(f"{path}.token_ids", "token ids must be >= 0")
+        report.add(f"turns[{i}].audio.token_ids", "token ids must be >= 0")
     if audio.frame_rate_hz <= 0:
-        report.add(f"{path}.frame_rate_hz", "frame rate must be > 0")
+        report.add(f"turns[{i}].audio.frame_rate_hz", "frame rate must be > 0")
     product = audio.duration_s * audio.frame_rate_hz
     if audio.duration_s < 0:
-        report.add(f"{path}.duration_s", "duration must be >= 0")
+        report.add(f"turns[{i}].audio.duration_s", "duration must be >= 0")
     elif not math.isfinite(product):
-        report.add(path, f"duration {audio.duration_s} s at {audio.frame_rate_hz} Hz "
-                         f"is too many tokens to count")
+        report.add(f"turns[{i}].audio", f"duration {audio.duration_s} s at "
+                                        f"{audio.frame_rate_hz} Hz is too many tokens to count")
     else:
         expected = _round_half_away(product)
         if abs(audio.n_tokens - expected) > 1:
             report.add(
-                path,
+                f"turns[{i}].audio",
                 f"token count {audio.n_tokens} vs duration-derived {expected} "
                 f"exceeds the +/-1 rounding bound",
             )
 
 
-def _validate_alignment(report, turn: Turn, path: str) -> None:
+def _validate_alignment(report, turn: Turn, i: int) -> None:
     spans = turn.alignment
     if not spans:
         return
@@ -587,33 +624,40 @@ def _validate_alignment(report, turn: Turn, path: str) -> None:
     prev_text_end = 0
     prev_audio_end = None
     for k, span in enumerate(spans):
-        p = f"{path}.alignment[{k}]"
         ts, te = span.text_range
         if span.index != k:
-            report.add(p, f"index {span.index} does not match position {k}")
+            report.add(f"turns[{i}].alignment[{k}]",
+                       f"index {span.index} does not match position {k}")
         if ts >= te:
-            report.add(f"{p}.text_range", "text range must be non-empty")
+            report.add(f"turns[{i}].alignment[{k}].text_range", "text range must be non-empty")
         if ts < 0 or te > text_len:
-            report.add(f"{p}.text_range", f"range [{ts},{te}) outside text of length {text_len}")
+            report.add(f"turns[{i}].alignment[{k}].text_range",
+                       f"range [{ts},{te}) outside text of length {text_len}")
         if ts < prev_text_end:
-            report.add(f"{p}.text_range", f"overlaps previous span ending at {prev_text_end}")
+            report.add(f"turns[{i}].alignment[{k}].text_range",
+                       f"overlaps previous span ending at {prev_text_end}")
         elif ts > prev_text_end:
-            report.add(f"{p}.text_range", f"gap after previous span ending at {prev_text_end}")
+            report.add(f"turns[{i}].alignment[{k}].text_range",
+                       f"gap after previous span ending at {prev_text_end}")
         prev_text_end = max(prev_text_end, te)
         aus, aue = span.audio_range
         if aus > aue or aus < 0:
-            report.add(f"{p}.audio_range", f"malformed range [{aus},{aue})")
+            report.add(f"turns[{i}].alignment[{k}].audio_range", f"malformed range [{aus},{aue})")
         if n_tokens is None:
             if aue != aus:
-                report.add(f"{p}.audio_range", "non-empty audio range on a turn without audio")
+                report.add(f"turns[{i}].alignment[{k}].audio_range",
+                           "non-empty audio range on a turn without audio")
         else:
             if aue > n_tokens:
-                report.add(f"{p}.audio_range", f"range end {aue} beyond {n_tokens} tokens")
+                report.add(f"turns[{i}].alignment[{k}].audio_range",
+                           f"range end {aue} beyond {n_tokens} tokens")
             if prev_audio_end is not None and aus < prev_audio_end:
-                report.add(f"{p}.audio_range", "audio ranges must be monotonically increasing")
+                report.add(f"turns[{i}].alignment[{k}].audio_range",
+                           "audio ranges must be monotonically increasing")
             prev_audio_end = aue
-    if spans and prev_text_end != text_len and all(s.text_range[0] < s.text_range[1] for s in spans):
-        report.add(f"{path}.alignment", f"spans cover [0,{prev_text_end}) but text has length {text_len}")
+    if prev_text_end != text_len and all(s.text_range[0] < s.text_range[1] for s in spans):
+        report.add(f"turns[{i}].alignment",
+                   f"spans cover [0,{prev_text_end}) but text has length {text_len}")
 
 
 def role_violation(i: int, role: str) -> Violation | None:
@@ -632,16 +676,15 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
     if not d.turns:
         report.add("turns", "dialogue must have at least one turn")
     for i, turn in enumerate(d.turns):
-        path = f"turns[{i}]"
-        if (v := role_violation(i, turn.role)) is not None:
-            report.violations.append(v)
+        if turn.role != ROLES[i % 2]:
+            report.violations.append(role_violation(i, turn.role))
         if turn.audio is not None:
-            _validate_audio(report, turn.audio, f"{path}.audio")
-        _validate_alignment(report, turn, path)
+            _validate_audio(report, turn.audio, i)
+        _validate_alignment(report, turn, i)
         if turn.caption is not None:
             for v in validate_caption(turn.caption).violations:
-                report.add(f"{path}.caption.{v.path}", v.message)
-    report.violations += validate_flags(d).violations
+                report.add(f"turns[{i}].caption.{v.path}", v.message)
+    _validate_flags(report, d)
     return report
 
 
@@ -652,21 +695,26 @@ def validate_flags(d: Dialogue) -> ValidationReport:
     rejects a dialogue that breaks these.
     """
     report = ValidationReport()
+    _validate_flags(report, d)
+    return report
+
+
+def _validate_flags(report, d: Dialogue) -> None:
     for k, flag in enumerate(d.quality_flags):
-        path = f"quality_flags[{k}]"
         if flag.kind == "logic_contradiction_severe" and not flag.spans:
-            report.add(path, "severe contradiction flags must carry at least one span")
+            report.add(f"quality_flags[{k}]",
+                       "severe contradiction flags must carry at least one span")
         if flag.kind == "clean" and flag.spans:
-            report.add(path, "clean flags must not carry spans")
+            report.add(f"quality_flags[{k}]", "clean flags must not carry spans")
         for j, (turn_index, (s, e)) in enumerate(flag.spans):
-            p = f"{path}.spans[{j}]"
             if turn_index < 0 or turn_index >= len(d.turns):
-                report.add(p, f"turn index {turn_index} out of range")
+                report.add(f"quality_flags[{k}].spans[{j}]",
+                           f"turn index {turn_index} out of range")
                 continue
             text_len = len(d.turns[turn_index].text)
             if s < 0 or e > text_len or s >= e:
-                report.add(p, f"text range [{s},{e}) invalid for turn of length {text_len}")
-    return report
+                report.add(f"quality_flags[{k}].spans[{j}]",
+                           f"text range [{s},{e}) invalid for turn of length {text_len}")
 
 
 def validate_corpus(dialogues) -> ValidationReport:

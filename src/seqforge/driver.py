@@ -2,11 +2,14 @@
 corpus, the one reject gate, and publishing the outputs.
 
 All five corpus commands map through map_records; validate, stats and any
-map at --jobs 1 read the corpus as a stream. The process that computes chunk
-k of the tasks, this one at --jobs 1 or a pool worker, writes the chunk's
-lines of each output to <path>.<k>.tmp itself, so output rows never cross a
-pipe. publish joins the chunk files behind the header and moves every output
-into place. Only the corpus commands load this module.
+map at --jobs 1 read the corpus as a stream. A command that publishes first
+reads the corpus once as bytes with input_digest, so a corpus that is not
+UTF-8 fails before any record runs, and that digest goes into the manifest.
+The process that computes chunk k of the tasks, this one at --jobs 1 or a
+pool worker, writes the chunk's lines of each output to <path>.<k>.tmp
+itself, so output rows never cross a pipe. publish joins the chunk files
+behind the header and moves every output into place. Only the corpus
+commands load this module.
 """
 import contextlib
 import gc
@@ -71,6 +74,30 @@ def _init_worker(*worker) -> None:
 def _write_chunk_in_worker(k: int) -> list:
     fn, state, parts, paths = _worker
     return _write_chunk(fn, state, parts[k], paths, k)
+
+
+def input_digest(path) -> str:
+    """sha256 hex digest of the file at path, read once in 1 MiB blocks.
+
+    Bytes that are not UTF-8 raise NotUtf8Error, naming the first such line,
+    before the file is mapped.
+    """
+    import codecs
+    import hashlib
+
+    from seqforge.reporting import not_utf8
+
+    h = hashlib.sha256()
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    with open(path, "rb") as fh:
+        try:
+            while block := fh.read(1 << 20):
+                h.update(block)
+                decode(block)
+            decode(b"", True)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    return h.hexdigest()
 
 
 def report_rejects(rejects) -> None:
@@ -181,9 +208,11 @@ def _append(fd: int, path: str) -> None:
             offset += sent
 
 
-def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool) -> None:
+def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool,
+            digest: str) -> None:
     """Join each output's chunk files and write the run's manifest, each to
-    <path>.tmp, then move them into place.
+    <path>.tmp, then move them into place. digest is the corpus's
+    input_digest.
 
     The first output is the command's own: it gets the manifest as its
     sidecar and, with header, as its first line. Until the moves, every
@@ -191,11 +220,11 @@ def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool) -> N
     move and the new one comes last, so a run cut short between moves leaves
     none. If a write or move raises, no <path>.tmp stays behind.
     """
-    from seqforge.manifest import file_digest, manifest_line
+    from seqforge.manifest import manifest_line
 
     # stats and clean take no --seed; their manifests record master_seed null
     manifest = manifest_line(_manifest_command(args.argv), getattr(args, "seed", None), config,
-                             {args.corpus: file_digest(args.corpus)}, counts)
+                             {args.corpus: digest}, counts)
     sidecar = f"{chunks.paths[0]}.manifest.json"
     outputs = [*chunks.paths, sidecar]
     try:

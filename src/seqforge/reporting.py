@@ -43,6 +43,17 @@ class NotUtf8Error(ValueError):
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
+def not_utf8(path) -> NotUtf8Error:
+    """The error naming the first line of path that is not UTF-8.
+
+    Decoding fails a whole buffer at a time, so the file is read again to
+    find the line.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        line_no = next(n for n, line in enumerate(fh, 1) if _ESCAPED_BYTE.search(line))
+    return NotUtf8Error(path, line_no)
+
+
 def read_lines(path):
     """Yield the lines of a UTF-8 text file; unreadable files raise.
 
@@ -52,7 +63,4 @@ def read_lines(path):
         with open(path, encoding="utf-8") as fh:
             yield from fh
     except UnicodeDecodeError:
-        # Decoding fails a whole buffer at a time: re-read to find the line.
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            line_no = next(n for n, line in enumerate(fh, 1) if _ESCAPED_BYTE.search(line))
-        raise NotUtf8Error(path, line_no) from None
+        raise not_utf8(path) from None

@@ -9,13 +9,21 @@ Determinism contract: the per-dialogue random stream is derived from
 (master_seed, dialogue_id) only, and draws are consumed in a fixed order
 (one per user turn, one per non-final assistant segment, in sequence order).
 Outputs are therefore invariant under sharding and worker count.
+
+interleave_dialogue writes each element straight to its canonical JSON text
+as it draws it, and counts elements and loss targets in the same pass; the
+manifest's text is encoded once per (seed, policy). serialize_sequence only
+frames the texts, byte-identical to canonical_json of the dict form with each
+speech element's tokens as an array, and the Element list is parsed back
+from the text on demand.
 """
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from seqforge.corpus import AlignmentSpan, Dialogue
-from seqforge.manifest import IDS_MARK, canonical_json, json_digest, splice_ids
+from seqforge.manifest import canonical_json, json_digest, json_string
 from seqforge.seeding import DetRng, derive_seed
 
 TEXT = "text"
@@ -63,17 +71,31 @@ class Element:
 @dataclass
 class TrainingSequence:
     dialogue_id: str
-    elements: list[Element]
-    manifest: dict = field(default_factory=dict)
+    elements_text: str  # the elements as comma-separated canonical JSON objects
+    manifest_text: str  # the manifest as canonical JSON
+    n_elements: int
+    n_loss_targets: int
+
+    @cached_property
+    def elements(self) -> list[Element]:
+        return [Element(doc["modality"], doc["role"], doc.get("text"),
+                        canonical_json(doc["tokens"])[1:-1] if "tokens" in doc else None,
+                        doc["loss_target"], tuple(doc["origin"]))
+                for doc in json.loads(f"[{self.elements_text}]")]
+
+    @cached_property
+    def manifest(self) -> dict:
+        return json.loads(self.manifest_text)
 
 
-@functools.cache  # the policy is frozen: one hash per policy, not per dialogue
-def policy_config_hash(policy: InterleavePolicy) -> str:
-    return json_digest(policy.to_json_dict())
-
-
-def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
+# typed: a master seed of True is not 1. One run compiles with one seed and policy.
+@functools.lru_cache(maxsize=16, typed=True)
+def _manifest_text(master_seed: int, policy: InterleavePolicy) -> str:
+    return canonical_json({
+        "master_seed": master_seed,
+        "policy": policy.to_json_dict(),
+        "config_hash": json_digest(policy.to_json_dict()),
+    })
 
 
 def interleave_dialogue(
@@ -88,6 +110,7 @@ def interleave_dialogue(
     fallback to text (fallbacks would skew modality statistics).
     masked_spans are (turn_index, text_range) pairs from the cleaning
     pipeline; overlapping assistant segments lose their loss-target status.
+    Each element is written as its JSON text when it is drawn, and counted.
     """
     rng = DetRng(derive_seed(master_seed, dialogue.id, "thinker"))
     masks_by_turn: dict[int, list[tuple[int, int]]] = {}
@@ -95,7 +118,9 @@ def interleave_dialogue(
         for turn_index, span_range in masked_spans:
             masks_by_turn.setdefault(turn_index, []).append(tuple(span_range))
 
-    elements: list[Element] = []
+    did = json_string(dialogue.id)
+    elements: list[str] = []
+    n_targets = 0
     for i, turn in enumerate(dialogue.turns):
         if turn.role == "user":
             speech = rng.uniform() < policy.p_user_speech
@@ -105,11 +130,13 @@ def interleave_dialogue(
                         f"dialogue {dialogue.id!r} turn {i}: speech modality drawn "
                         f"but the turn has no audio"
                     )
-                elements.append(Element(SPEECH, "user", None, turn.audio.ids_text,
-                                        False, (dialogue.id, i, 0)))
+                elements.append(f'{{"modality":"speech","role":"user","tokens":'
+                                f'[{turn.audio.ids_text}],"loss_target":false,'
+                                f'"origin":[{did},{i},0]}}')
             else:
-                elements.append(Element(TEXT, "user", turn.text, None,
-                                        False, (dialogue.id, i, 0)))
+                elements.append(f'{{"modality":"text","role":"user","text":'
+                                f'{json_string(turn.text)},"loss_target":false,'
+                                f'"origin":[{did},{i},0]}}')
             continue
 
         # Assistant: one segment per alignment span, final segment pinned to
@@ -128,20 +155,22 @@ def interleave_dialogue(
                 if ids is None:
                     ids = turn.audio.ids_text.split(",")
                 aus, aue = span.audio_range
-                elements.append(Element(SPEECH, "assistant", None, ",".join(ids[aus:aue]),
-                                        False, (dialogue.id, i, span.index)))
+                elements.append(f'{{"modality":"speech","role":"assistant","tokens":'
+                                f'[{",".join(ids[aus:aue])}],"loss_target":false,'
+                                f'"origin":[{did},{i},{span.index}]}}')
             else:
                 ts, te = span.text_range
-                masked = any(_overlaps(span.text_range, m) for m in turn_masks)
-                elements.append(Element(TEXT, "assistant", turn.text[ts:te], None,
-                                        not masked, (dialogue.id, i, span.index)))
+                if turn_masks and any(ts < me and ms < te for ms, me in turn_masks):
+                    target = "false"
+                else:
+                    target = "true"
+                    n_targets += 1
+                elements.append(f'{{"modality":"text","role":"assistant","text":'
+                                f'{json_string(turn.text[ts:te])},"loss_target":{target},'
+                                f'"origin":[{did},{i},{span.index}]}}')
 
-    manifest = {
-        "master_seed": master_seed,
-        "policy": policy.to_json_dict(),
-        "config_hash": policy_config_hash(policy),
-    }
-    return TrainingSequence(dialogue_id=dialogue.id, elements=elements, manifest=manifest)
+    return TrainingSequence(dialogue.id, ",".join(elements),
+                            _manifest_text(master_seed, policy), len(elements), n_targets)
 
 
 def extract_loss_targets(seq: TrainingSequence) -> list[tuple[tuple[str, int, int], str]]:
@@ -150,18 +179,6 @@ def extract_loss_targets(seq: TrainingSequence) -> list[tuple[tuple[str, int, in
 
 
 def serialize_sequence(seq: TrainingSequence) -> str:
-    """The sequence as one canonical JSON line; speech tokens are spliced in as text."""
-    ids: list[str] = []
-    elements = []
-    for e in seq.elements:
-        doc = {"modality": e.modality, "role": e.role}
-        if e.modality == TEXT:
-            doc["text"] = e.text
-        else:
-            ids.append(e.ids_text)
-            doc["tokens"] = IDS_MARK
-        doc["loss_target"] = e.loss_target
-        doc["origin"] = list(e.origin)
-        elements.append(doc)
-    sequence = {"dialogue_id": seq.dialogue_id, "elements": elements, "manifest": seq.manifest}
-    return splice_ids(canonical_json(sequence), "tokens", ids)
+    """The sequence as one canonical JSON line around its rendered elements."""
+    return (f'{{"dialogue_id":{json_string(seq.dialogue_id)},"elements":[{seq.elements_text}],'
+            f'"manifest":{seq.manifest_text}}}')

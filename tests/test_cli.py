@@ -411,6 +411,30 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, command):
     assert not list(tmp_path.glob("o.jsonl*"))
 
 
+@pytest.mark.parametrize("command,record", [
+    (["clean", "--jobs", "1"], "_clean_record"),
+    (["build-thinker", "--seed", "1", "--jobs", "1"], "_thinker_record"),
+    (["build-talker", "--seed", "1", "--jobs", "1"], "_parsed_record"),
+    (["stats"], "_parsed_record"),
+])
+def test_a_corpus_that_is_not_utf8_fails_before_any_record_runs(tmp_path, capsys, monkeypatch,
+                                                                 command, record):
+    """Under --client http every record computed before the bad byte would be
+    real requests to the services."""
+    path = write_corpus(tmp_path, synthetic.synth_corpus(200, 6))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[150] = lines[150].replace(b'"', b'"\xff', 1)
+    path.write_bytes(b"".join(lines))
+    calls = []
+    inner = getattr(cli, record)
+    monkeypatch.setattr(cli, record, lambda *a: calls.append(1) or inner(*a))
+    out = tmp_path / "o.jsonl"
+    assert run(command + ["--corpus", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"forge: error: {path}: line 151 is not valid UTF-8\n")
+    assert calls == []
+    assert not list(tmp_path.glob("o.jsonl*"))
+
+
 def test_eval_only_yes_on_an_empty_file_exits_1(tmp_path, capsys):
     responses = tmp_path / "resp.txt"
     responses.write_text("", encoding="utf-8")

@@ -12,15 +12,18 @@ over seeded synthetic corpora, captions, CJK and emoji, strings that need
 escapes, turns without audio or alignment, int frame rates, masks, and
 deferred and rejected outcomes with error provenance.
 """
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import seqforge
 from seqforge import cleaning, corpus, thinker
 from seqforge.captions import CaptionRecord, other
 from seqforge.cli import _clean_record, _thinker_record
 from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, QualityFlag, Turn
-from seqforge.manifest import canonical_json, json_digest
+from seqforge.manifest import canonical_json, json_digest, json_number
 from seqforge.seeding import DetRng, derive_seed
 
 import synthetic
@@ -183,6 +186,20 @@ def test_thinker_line_is_canonical_json_of_the_dict(policy, seed):
     assert checked >= 100
 
 
+def test_the_manifest_text_is_cached_per_seed_type():
+    d = DIALOGUES[0]
+    policy = thinker.InterleavePolicy(0.0, 0.0)
+    for seed in (1, True, 1):  # equal keys, different JSON
+        seq = thinker.interleave_dialogue(d, policy, seed)
+        assert thinker.serialize_sequence(seq) == canonical_json(_thinker_form(d, policy, seed))
+
+
+@pytest.mark.parametrize("x", [0.1 + 0.2, 1e16, 1e-05, -0.0, 12.5, float("nan"), float("inf"),
+                               float("-inf"), 25, 0, -3, 10 ** 30, True, False, None])
+def test_json_number_writes_what_canonical_json_writes(x):
+    assert json_number(x) == canonical_json(x)
+
+
 class _Failing:
     """A client whose every call fails with a message that needs escapes."""
 
@@ -234,3 +251,47 @@ def test_error_provenance_reaches_the_outcome_line():
     assert deferred and deferred_line == line
     assert [p["error"] for p in doc["provenance"]] == [f"down: {HOSTILE}"] * 3
     assert doc["detail"] == f"down: {HOSTILE}"
+
+
+def _string_encoder_uses(tree: ast.AST) -> list[int]:
+    """Lines that import json.encoder or name encode_basestring(_ascii)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            names.append(node.module or "")
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any(name.startswith("json.encoder") or name.rpartition(".")[2] in
+               ("encoder", "encode_basestring", "encode_basestring_ascii") for name in names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_manifest_holds_the_string_encoder():
+    """Every hand renderer writes strings with manifest.json_string, the encoder
+    canonical_json itself uses: no other module imports json.encoder or names
+    encode_basestring."""
+    offenders = []
+    for path in sorted(Path(seqforge.__file__).parent.glob("*.py")):
+        if path.name != "manifest.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [f"{path.name}:{n}" for n in _string_encoder_uses(tree)]
+    assert offenders == []
+    manifest = Path(seqforge.__file__).with_name("manifest.py").read_text(encoding="utf-8")
+    assert _string_encoder_uses(ast.parse(manifest))  # the check sees the one use
+
+
+@pytest.mark.parametrize("source", [
+    "import json.encoder", "from json import encoder", "from json.encoder import py_encode_basestring",
+    "from json.encoder import encode_basestring as enc", "json.encoder.encode_basestring(s)",
+    "from seqforge.manifest import encode_basestring",
+])
+def test_the_string_encoder_check_sees_each_form(source):
+    assert _string_encoder_uses(ast.parse(source)) == [1]
