@@ -676,15 +676,15 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
     if not d.turns:
         report.add("turns", "dialogue must have at least one turn")
     for i, turn in enumerate(d.turns):
-        if turn.role != ROLES[i % 2]:
-            report.violations.append(role_violation(i, turn.role))
+        if (v := role_violation(i, turn.role)) is not None:
+            report.violations.append(v)
         if turn.audio is not None:
             _validate_audio(report, turn.audio, i)
         _validate_alignment(report, turn, i)
         if turn.caption is not None:
             for v in validate_caption(turn.caption).violations:
                 report.add(f"turns[{i}].caption.{v.path}", v.message)
-    _validate_flags(report, d)
+    report.violations += validate_flags(d).violations
     return report
 
 
@@ -695,11 +695,6 @@ def validate_flags(d: Dialogue) -> ValidationReport:
     rejects a dialogue that breaks these.
     """
     report = ValidationReport()
-    _validate_flags(report, d)
-    return report
-
-
-def _validate_flags(report, d: Dialogue) -> None:
     for k, flag in enumerate(d.quality_flags):
         if flag.kind == "logic_contradiction_severe" and not flag.spans:
             report.add(f"quality_flags[{k}]",
@@ -715,6 +710,7 @@ def _validate_flags(report, d: Dialogue) -> None:
             if s < 0 or e > text_len or s >= e:
                 report.add(f"quality_flags[{k}].spans[{j}]",
                            f"text range [{s},{e}) invalid for turn of length {text_len}")
+    return report
 
 
 def validate_corpus(dialogues) -> ValidationReport:

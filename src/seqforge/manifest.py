@@ -4,11 +4,12 @@ Every JSON line seqforge emits is encoded here: ``canonical_json`` is the one
 compact encoding (no ASCII escapes, no spaces) of corpus lines, thinker and
 talker sequences, cleaning outcomes and manifests, and ``json_digest`` the
 one key-sorted sha256 of a JSON value (config hashes, cleaning provenance).
-The per-record lines are written straight to text with fixed-key templates
-(``corpus.serialize_dialogue``, ``thinker.interleave_dialogue``,
-``cleaning.outcome_line``, ``talker.assemble``); each writes a string with
-``json_string`` and a number with ``json_number``, the pieces canonical_json
-itself is made of, so the lines equal canonical_json of their dict form.
+Corpus lines, thinker lines and cleaning outcomes are written straight to
+text with fixed-key templates (``corpus.serialize_dialogue``,
+``thinker.interleave_dialogue``, ``cleaning.outcome_line``), each string
+through ``json_string`` and each number through ``json_number``, the pieces
+canonical_json itself writes with, so each line equals canonical_json of its
+dict form; ``talker.assemble`` renders its token text from tables.
 
 A manifest captures the command line, master seed, the config and its
 digest, content digests of every input, tool version and output counts. It
