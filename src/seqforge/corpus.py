@@ -577,7 +577,8 @@ def _turn_text(t: Turn) -> str:
                           for (ts, te), (aus, aue), k in map(_SPAN_FIELDS, t.alignment)])
     if t.caption is None:
         return f'{head},"alignment":[{alignment}]}}'
-    return f'{head},"alignment":[{alignment}],"caption":{canonical_json(t.caption.to_json_dict())}}}'
+    caption = canonical_json(t.caption.to_json_dict())
+    return f'{head},"alignment":[{alignment}],"caption":{caption}}}'
 
 
 def serialize_dialogue(d: Dialogue) -> str:

@@ -10,7 +10,9 @@ rules (one seeded draw per user turn and per non-final assistant segment), so
 it does not depend on how thinker.py renders. Each test asserts byte equality
 over seeded synthetic corpora, captions, CJK and emoji, strings that need
 escapes, turns without audio or alignment, int frame rates, masks, and
-deferred and rejected outcomes with error provenance.
+deferred and rejected outcomes with error provenance. A scan of the
+package's source keeps the string encoder those renderers share inside
+seqforge.manifest.
 """
 import ast
 import json
@@ -98,7 +100,8 @@ def _hand_made() -> list[Dialogue]:
                  quality_flags=[QualityFlag("logic_contradiction_severe", [(1, (0, 3))])]),
         Dialogue("cjk-emoji", [
             make_turn("user", text="你好，世界 🌏", speaker="说话人"),
-            make_turn("assistant", text="こんにちは 👋🏽 안녕하세요", speaker="話者", n_segments=2),
+            make_turn("assistant", text="こんにちは 👋🏽 안녕하세요", speaker="話者",
+                      n_segments=2),
         ], language="zh", source="podcast"),
         # a turn without audio and a turn without alignment
         Dialogue("bare", [
@@ -289,7 +292,8 @@ def test_only_manifest_holds_the_string_encoder():
 
 
 @pytest.mark.parametrize("source", [
-    "import json.encoder", "from json import encoder", "from json.encoder import py_encode_basestring",
+    "import json.encoder", "from json import encoder",
+    "from json.encoder import py_encode_basestring",
     "from json.encoder import encode_basestring as enc", "json.encoder.encode_basestring(s)",
     "from seqforge.manifest import encode_basestring",
 ])
