@@ -34,7 +34,7 @@ from conftest import FlakyClient, make_turn
 FLAG_KINDS = (None, "clean", "logic_contradiction_correctable",
               "logic_contradiction_severe", "missing_context")
 # Each character that canonical_json escapes, and some it writes as they are.
-HOSTILE = 'q"b\\s/\x00\x01\x08\t\n\x0c\r\x1f\x7f   中文 😀 é'
+HOSTILE = 'q"b\\s/\x00\x01\x08\t\n\x0c\r\x1f\x7f\u2028\u2029 中文 😀 é'
 
 
 def _ids(span: AudioTokenSpan) -> list[int]:
