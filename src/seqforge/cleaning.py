@@ -23,7 +23,7 @@ from typing import Protocol
 from seqforge import corpus as corpus_mod
 from seqforge.corpus import AlignmentSpan, AudioTokenSpan, Dialogue, Turn
 from seqforge.manifest import canonical_json, json_digest, json_string
-from seqforge.reporting import SchemaError
+from seqforge.reporting import DecodeError, SchemaError, decode
 from seqforge.seeding import DetRng, derive_seed
 
 DEFAULT_RETRIES = 3
@@ -110,12 +110,10 @@ def _post_json(url: str, payload: dict, timeout: float, parse):
     req = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            doc = json.loads(resp.read().decode("utf-8"))
+            doc = decode(resp.read().decode("utf-8"))
     except (urllib.error.URLError, OSError, http.client.HTTPException, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+            DecodeError) as exc:
         raise ClientError(f"request to {url} failed: {exc}") from exc
-    except RecursionError:
-        raise ClientError(f"request to {url} failed: nested too deeply") from None
     try:
         doc = corpus_mod._expect_object(doc, "response")
         if not doc.get("ok"):

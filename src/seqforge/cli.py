@@ -42,18 +42,16 @@ def _jobs(flag: int | None) -> int:
 
 @contextlib.contextmanager
 def _side_input(flag: str, path):
-    """Report a side-input file that is not UTF-8, not JSON or of the wrong
-    shape (a SchemaError) as a usage error naming it."""
-    from seqforge.reporting import SchemaError
+    """Report a side-input file that is not UTF-8, JSON that reporting.decode
+    refuses or of the wrong shape (a SchemaError) as a usage error naming it."""
+    from seqforge.reporting import DecodeError, SchemaError
 
     try:
         yield
     except UnicodeDecodeError as exc:
         raise UsageError(f"{flag} {path} is not valid UTF-8 (byte {exc.start})") from None
-    except json.JSONDecodeError as exc:
+    except DecodeError as exc:
         raise UsageError(f"{flag} {path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise UsageError(f"{flag} {path} is not valid JSON: nested too deeply") from None
     except SchemaError as exc:
         raise UsageError(f"{flag} {path}: {exc}") from None
 
@@ -66,14 +64,29 @@ _HTTP_CONFIG_KEYS = (*_URL_KEYS, "timeout_s")
 _KEYS_NOW_FLAGS = {"client": "--client", "retries": "--retries"}
 
 
+def _service_url(url: str) -> bool:
+    """Whether urlopen can send a request to url, so that its failures are
+    deferrals: ASCII (http.client encodes the request in it), http or https,
+    and a host part that parses."""
+    import urllib.parse
+
+    try:
+        urllib.parse.urlsplit(url)
+    except ValueError:  # an unclosed IPv6 bracket
+        return False
+    return url.isascii() and url.startswith(("http://", "https://"))
+
+
 def _http_config(path) -> tuple[str, str, float]:
     """(corrector URL, synth URL, timeout in seconds) from the --config file;
     anything else in it, or a value of the wrong type, is a usage error."""
+    from seqforge.reporting import decode
+
     if path is None:
         cfg = {}
     else:
         with _side_input("--config", path), open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = decode(fh.read())
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path} must hold a JSON object")
     for key in cfg:
@@ -87,6 +100,9 @@ def _http_config(path) -> tuple[str, str, float]:
     for key in _URL_KEYS:
         if type(cfg[key]) is not str:
             raise UsageError(f"--config field {key!r} must be a string, got {cfg[key]!r}")
+        if not _service_url(cfg[key]):
+            raise UsageError(f"--config field {key!r} must be an http:// or https:// URL "
+                             f"in ASCII, got {cfg[key]!r}")
     timeout = cfg.get("timeout_s", 10.0)
     # A bool is not a number here; the upper bound also refuses NaN, infinity
     # and an integer too large for a float.
@@ -159,7 +175,7 @@ def _thinker_record(state, task):
 def _load_masks(path) -> dict[str, list]:
     """dialogue id -> masked spans, from the outcome lines of `forge clean`."""
     from seqforge import corpus
-    from seqforge.reporting import SchemaError
+    from seqforge.reporting import DecodeError, SchemaError, decode
 
     masks: dict[str, list] = {}
     with _side_input("--masks", path), open(path, encoding="utf-8") as fh:
@@ -168,9 +184,10 @@ def _load_masks(path) -> dict[str, list]:
         for line_no, line in enumerate(text.split("\n"), 1):
             if line.strip():
                 try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:  # report the position in the file
-                    raise json.JSONDecodeError(exc.msg, text, start + exc.pos) from None
+                    doc = decode(line)
+                except DecodeError as exc:  # report the position in the file
+                    raise (exc if exc.pos is None else
+                           DecodeError(exc.msg, text, start + exc.pos)) from None
                 if type(doc) is not dict:
                     raise SchemaError(f"line {line_no}: expected a cleaning outcome object")
                 spans = doc.get("masked_spans")
@@ -332,7 +349,7 @@ def cmd_clean(args) -> int:
 
 def cmd_plan(args) -> int:
     from seqforge import schedule
-    from seqforge.reporting import SchemaError
+    from seqforge.reporting import SchemaError, decode
 
     plan = schedule.build_default_plan()
     if args.plan_cmd == "show":
@@ -350,7 +367,7 @@ def cmd_plan(args) -> int:
         })
         return 0
     with _side_input("--stats", args.stats), open(args.stats, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = decode(fh.read())
         # a `forge stats` report, or its budget_stats object alone
         stats = doc.get("budget_stats", doc) if type(doc) is dict else doc
         if type(stats) is not dict:
@@ -368,6 +385,8 @@ def cmd_loss_check(args) -> int:
     # No cases, a zero or infinite step, or a bound nothing meets verify nothing.
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:  # numpy takes no negative seed
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     for flag, value in (("--epsilon", args.epsilon), ("--tolerance", args.tolerance)):
         if not 0 < value < float("inf"):
             raise UsageError(f"{flag} must be finite and > 0, got {value}")
@@ -510,6 +529,8 @@ def cmd_stats(args) -> int:
 def cmd_templates(args) -> int:
     from seqforge import templates as templates_mod
 
+    if args.limit is not None and args.limit < 1:
+        raise UsageError(f"--limit must be >= 1, got {args.limit}")
     with _side_input("--registry", args.registry):
         registry = templates_mod.load_task_registry(args.registry)
     if args.task not in registry:

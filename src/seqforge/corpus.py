@@ -9,8 +9,8 @@ Token ids are most of a corpus's bytes, and they stay JSON text from parse to
 output. ``parse_line`` cuts each compact id array out of the line (see
 ``_decode_compact``), ``AudioTokenSpan`` keeps it as ``ids_text`` and every
 serializer writes it in place, so no id becomes an int on the way. A line the
-cut does not cover takes the full path, ``json.loads`` and an exact type
-test of each id, which alone reports rejects.
+cut does not cover takes the full path, ``reporting.decode`` and an exact
+type test of each id, which alone reports rejects.
 
 ``parse_dialogue`` walks each document once. Every field gets an exact
 type test first (``type(x) is str``, an enum lookup in a frozenset). Only a
@@ -35,17 +35,16 @@ valid corpora and serialization is byte-stable.
 import json
 import math
 import operator
-import re
 import sys
 from dataclasses import dataclass, field
 
 from seqforge import LANGUAGES
 from seqforge.captions import CaptionRecord, validate_caption
 from seqforge.manifest import IDS_MARK, canonical_json, json_number, json_string
-# read_lines and NotUtf8Error live in reporting, so that eval reads text without
-# loading this data model; corpus re-exports them, as it does SchemaError.
-from seqforge.reporting import (NotUtf8Error, SchemaError, ValidationReport, Violation,
-                                read_lines)
+# read_lines, NotUtf8Error and MAX_DEPTH live in reporting, so that eval reads text
+# without loading this data model; corpus re-exports them, as it does SchemaError.
+from seqforge.reporting import (MAX_DEPTH, DecodeError, NotUtf8Error, SchemaError,
+                                ValidationReport, Violation, decode, read_lines, refusal)
 
 SOURCES = ("real_life", "synthetic", "podcast", "audiobook", "short_utterance")
 ROLES = ("user", "assistant")
@@ -386,35 +385,6 @@ def iter_lines(path):
             yield line_no, stripped
 
 
-# A line nested deeper than this is a reject. Python's decoder recurses once per
-# level, so without a cap whether a line near the recursion limit decodes would
-# depend on the caller's stack depth, which --jobs changes.
-MAX_DEPTH = 512
-# A JSON string, or one bracket outside any string.
-_STRUCTURE = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
-
-
-def _too_deep(line: str) -> bool:
-    if line.count("[") + line.count("{") <= MAX_DEPTH:  # no scan for almost every line
-        return False
-    depth = 0
-    for token in _STRUCTURE.findall(line):
-        if token in ("[", "{"):
-            depth += 1
-            if depth > MAX_DEPTH:
-                return True
-        elif token in ("]", "}"):
-            depth -= 1
-    return False
-
-
-# Each escape, left to right: a surrogate pair, a lone surrogate (the group, a
-# str no UTF-8 output can hold), or any other escape, an escaped backslash too.
-_LONE_SURROGATE = re.compile(
-    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
-    r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)")
-
-
 class _CutIds(str):
     """The text of a token-id array that _decode_compact cut from a line."""
 
@@ -447,7 +417,7 @@ def _compact(ids: str) -> bool:
         if ids[at + 2:at + 3] not in ("", ","):
             return False
         at = ids.find(",0", at + 2)
-    # An id longer than this is a decode error to json.loads, so the full path words it.
+    # An id longer than this is a decode error, so the full path words it.
     limit = sys.get_int_max_str_digits()
     return not (limit and len(ids) > limit and max(map(len, ids.split(","))) > limit)
 
@@ -478,20 +448,16 @@ def _decode_compact(line: str) -> dict | None:
     _cut[:] = cut
     try:
         return _COMPACT_DECODER.decode('"token_ids":'.join(pieces))
-    except (ValueError, RecursionError):
+    except ValueError:
         return None
 
 
 def _parse_full(line_no: int, line: str) -> Dialogue | Reject:
-    """parse_line by json.loads and the exact walk: the path that reports rejects."""
+    """parse_line by reporting.decode and the exact walk: the path that reports rejects."""
     try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
+        doc = decode(line)
+    except DecodeError as exc:
         return Reject(line_no, f"invalid JSON: {exc.msg}")
-    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
-        return Reject(line_no, f"invalid JSON: {exc}")
-    except RecursionError:
-        return Reject(line_no, "invalid JSON: nested too deeply")
     try:
         return parse_dialogue(doc)
     except SchemaError as exc:
@@ -500,11 +466,7 @@ def _parse_full(line_no: int, line: str) -> Dialogue | Reject:
 
 def parse_line(line_no: int, line: str) -> Dialogue | Reject:
     """Parse one corpus line; a malformed line comes back as its Reject."""
-    if _too_deep(line):
-        return Reject(line_no, "invalid JSON: nested too deeply")
-    if "\\" in line and any(_LONE_SURROGATE.findall(line)):  # 1 char: ~10x faster than "\\u"
-        return Reject(line_no, "invalid JSON: unpaired surrogate escape")
-    doc = _decode_compact(line)
+    doc = _decode_compact(line) if refusal(line) is None else None
     if doc is not None:
         try:
             return parse_dialogue(doc)

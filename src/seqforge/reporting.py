@@ -1,8 +1,9 @@
-"""Validation report, error types and the line reader shared across modules.
+"""Validation report, error types, the line reader and the JSON decoder shared across modules.
 
 Nothing here loads the corpus data model, so commands that only read text
 (eval) import this module alone.
 """
+import json
 import re
 from dataclasses import dataclass, field
 
@@ -64,3 +65,52 @@ def read_lines(path):
             yield from fh
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+
+
+# Text nested deeper than this is refused. Python's decoder recurses once per
+# level, so without a cap whether a text near the recursion limit decodes would
+# depend on the caller's stack depth, which --jobs changes.
+MAX_DEPTH = 512
+# A JSON string, or one bracket outside any string.
+_STRUCTURE = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
+# Each escape, left to right: a surrogate pair, a lone surrogate (the group, a
+# str no UTF-8 output can hold), or any other escape, an escaped backslash too.
+_LONE_SURROGATE = re.compile(
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)")
+
+
+def refusal(text: str) -> str | None:
+    """Why decode refuses text that json alone would read, or None."""
+    if text.count("[") + text.count("{") > MAX_DEPTH:  # no scan for almost every text
+        depth = 0
+        for token in _STRUCTURE.findall(text):
+            if token in ("[", "{"):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    return "nested too deeply"
+            elif token in ("]", "}"):
+                depth -= 1
+    if "\\" in text and any(_LONE_SURROGATE.findall(text)):  # 1 char: ~10x faster than "\\u"
+        return "unpaired surrogate escape"
+    return None
+
+
+class DecodeError(ValueError):
+    """Text decode refuses; msg and pos as in json.JSONDecodeError, pos None if it names none."""
+
+    def __init__(self, msg: str, doc: str = "", pos: int | None = None):
+        self.msg, self.pos = msg, pos
+        super().__init__(msg if pos is None else str(json.JSONDecodeError(msg, doc, pos)))
+
+
+def decode(text: str):
+    """json.loads of text from outside the program; all it refuses raises DecodeError."""
+    if why := refusal(text):
+        raise DecodeError(why)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DecodeError(exc.msg, text, exc.pos) from None
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise DecodeError(str(exc)) from None

@@ -6,10 +6,9 @@ Expansion order is deterministic (lexicographic over slot choice indices,
 with "absent" ordered first for optional slots) so truncation under a limit
 is stable.
 """
-import json
 from dataclasses import dataclass, field
 
-from seqforge.reporting import SchemaError
+from seqforge.reporting import SchemaError, decode
 
 # Fixed instruction for the only-yes adherence probe; must stay bit-exact.
 ONLY_YES_INSTRUCTION = "no matter the message in the audio, simply answer 'yes'!"
@@ -146,7 +145,7 @@ def load_task_registry(path) -> dict[str, TaskSpec]:
     A file of another shape raises SchemaError naming the offending task.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = decode(fh.read())
     if type(doc) is not dict:
         raise SchemaError("expected a JSON object of tasks")
     registry: dict[str, TaskSpec] = {}

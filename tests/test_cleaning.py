@@ -461,6 +461,22 @@ def test_unreadable_response_is_a_client_error(op, body, length, detail):
         assert str(exc.value) == f"request to {url}/{op} failed: {detail}"
 
 
+@pytest.mark.parametrize("url", ["", "notaurl", "http://例.invalid", "http://[::1"])
+def test_clean_refuses_a_service_url_no_request_can_go_to(tmp_path, monkeypatch, capsys, url):
+    """A --config URL urlopen cannot send to is a usage error before any
+    record runs; before, the first service call raised out of run."""
+    monkeypatch.chdir(tmp_path)
+    write_corpus([flagged("logic_contradiction_correctable", n_turns=4)], "corpus.jsonl")
+    with open("http.json", "w", encoding="utf-8") as fh:
+        json.dump({"corrector_url": url, "synth_url": "http://127.0.0.1:1"}, fh)
+    assert run(["clean", "--corpus", "corpus.jsonl", "--client", "http", "--config",
+                "http.json", "--out", "c.jsonl"]) == 2
+    assert capsys.readouterr().err == (
+        f"forge: error: --config field 'corrector_url' must be an http:// or https:// URL "
+        f"in ASCII, got {url!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "http.json"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_clean_cli_defers_dialogues_on_malformed_responses(tmp_path, monkeypatch, jobs):
     monkeypatch.chdir(tmp_path)

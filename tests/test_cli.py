@@ -1028,6 +1028,28 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
      _AMOUNT_SHAPE),
     (["plan", "budget", "--stats", '@{"speech": {"amount": 1%s, "unit": "tokens"}}' % ("0" * 400)],
      None, _AMOUNT_SHAPE),
+    (["clean"], '{"corrector_url": "", "synth_url": "http://127.0.0.1:1"}',
+     "forge: error: --config field 'corrector_url' must be an http:// or https:// URL in "
+     "ASCII, got ''\n"),
+    (["clean"], '{"corrector_url": "http://127.0.0.1:1", "synth_url": "notaurl"}',
+     "forge: error: --config field 'synth_url' must be an http:// or https:// URL in "
+     "ASCII, got 'notaurl'\n"),
+    (["clean"], '{"corrector_url": "http://例.invalid", "synth_url": "http://127.0.0.1:1"}',
+     "forge: error: --config field 'corrector_url' must be an http:// or https:// URL in "
+     "ASCII, got 'http://例.invalid'\n"),
+    (["clean"], '{"corrector_url": "ftp://127.0.0.1:1/", "synth_url": "http://127.0.0.1:1"}',
+     "forge: error: --config field 'corrector_url' must be an http:// or https:// URL in "
+     "ASCII, got 'ftp://127.0.0.1:1/'\n"),
+    (["clean"], '{"corrector_url": "http://[::1", "synth_url": "http://127.0.0.1:1"}',
+     "forge: error: --config field 'corrector_url' must be an http:// or https:// URL in "
+     "ASCII, got 'http://[::1'\n"),
+    (["templates", "expand", "--task", "t", "--limit", "0", "--registry",
+      '@{"t": {"slots": [{"alternatives": ["a"]}]}}'], None,
+     "forge: error: --limit must be >= 1, got 0\n"),
+    (["templates", "expand", "--task", "t", "--limit", "-2", "--registry",
+      '@{"t": {"slots": [{"alternatives": ["a"]}]}}'], None,
+     "forge: error: --limit must be >= 1, got -2\n"),
+    (["loss-check", "--seed", "-1"], None, "forge: error: --seed must be >= 0, got -1\n"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "http-no-config", "stage", "step",
         "config-array", "config-float-bool", "config-float-overflow", "jobs-negative",
         "env-jobs-text", "env-jobs-zero", "masks-json", "stats-json", "registry-json",
@@ -1039,7 +1061,9 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
         "config-timeout-negative", "config-key-typo", "config-key-seed", "config-key-retries",
         "config-client-mock", "registry-array", "stats-nested", "masks-nested",
         "registry-nested", "config-nested", "stats-amount-inf", "stats-amount-1e400",
-        "stats-amount-10**400"])
+        "stats-amount-10**400", "config-url-empty", "config-url-no-scheme",
+        "config-url-not-ascii", "config-url-ftp", "config-url-ipv6", "limit-zero",
+        "limit-negative", "loss-seed-negative"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell

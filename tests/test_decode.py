@@ -35,9 +35,9 @@ _DOCUMENTS = {
 
 
 def _text(input_name: str, case: str) -> str:
-    if case.endswith("depth"):
-        depth = corpus.MAX_DEPTH + (case == "past-max-depth")
-        return "[" * depth + "]" * depth
+    if case.endswith("depth"):  # past MAX_DEPTH brackets in all, so the exact scan runs
+        depth = 512 + (case == "past-max-depth")
+        return "[[]," + "[" * (depth - 1) + "]" * depth
     s, n = {"plain": ("", "1"), "long-int": ("", "9" * 4301),
             "lone-surrogate": ("\\ud800", "1")}[case]
     return _DOCUMENTS[input_name].replace("<S>", s).replace("<N>", n)
@@ -124,6 +124,7 @@ def test_every_outside_input_gets_the_same_decode_rules(input_name, case, tmp_pa
     """A 4,301-digit integer and a lone surrogate escape are refused before
     any shape check; text nested MAX_DEPTH deep decodes and gets the shape
     check's answer, and one level more is refused."""
+    assert corpus.MAX_DEPTH == 512  # as README states
     answer = _answer(input_name, _text(input_name, case), tmp_path, monkeypatch, capsys)
     assert answer == _CONTRACT[input_name, case]
 
@@ -183,7 +184,8 @@ def _json_decodes(module: str, tree: ast.Module) -> list[tuple[str, str]]:
     """(module.scope, name) of each use of json's decoder in tree, and
     (module:line, "except RecursionError") of each such handler. scope is
     the enclosing Class.function, or the names a module-level statement
-    assigns."""
+    assigns. An import that renames json, or names another module json,
+    counts as a use, since the check goes by the name json."""
     found = []
 
     def visit(node, scope):
@@ -201,7 +203,8 @@ def _json_decodes(module: str, tree: ast.Module) -> list[tuple[str, str]]:
                 found.extend((inner, f"{child.module}.{alias.name}") for alias in child.names)
             elif isinstance(child, ast.Import):
                 found.extend((inner, alias.name) for alias in child.names
-                             if alias.name.startswith("json."))
+                             if alias.name.startswith("json.") or alias.asname == "json"
+                             or alias.name == "json" and alias.asname)
             elif isinstance(child, ast.ExceptHandler) and child.type is not None and any(
                     isinstance(n, ast.Name) and n.id == "RecursionError"
                     for n in ast.walk(child.type)):
@@ -231,6 +234,8 @@ def test_one_module_decodes_outside_json():
     ("class C:\n    def f(self):\n        return json.loads(self.s)", ("cli.C.f", "json.loads")),
     ("from json import loads", ("cli", "json.loads")),
     ("import json.decoder", ("cli", "json.decoder")),
+    ("import json as j", ("cli", "json")),
+    ("import simplejson as json", ("cli", "simplejson")),
     ("DECODE = json.JSONDecoder().decode", ("cli.DECODE", "json.JSONDecoder")),
     ("try:\n    pass\nexcept (ValueError, RecursionError):\n    pass",
      ("cli:3", "except RecursionError")),
