@@ -1,4 +1,5 @@
 """Caption taxonomy: validation, seeded rendering, inverse parsing."""
+import hashlib
 import random
 from collections import Counter
 
@@ -145,3 +146,49 @@ def test_round_trip_over_random_records_and_seeds():
         assert Counter(extract_tags(rendered)) == Counter(record.tags()), rendered
         checked += 1
     assert checked > 900
+
+
+_PINNED_RECORD = CaptionRecord(
+    gender_age="Child", accent=other("Scouse"), emotion="Surprised", speech_rate="Slow",
+    vocalizations=("Yawning", other("Humming quietly")), affective_burst=("Sobbing",),
+    acoustic_scene="Library", sound_events=("Knocking", "Footsteps", other("A kettle")))
+
+
+@pytest.mark.parametrize("seed, text", [
+    (0,
+     "The speaker profile is Child. Their pronunciation carries a Scouse accent. "
+     "Emotionally, this comes across as Surprised. The speech rate is Slow. Non-speech "
+     "sounds from the speaker include Yawning and Humming quietly. There are bursts of "
+     "Sobbing. Recorded in a Library environment. Sound events present: Footsteps, "
+     "Knocking and A kettle."),
+    (1,
+     "A Child is talking. You can hear a Scouse accent. The emotion is Surprised. The "
+     "speech rate is Slow. Non-speech sounds from the speaker include Yawning and "
+     "Humming quietly. There are bursts of Sobbing. Background ambience suggests "
+     "Library. Sound events present: Footsteps, Knocking and A kettle."),
+    (2**64 - 1,
+     "A Child is talking. You can hear a Scouse accent. The emotion is Surprised. "
+     "Pacing of the speech is Slow. Along the way one can hear Yawning and Humming "
+     "quietly from the speaker. Emotional outbursts such as Sobbing occur. Background "
+     "ambience suggests Library. Environmental sounds include Footsteps, Knocking and "
+     "A kettle."),
+])
+def test_render_matches_frozen_text(seed, text):
+    assert render_caption(_PINNED_RECORD, seed) == text
+
+
+def test_renders_tags_and_reports_match_frozen_digest():
+    """Rendered text, tags() and validate_caption's report for 2,000 seeded
+    (record, seed) pairs, valid and invalid, against one sha256 pin."""
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for k in range(2000):
+        record = _random_record(rng)
+        if k % 10 == 0:
+            record.tone = rng.choice(("Melancholy", other(""), other("Calm"), other("a. b")))
+        seed = rng.getrandbits(64)
+        report = validate_caption(record)
+        digest.update(repr((record.tags(), [(v.path, v.message) for v in report.violations],
+                            render_caption(record, seed) if report.ok else None)).encode())
+    assert digest.hexdigest() == (
+        "de7add41fc333d6bf0c93be6706eb6646d0c1f97bf4f47ec4d0c3a7aeeb4053c")

@@ -2,6 +2,7 @@
 import contextlib
 import copy
 import hashlib
+import io
 import json
 import re
 import threading
@@ -426,6 +427,45 @@ def test_malformed_response_is_a_client_error(op, body, reason):
         with pytest.raises(ClientError,
                            match=re.escape(f"malformed response from {url}/{op}: {reason}")):
             _CALLS[op](url)
+
+
+class _RecordingHandler(_Handler):
+    """_Handler that also keeps each request's (path, Content-Type, body bytes)."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((self.path, self.headers["Content-Type"], body))
+        self.rfile = io.BytesIO(body)
+        super().do_POST()
+
+
+# sha256 of each op's request body as the service receives it; the context
+# dialogue carries non-ASCII text, which goes out as UTF-8, not escaped.
+_REQUEST_SHA256 = {
+    "correct": "b23c771da10fe14219af41f3841354be5e833857d1cf0af461c453624f0b098e",
+    "backfill": "69b2948594968e0430057933a428f31d2a8dc43ea75aab68e0ca75dd552eedad",
+    "synthesize": "b5974ae641648692da9b42753b7f86d1b3b55f517ab4ccd9c2c38a457ce6c794",
+}
+
+
+@pytest.mark.parametrize("op", sorted(_REQUEST_SHA256))
+def test_request_bodies_match_frozen_bytes(op):
+    context = make_dialogue("ctx-早")
+    context.turns[0].text = "早上好 🎵 \"q\""
+    calls = {
+        "correct": lambda url: HttpCorrectorClient(url + "/").correct("你好 ok", context),
+        "backfill": lambda url: HttpCorrectorClient(url).backfill(context),
+        "synthesize": lambda url: HttpSynthClient(url).synthesize("你好 ok", "spk-é"),
+    }
+    requests = []
+    with _serve(_RecordingHandler, requests=requests) as url:
+        calls[op](url)
+    [(path, content_type, body)] = requests
+    assert (path, content_type) == (f"/{op}", "application/json")
+    assert hashlib.sha256(body).hexdigest() == _REQUEST_SHA256[op], body
+    if op == "synthesize":
+        assert body == ('{"op": "synthesize", "payload": {"text": "你好 ok", '
+                        '"speaker_id": "spk-é"}, "provenance_id": "spk-é"}').encode("utf-8")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
