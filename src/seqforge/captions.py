@@ -61,19 +61,13 @@ class CaptionRecord:
 
     def __post_init__(self):
         # Multi-tag attributes are set-valued; keep a sorted canonical order.
-        for name in ("vocalizations", "affective_burst", "vocal_pathology", "sound_events"):
-            setattr(self, name, tuple(sorted(set(getattr(self, name)))))
+        for _, name, multi in ATTRIBUTES:
+            if multi:
+                setattr(self, name, tuple(sorted(set(getattr(self, name)))))
 
     def tags(self) -> list[tuple[str, str]]:
         """(attribute, tag) multiset over populated attributes."""
-        out = []
-        for attr, field_name, multi in ATTRIBUTES:
-            value = getattr(self, field_name)
-            if multi:
-                out.extend((attr, t) for t in value)
-            elif value is not None:
-                out.append((attr, value))
-        return out
+        return [(attr, tag) for attr, _, _, tags in _populated(self) for tag in tags]
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,6 +141,16 @@ ATTRIBUTES: tuple[tuple[str, str, bool], ...] = (
     ("Acoustic Scene", "acoustic_scene", False),
     ("Sound Events", "sound_events", True),
 )
+
+
+def _populated(record: CaptionRecord):
+    """(attribute, field, multi, tags) of each populated attribute, in
+    ATTRIBUTES order; a single-tag attribute's tags hold its one tag."""
+    for attr, field_name, multi in ATTRIBUTES:
+        value = getattr(record, field_name)
+        tags = value if multi else () if value is None else (value,)
+        if tags:
+            yield attr, field_name, multi, tags
 
 # Surface templates per attribute. Every template carries a globally unique
 # literal prefix before the placeholder so extraction is unambiguous, and the
@@ -245,14 +249,10 @@ def _check_tag(report, attr, tag, vocab, path):
 def validate_caption(record: CaptionRecord) -> ValidationReport:
     """Report every tag outside its attribute vocabulary (other(...) exempt)."""
     report = ValidationReport()
-    for attr, field_name, multi in ATTRIBUTES:
+    for attr, field_name, multi, tags in _populated(record):
         vocab = vocabulary(attr)
-        value = getattr(record, field_name)
-        if multi:
-            for k, tag in enumerate(value):
-                _check_tag(report, attr, tag, vocab, f"{field_name}[{k}]")
-        elif value is not None:
-            _check_tag(report, attr, value, vocab, field_name)
+        for k, tag in enumerate(tags):
+            _check_tag(report, attr, tag, vocab, f"{field_name}[{k}]" if multi else field_name)
     return report
 
 
@@ -278,20 +278,8 @@ def render_caption(record: CaptionRecord, seed: int) -> str:
     if not report.ok:
         raise InvalidCaptionError(report)
     rng = DetRng(derive_seed(seed, "caption-render"))
-    sentences = []
-    for attr, field_name, multi in ATTRIBUTES:
-        value = getattr(record, field_name)
-        if multi:
-            if not value:
-                continue
-            text = _join_tags(value)
-        else:
-            if value is None:
-                continue
-            text = _surface(value)
-        template = rng.choice(_TEMPLATES[attr])
-        sentences.append(template.format(text))
-    return " ".join(sentences)
+    return " ".join(rng.choice(_TEMPLATES[attr]).format(_join_tags(tags))
+                    for attr, _, _, tags in _populated(record))
 
 
 def extract_tags(rendered: str) -> list[tuple[str, str]]:

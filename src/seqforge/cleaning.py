@@ -27,6 +27,7 @@ from seqforge.reporting import DecodeError, SchemaError, decode
 from seqforge.seeding import DetRng, derive_seed
 
 DEFAULT_RETRIES = 3
+DEFAULT_TIMEOUT_S = 10.0  # per HTTP request
 
 
 class ClientError(RuntimeError):
@@ -96,31 +97,41 @@ class MockSynth:
                               duration_s=n / self.frame_rate_hz)
 
 
-def _post_json(url: str, payload: dict, timeout: float, parse):
-    """POST payload as JSON; return parse(result) of the response.
+class _HttpClient:
+    """Client of one JSON request/response service at base_url."""
 
-    Transport failures, service errors and malformed responses (parse raises
-    SchemaError naming the bad field) all raise ClientError.
-    """
-    import http.client  # only the HTTP clients need these; the mock path starts faster without
-    import urllib.error
-    import urllib.request
+    def __init__(self, base_url: str, timeout: float = DEFAULT_TIMEOUT_S):
+        self.base_url = base_url.rstrip("/")
+        self.timeout = timeout
 
-    body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-    req = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            doc = decode(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, http.client.HTTPException, UnicodeDecodeError,
-            DecodeError) as exc:
-        raise ClientError(f"request to {url} failed: {exc}") from exc
-    try:
-        doc = corpus_mod._expect_object(doc, "response")
-        if not doc.get("ok"):
-            raise ClientError(f"service error from {url}: {doc.get('error', 'unknown')}")
-        return parse(corpus_mod._require(doc, "result", "response"))
-    except SchemaError as exc:
-        raise ClientError(f"malformed response from {url}: {exc}") from exc
+    def _call(self, op: str, payload: dict, provenance_id: str, parse):
+        """POST {"op", "payload", "provenance_id"} as JSON to <base_url>/<op>;
+        return parse(result) of the response.
+
+        Transport failures, service errors and malformed responses (parse
+        raises SchemaError naming the bad field) all raise ClientError.
+        """
+        import http.client  # only the HTTP clients need these; the mock path starts faster without
+        import urllib.request
+
+        url = f"{self.base_url}/{op}"
+        body = json.dumps({"op": op, "payload": payload, "provenance_id": provenance_id},
+                          ensure_ascii=False).encode("utf-8")
+        req = urllib.request.Request(url, data=body,
+                                     headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                doc = decode(resp.read().decode("utf-8"))
+        # OSError covers urllib.error.URLError and socket timeouts
+        except (OSError, http.client.HTTPException, UnicodeDecodeError, DecodeError) as exc:
+            raise ClientError(f"request to {url} failed: {exc}") from exc
+        try:
+            doc = corpus_mod._expect_object(doc, "response")
+            if not doc.get("ok"):
+                raise ClientError(f"service error from {url}: {doc.get('error', 'unknown')}")
+            return parse(corpus_mod._require(doc, "result", "response"))
+        except SchemaError as exc:
+            raise ClientError(f"malformed response from {url}: {exc}") from exc
 
 
 def _result_text(result) -> str:
@@ -136,45 +147,25 @@ def _result_audio(result) -> AudioTokenSpan:
     return corpus_mod._parse_audio(result, "response.result")
 
 
-class HttpCorrectorClient:
+class HttpCorrectorClient(_HttpClient):
     """JSON request/response corrector over HTTP."""
 
-    def __init__(self, base_url: str, timeout: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
     def correct(self, text: str, context: Dialogue) -> str:
-        return _post_json(
-            f"{self.base_url}/correct",
-            {"op": "correct",
-             "payload": {"text": text, "context": corpus_mod.dialogue_to_dict(context)},
-             "provenance_id": context.id},
-            self.timeout, _result_text,
-        )
+        return self._call("correct", {"text": text,
+                                      "context": corpus_mod.dialogue_to_dict(context)},
+                          context.id, _result_text)
 
     def backfill(self, dialogue: Dialogue) -> list[Turn]:
-        return _post_json(
-            f"{self.base_url}/backfill",
-            {"op": "backfill",
-             "payload": {"dialogue": corpus_mod.dialogue_to_dict(dialogue)},
-             "provenance_id": dialogue.id},
-            self.timeout, _result_turns,
-        )
+        return self._call("backfill", {"dialogue": corpus_mod.dialogue_to_dict(dialogue)},
+                          dialogue.id, _result_turns)
 
 
-class HttpSynthClient:
-    def __init__(self, base_url: str, timeout: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
+class HttpSynthClient(_HttpClient):
+    """JSON request/response speech synthesizer over HTTP."""
 
     def synthesize(self, text: str, speaker_id: str) -> AudioTokenSpan:
-        return _post_json(
-            f"{self.base_url}/synthesize",
-            {"op": "synthesize",
-             "payload": {"text": text, "speaker_id": speaker_id},
-             "provenance_id": speaker_id},
-            self.timeout, _result_audio,
-        )
+        return self._call("synthesize", {"text": text, "speaker_id": speaker_id}, speaker_id,
+                          _result_audio)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Expansion order is deterministic (lexicographic over slot choice indices,
 with "absent" ordered first for optional slots) so truncation under a limit
 is stable.
 """
+import itertools
 from dataclasses import dataclass, field
 
 from seqforge.reporting import SchemaError, decode
@@ -50,28 +51,6 @@ class PromptVariant:
     variant_index: int
 
 
-def _compose(fragments: list[str | None]) -> str:
-    return " ".join(f for f in fragments if f is not None)
-
-
-def _iter_expansion(spec: TaskSpec):
-    choices = [slot.choices() for slot in spec.slot_grammar]
-    n_slots = len(choices)
-    idx = [0] * n_slots
-    while True:
-        yield _compose([choices[k][idx[k]] for k in range(n_slots)])
-        # odometer increment, rightmost slot fastest
-        k = n_slots - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(choices[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
-
-
 def expand_templates(spec: TaskSpec, limit: int | None = None) -> list[PromptVariant]:
     """Expand a slot grammar into distinct prompt variants in the task's primary language.
 
@@ -83,7 +62,8 @@ def expand_templates(spec: TaskSpec, limit: int | None = None) -> list[PromptVar
     language = spec.primary_language()
     seen: set[str] = set()
     out: list[PromptVariant] = []
-    for text in _iter_expansion(spec):
+    for fragments in itertools.product(*(slot.choices() for slot in spec.slot_grammar)):
+        text = " ".join(f for f in fragments if f is not None)
         if text in seen:
             continue
         seen.add(text)
