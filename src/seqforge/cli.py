@@ -80,6 +80,9 @@ def _service_url(url: str) -> bool:
 def _http_config(path) -> tuple[str, str, float]:
     """(corrector URL, synth URL, timeout in seconds) from the --config file;
     anything else in it, or a value of the wrong type, is a usage error."""
+    from threading import TIMEOUT_MAX
+
+    from seqforge.cleaning import DEFAULT_TIMEOUT_S
     from seqforge.reporting import decode
 
     if path is None:
@@ -103,12 +106,15 @@ def _http_config(path) -> tuple[str, str, float]:
         if not _service_url(cfg[key]):
             raise UsageError(f"--config field {key!r} must be an http:// or https:// URL "
                              f"in ASCII, got {cfg[key]!r}")
-    timeout = cfg.get("timeout_s", 10.0)
+    timeout = cfg.get("timeout_s", DEFAULT_TIMEOUT_S)
     # A bool is not a number here; the upper bound also refuses NaN, infinity
     # and an integer too large for a float.
     if type(timeout) not in (int, float) or not 0 < timeout <= sys.float_info.max:
         raise UsageError(f"--config field 'timeout_s' must be a finite number > 0, "
                          f"got {timeout!r}")
+    if timeout > TIMEOUT_MAX:  # socket.settimeout raises OverflowError above it
+        raise UsageError(f"--config field 'timeout_s' must be at most {TIMEOUT_MAX} "
+                         f"seconds, got {timeout!r}")
     return cfg["corrector_url"], cfg["synth_url"], float(timeout)
 
 

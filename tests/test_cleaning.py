@@ -391,6 +391,20 @@ def test_clean_cli_over_http_is_invariant_to_jobs(http_service, tmp_path, monkey
     assert b"[http]" in outputs[0][0]
 
 
+def test_clean_over_http_takes_the_largest_socket_timeout(http_service, tmp_path,
+                                                        monkeypatch):
+    """timeout_s up to threading.TIMEOUT_MAX reaches the socket; above it,
+    --config refuses it as a usage error (test_cli)."""
+    monkeypatch.chdir(tmp_path)
+    write_corpus([flagged("logic_contradiction_correctable", n_turns=4)], "corpus.jsonl")
+    with open("http.json", "w", encoding="utf-8") as fh:
+        json.dump({"corrector_url": http_service, "synth_url": http_service,
+                   "timeout_s": threading.TIMEOUT_MAX}, fh)
+    assert run(["clean", "--corpus", "corpus.jsonl", "--client", "http",
+                "--config", "http.json", "--out", "c.jsonl"]) == 0
+    assert b"[http]" in (tmp_path / "c.jsonl").read_bytes()
+
+
 _CALLS = {
     "correct": lambda url: HttpCorrectorClient(url).correct("hi", make_dialogue("ctx")),
     "backfill": lambda url: HttpCorrectorClient(url).backfill(make_dialogue("ctx")),

@@ -1004,6 +1004,9 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
      "forge: error: --config field 'timeout_s' must be a finite number > 0, got 0\n"),
     (["clean"], '{%s, "timeout_s": -1}' % _HTTP_URLS,
      "forge: error: --config field 'timeout_s' must be a finite number > 0, got -1\n"),
+    (["clean"], '{%s, "timeout_s": 1e10}' % _HTTP_URLS,
+     "forge: error: --config field 'timeout_s' must be at most 9223372036.0 seconds, "
+     "got 10000000000.0\n"),
     (["clean"], '{%s, "sed": 3}' % _HTTP_URLS,
      "forge: error: --config key 'sed' is not one of corrector_url, synth_url, timeout_s\n"),
     (["clean"], '{%s, "seed": 3}' % _HTTP_URLS,
@@ -1058,8 +1061,8 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
         "registry-empty-slots", "mode-unknown", "loss-cases-zero", "loss-epsilon-zero",
         "loss-epsilon-inf", "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region",
         "config-url-int", "config-timeout-nan", "config-timeout-zero",
-        "config-timeout-negative", "config-key-typo", "config-key-seed", "config-key-retries",
-        "config-client-mock", "registry-array", "stats-nested", "masks-nested",
+        "config-timeout-negative", "config-timeout-1e10", "config-key-typo", "config-key-seed",
+        "config-key-retries", "config-client-mock", "registry-array", "stats-nested", "masks-nested",
         "registry-nested", "config-nested", "stats-amount-inf", "stats-amount-1e400",
         "stats-amount-10**400", "config-url-empty", "config-url-no-scheme",
         "config-url-not-ascii", "config-url-ftp", "config-url-ipv6", "limit-zero",
