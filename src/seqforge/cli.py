@@ -181,14 +181,14 @@ def _thinker_record(state, task):
 def _load_masks(path) -> dict[str, list]:
     """dialogue id -> masked spans, from the outcome lines of `forge clean`."""
     from seqforge import corpus
-    from seqforge.reporting import DecodeError, SchemaError, decode
+    from seqforge.reporting import JSON_WHITESPACE, DecodeError, SchemaError, decode
 
     masks: dict[str, list] = {}
     with _side_input("--masks", path), open(path, encoding="utf-8") as fh:
         text = fh.read()
         start = 0
         for line_no, line in enumerate(text.split("\n"), 1):
-            if line.strip():
+            if line.strip(JSON_WHITESPACE):
                 try:
                     doc = decode(line)
                 except DecodeError as exc:  # report the position in the file

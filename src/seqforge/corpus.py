@@ -43,8 +43,9 @@ from seqforge.captions import CaptionRecord, validate_caption
 from seqforge.manifest import IDS_MARK, canonical_json, json_number, json_string
 # read_lines, NotUtf8Error and MAX_DEPTH live in reporting, so that eval reads text
 # without loading this data model; corpus re-exports them, as it does SchemaError.
-from seqforge.reporting import (MAX_DEPTH, DecodeError, NotUtf8Error, SchemaError,
-                                ValidationReport, Violation, decode, read_lines, refusal)
+from seqforge.reporting import (JSON_WHITESPACE, MAX_DEPTH, DecodeError, NotUtf8Error,
+                                SchemaError, ValidationReport, Violation, decode, read_lines,
+                                refusal)
 
 SOURCES = ("real_life", "synthetic", "podcast", "audiobook", "short_utterance")
 ROLES = ("user", "assistant")
@@ -379,9 +380,14 @@ def parse_dialogue(doc: dict, path: str = "dialogue") -> Dialogue:
 
 
 def iter_lines(path):
-    """Yield (line number, stripped text) of each non-blank line; unreadable files raise."""
+    """Yield (line number, stripped text) of each non-blank line; unreadable files raise.
+
+    Only JSON's whitespace is stripped: a line of other whitespace (a form
+    feed, U+3000) is not blank, and with such a character at either end a
+    line is not JSON, so both reach the parser and become rejects.
+    """
     for line_no, line in enumerate(read_lines(path), 1):
-        if stripped := line.strip():
+        if stripped := line.strip(JSON_WHITESPACE):
             yield line_no, stripped
 
 

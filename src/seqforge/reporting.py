@@ -67,6 +67,9 @@ def read_lines(path):
         raise not_utf8(path) from None
 
 
+# The whitespace JSON allows around a value; str.strip() with no argument also
+# strips other Unicode whitespace, which makes a line that is not JSON look blank.
+JSON_WHITESPACE = " \t\r\n"
 # Text nested deeper than this is refused. Python's decoder recurses once per
 # level, so without a cap whether a text near the recursion limit decodes would
 # depend on the caller's stack depth, which --jobs changes.

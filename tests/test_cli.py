@@ -56,6 +56,42 @@ def test_validate_reject_lines_exit_1(tmp_path, capsys):
     assert doc["rejects"][0]["line"] == 1
 
 
+@pytest.mark.parametrize("blank", ["\f", "\u3000", " \u00a0 "], ids=["ff", "u3000", "nbsp"])
+def test_a_line_of_non_json_whitespace_is_a_reject(tmp_path, capsys, blank):
+    """Only JSON's whitespace makes a line blank; before, str.strip() dropped
+    a line of any Unicode whitespace without a reject."""
+    lines = list(map(corpus_mod.serialize_dialogue, synthetic.synth_corpus(2, 3)))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{lines[0]}\n{blank}\n \t\r\n{lines[1]}\n", encoding="utf-8")
+    assert run(["validate", "--corpus", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["dialogues"] == 2
+    assert report["rejects"] == [{"line": 2, "reason": "invalid JSON: Expecting value"}]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("head, tail, reason", [
+    ("\x1c", "", "invalid JSON: Expecting value"),
+    ("", "\x85", "invalid JSON: Extra data"),
+    ("\u2028", "\u3000", "invalid JSON: Expecting value"),
+], ids=["leading-x1c", "trailing-x85", "u2028-u3000"])
+def test_non_json_whitespace_around_a_line_is_a_reject(tmp_path, capsys, monkeypatch, head,
+                                                       tail, reason, jobs):
+    """json.loads refuses these lines; before, str.strip() cut the characters
+    off and the line was kept."""
+    monkeypatch.setenv("FORGE_JOBS", jobs)
+    lines = list(map(corpus_mod.serialize_dialogue, synthetic.synth_corpus(3, 3)))
+    lines[1] = head + lines[1] + tail
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["validate", "--corpus", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["rejects"] == [{"line": 2, "reason": reason}]
+    out = tmp_path / "o.jsonl"
+    assert run(["build-thinker", "--seed", "1", "--corpus", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"reject line 2: {reason}\n"
+    assert not list(tmp_path.glob("o.jsonl*"))
+
+
 def test_build_thinker_writes_manifest_and_sequences(tmp_path, capsys):
     path = write_corpus(tmp_path, synthetic.synth_corpus(4, 2))
     out = tmp_path / "thinker.jsonl"
@@ -976,6 +1012,8 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
      "side.json: line 2: expected a cleaning outcome object"),
     (["build-thinker", "--seed", "1", "--masks", '@{"dialogue_id": 1, "masked_spans": [[0]]}'],
      None, "side.json: line 1: expected a string dialogue_id and masked_spans"),
+    (["build-thinker", "--seed", "1", "--masks", '@{"dialogue_id": "x"}\n\f\n'], None,
+     "side.json is not valid JSON: Expecting value: line 2 column 1"),
     (["plan", "budget", "--stats", "@[]"], None,
      "side.json: expected a JSON object of budget stats"),
     (["plan", "budget", "--stats", '@{"budget_stats": {"speech": {"amount": 1}}}'], None,
@@ -1056,8 +1094,8 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
 ], ids=["p-user", "ratio", "config-json", "http-url", "http-no-config", "stage", "step",
         "config-array", "config-float-bool", "config-float-overflow", "jobs-negative",
         "env-jobs-text", "env-jobs-zero", "masks-json", "stats-json", "registry-json",
-        "config-utf8", "masks-line-array", "masks-spans-shape", "stats-array",
-        "stats-entry-shape", "registry-no-slots", "registry-optional-string",
+        "config-utf8", "masks-line-array", "masks-spans-shape", "masks-form-feed-line",
+        "stats-array", "stats-entry-shape", "registry-no-slots", "registry-optional-string",
         "registry-empty-slots", "mode-unknown", "loss-cases-zero", "loss-epsilon-zero",
         "loss-epsilon-inf", "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region",
         "config-url-int", "config-timeout-nan", "config-timeout-zero",
