@@ -338,7 +338,10 @@ def _serve(handler, **attrs):
     server = HTTPServer(("127.0.0.1", 0), handler)
     for name, value in attrs.items():
         setattr(server, name, value)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval; the default 0.5 s would be
+    # most of each HTTP test's time.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}"
