@@ -212,6 +212,7 @@ def _load_masks(path) -> dict[str, list]:
 def cmd_build_thinker(args) -> int:
     from seqforge import corpus, driver
     from seqforge import thinker as thinker_mod
+    from seqforge.manifest import file_digest
 
     try:
         policy = thinker_mod.InterleavePolicy(
@@ -219,7 +220,9 @@ def cmd_build_thinker(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--p-user/--p-assistant: {exc}") from None
     masks = _load_masks(args.masks) if args.masks else {}
-    digest = driver.input_digest(args.corpus)
+    inputs = {args.corpus: driver.input_digest(args.corpus)}
+    if args.masks:
+        inputs[args.masks] = file_digest(args.masks)
     with driver.Chunks(args.out) as chunks:
         rows = driver.compile_records(_thinker_record, (policy, args.seed, masks),
                                       corpus.iter_lines(args.corpus), args.jobs, chunks)
@@ -229,7 +232,7 @@ def cmd_build_thinker(args) -> int:
                  {"dialogues": len(rows), "sequences": len(rows),
                   "elements": sum(n for n, _ in rows),
                   "loss_targets": sum(n for _, n in rows)}, chunks, header=True,
-                 digest=digest)
+                 inputs=inputs)
     print(f"wrote {len(rows)} sequences to {args.out}")
     return 0
 
@@ -266,7 +269,7 @@ def cmd_build_talker(args) -> int:
         ratio = talker_mod.StreamRatio.parse(args.ratio)
     except ValueError:
         raise UsageError(f"--ratio must be N:M with N, M >= 1, got {args.ratio!r}") from None
-    digest = driver.input_digest(args.corpus)
+    inputs = {args.corpus: driver.input_digest(args.corpus)}
     # The reference index spans the corpus, so every dialogue is held before
     # the first one is assembled.
     held = driver.compile_records(_parsed_record, lambda *task: task,
@@ -286,7 +289,7 @@ def cmd_build_talker(args) -> int:
         n_lines = len(rows) - len(skipped)
         driver.publish(args, {"mode": args.mode, "ratio": str(ratio)},
                  {"dialogues": len(rows), "sequences": n_lines,
-                  "skipped_no_reference": len(skipped)}, chunks, header=True, digest=digest)
+                  "skipped_no_reference": len(skipped)}, chunks, header=True, inputs=inputs)
     print(f"wrote {n_lines} sequences to {args.out} ({len(skipped)} skipped)")
     return 0
 
@@ -334,7 +337,7 @@ def cmd_clean(args) -> int:
     if args.retries < 1:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     corrector, synth = _make_clients(args)
-    digest = driver.input_digest(args.corpus)
+    inputs = {args.corpus: driver.input_digest(args.corpus)}
     with driver.Chunks(args.out, f"{args.out}.outcomes.jsonl",
                        f"{args.out}.deferred.jsonl") as chunks:
         rows = driver.compile_records(_clean_record, (corrector, synth, args.retries),
@@ -344,7 +347,7 @@ def cmd_clean(args) -> int:
         deferred = sum(deferred for deferred, in rows)
         driver.publish(args, {"client": args.client, "retries": args.retries},
                  {"dialogues": len(rows), "deferred": deferred}, chunks, header=False,
-                 digest=digest)
+                 inputs=inputs)
     print(f"cleaned {len(rows)} dialogues -> {args.out} ({deferred} deferred)")
     return 0
 
@@ -477,7 +480,7 @@ def cmd_eval(args) -> int:
 def cmd_stats(args) -> int:
     from seqforge import corpus, driver
 
-    digest = driver.input_digest(args.corpus) if args.out else None
+    inputs = {args.corpus: driver.input_digest(args.corpus)} if args.out else None
     rows, rejects, _ = driver.map_records(
         _parsed_record, lambda _, d: (d.language, d.source, [f.kind for f in d.quality_flags],
                                       [t.audio.duration_s for t in d.turns if t.audio]),
@@ -519,12 +522,7 @@ def cmd_stats(args) -> int:
     if rejects:
         return 1
     if args.out:
-        with driver.Chunks(args.out) as chunks:
-            chunks.n = 1
-            with open(f"{args.out}.0.tmp", "w", encoding="utf-8") as fh:
-                fh.write(blob + "\n")
-            driver.publish(args, {}, {"dialogues": len(rows)}, chunks, header=False,
-                           digest=digest)
+        driver.publish_text(args, blob + "\n", {}, {"dialogues": len(rows)}, inputs)
     return 0
 
 

@@ -209,10 +209,10 @@ def _append(fd: int, path: str) -> None:
 
 
 def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool,
-            digest: str) -> None:
+            inputs: dict[str, str]) -> None:
     """Join each output's chunk files and write the run's manifest, each to
-    <path>.tmp, then move them into place. digest is the corpus's
-    input_digest.
+    <path>.tmp, then move them into place. inputs maps the path of each input
+    file, the corpus first, to its sha256 digest.
 
     The first output is the command's own: it gets the manifest as its
     sidecar and, with header, as its first line. Until the moves, every
@@ -224,7 +224,7 @@ def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool,
 
     # stats and clean take no --seed; their manifests record master_seed null
     manifest = manifest_line(_manifest_command(args.argv), getattr(args, "seed", None), config,
-                             {args.corpus: digest}, counts)
+                             inputs, counts)
     sidecar = f"{chunks.paths[0]}.manifest.json"
     outputs = [*chunks.paths, sidecar]
     try:
@@ -246,3 +246,12 @@ def publish(args, config: dict, counts: dict, chunks: Chunks, header: bool,
             with contextlib.suppress(OSError):  # moved, or never written
                 os.remove(f"{path}.tmp")
         raise
+
+
+def publish_text(args, text: str, config: dict, counts: dict, inputs: dict[str, str]) -> None:
+    """publish text as the whole of the output at args.out, with no header."""
+    with Chunks(args.out) as chunks:
+        chunks.n = 1
+        with open(f"{args.out}.0.tmp", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        publish(args, config, counts, chunks, header=False, inputs=inputs)

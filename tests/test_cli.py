@@ -2,6 +2,7 @@
 import argparse
 import ast
 import errno
+import hashlib
 import json
 import os
 import re
@@ -202,6 +203,27 @@ def test_masks_flow_from_clean_into_build_thinker(tmp_path):
     masked = [e for e in record["elements"] if not e["loss_target"]
               and e["role"] == "assistant"]
     assert masked, "masked segment should lose its loss target"
+
+
+def test_manifest_records_the_masks_file_digest(tmp_path):
+    """Two masks files at one path give build-thinker manifests with different
+    input_digests; before, they held the corpus's digest alone."""
+    path = write_corpus(tmp_path, synthetic.synth_corpus(2, 1))
+    masks = tmp_path / "masks.jsonl"
+    out = tmp_path / "thinker.jsonl"
+    digests = []
+    for spans in ([], [[0, [0, 1]]]):
+        masks.write_text(json.dumps({"dialogue_id": "d0", "masked_spans": spans}) + "\n",
+                         encoding="utf-8")
+        assert run(["build-thinker", "--corpus", str(path), "--seed", "1",
+                    "--masks", str(masks), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "thinker.jsonl.manifest.json").read_text())
+        assert list(manifest["input_digests"]) == [str(path), str(masks)]
+        assert manifest["input_digests"][str(masks)] == hashlib.sha256(
+            masks.read_bytes()).hexdigest()
+        digests.append(manifest["input_digests"])
+    assert digests[0][str(path)] == digests[1][str(path)]
+    assert digests[0] != digests[1]
 
 
 def test_plan_show_and_directive(tmp_path, capsys):
@@ -1100,8 +1122,8 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
         "loss-epsilon-inf", "loss-tolerance-zero", "wer-lang-upper", "wer-lang-region",
         "config-url-int", "config-timeout-nan", "config-timeout-zero",
         "config-timeout-negative", "config-timeout-1e10", "config-key-typo", "config-key-seed",
-        "config-key-retries", "config-client-mock", "registry-array", "stats-nested", "masks-nested",
-        "registry-nested", "config-nested", "stats-amount-inf", "stats-amount-1e400",
+        "config-key-retries", "config-client-mock", "registry-array", "stats-nested",
+        "masks-nested", "registry-nested", "config-nested", "stats-amount-inf", "stats-amount-1e400",
         "stats-amount-10**400", "config-url-empty", "config-url-no-scheme",
         "config-url-not-ascii", "config-url-ftp", "config-url-ipv6", "limit-zero",
         "limit-negative", "loss-seed-negative"])

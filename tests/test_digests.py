@@ -30,11 +30,11 @@ EXPECTED = {
     "cleaned.jsonl.manifest.json":
         "3b5a98ffe3cdd3c625f9ae53c4efaeca7e59c2e2794bae4f1e8769e9903be704",
     "thinker.jsonl:header":
-        "97ca7b57f9fca2ac8695c97a7afc2c1bc13acd3e5e48f2f35deafc40f9a58749",
+        "f743762b37fc1c359814e4e6cf923bcd4620b9eccab37ecfab87faca8281fcf0",
     "thinker.jsonl:body":
         "3671e8570c85a92eef5ae047db8066e1ff6fb0477ce6c6482bbb3bf7ef1912e1",
     "thinker.jsonl.manifest.json":
-        "bcf9d8f1eefba31f9713ff00fe4f7efdbe896306ad0e1a2c75011c8acb843733",
+        "0608ac2f8016de762cd7ced70a5e8724a43d4f07de737f91a228d05c0b95daec",
     "talker.jsonl:header":
         "d2015dfe1d35191c1992dde4394c1a61a922cd72ff03872f030c71d2819509e2",
     "talker.jsonl:body":
@@ -172,11 +172,11 @@ CAPTION_EXPECTED = {
     "cleaned.jsonl.manifest.json":
         "067834a981a7ec68045a7664d436c3b1ff7fcd293b26fcbe4abd5eae480fb2a5",
     "thinker.jsonl:header":
-        "7f94b2af6ae34651e66b0e9c82e677e5fbb066ecc37121e6055b6b0404fdefbc",
+        "445cd206e4c529624abccff9c80373c89bf0bae37a9182f77eb4c0874742dfd6",
     "thinker.jsonl:body":
         "f8a8386749f7322bfadc6aecf4b294f20e211502c97971174c5ce77fc5ea7657",
     "thinker.jsonl.manifest.json":
-        "70481a81ac754deb9fa3d6625d05eb15346b593536e7cd0aaee8ad5cd7705b5e",
+        "b7c483c64d5fade98896c005019ef3f0babb204ba5a751be8f1cd88f1841f011",
 }
 
 _CAPTION_KINDS = (None, "logic_contradiction_correctable", "missing_context",
