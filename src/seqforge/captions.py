@@ -152,6 +152,7 @@ def _populated(record: CaptionRecord):
         if tags:
             yield attr, field_name, multi, tags
 
+
 # Surface templates per attribute. Every template carries a globally unique
 # literal prefix before the placeholder so extraction is unambiguous, and the
 # placeholder is never first.

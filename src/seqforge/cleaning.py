@@ -119,10 +119,9 @@ class _HttpClient:
                           ensure_ascii=False).encode("utf-8")
         req = urllib.request.Request(url, data=body,
                                      headers={"Content-Type": "application/json"})
-        try:
+        try:  # urllib.error.URLError and socket timeouts are OSErrors
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 doc = decode(resp.read().decode("utf-8"))
-        # OSError covers urllib.error.URLError and socket timeouts
         except (OSError, http.client.HTTPException, UnicodeDecodeError, DecodeError) as exc:
             raise ClientError(f"request to {url} failed: {exc}") from exc
         try:
