@@ -220,7 +220,7 @@ def cmd_build_thinker(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--p-user/--p-assistant: {exc}") from None
     masks = _load_masks(args.masks) if args.masks else {}
-    inputs = {args.corpus: driver.input_digest(args.corpus)}
+    inputs = {args.corpus: file_digest(args.corpus)}
     if args.masks:
         inputs[args.masks] = file_digest(args.masks)
     with driver.Chunks(args.out) as chunks:
@@ -262,6 +262,7 @@ def _talker_record(state, task):
 def cmd_build_talker(args) -> int:
     from seqforge import corpus, driver
     from seqforge import talker as talker_mod
+    from seqforge.manifest import file_digest
 
     if args.mode not in talker_mod.MODES:
         raise UsageError(f"unknown mode {args.mode!r}")
@@ -269,7 +270,7 @@ def cmd_build_talker(args) -> int:
         ratio = talker_mod.StreamRatio.parse(args.ratio)
     except ValueError:
         raise UsageError(f"--ratio must be N:M with N, M >= 1, got {args.ratio!r}") from None
-    inputs = {args.corpus: driver.input_digest(args.corpus)}
+    inputs = {args.corpus: file_digest(args.corpus)}
     # The reference index spans the corpus, so every dialogue is held before
     # the first one is assembled.
     held = driver.compile_records(_parsed_record, lambda *task: task,
@@ -331,13 +332,14 @@ def _clean_record(state, task):
 
 def cmd_clean(args) -> int:
     from seqforge import cleaning, corpus, driver
+    from seqforge.manifest import file_digest
 
     if args.retries is None:
         args.retries = cleaning.DEFAULT_RETRIES
     if args.retries < 1:
         raise UsageError(f"--retries must be >= 1, got {args.retries}")
     corrector, synth = _make_clients(args)
-    inputs = {args.corpus: driver.input_digest(args.corpus)}
+    inputs = {args.corpus: file_digest(args.corpus)}
     with driver.Chunks(args.out, f"{args.out}.outcomes.jsonl",
                        f"{args.out}.deferred.jsonl") as chunks:
         rows = driver.compile_records(_clean_record, (corrector, synth, args.retries),
@@ -479,8 +481,9 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     from seqforge import corpus, driver
+    from seqforge.manifest import file_digest
 
-    inputs = {args.corpus: driver.input_digest(args.corpus)} if args.out else None
+    inputs = {args.corpus: file_digest(args.corpus)} if args.out else None
     rows, rejects, _ = driver.map_records(
         _parsed_record, lambda _, d: (d.language, d.source, [f.kind for f in d.quality_flags],
                                       [t.audio.duration_s for t in d.turns if t.audio]),

@@ -7,10 +7,11 @@ are checked separately by ``validate_dialogue`` and never raise.
 
 Token ids are most of a corpus's bytes, and they stay JSON text from parse to
 output. ``parse_line`` cuts each compact id array out of the line (see
-``_decode_compact``), ``AudioTokenSpan`` keeps it as ``ids_text`` and every
-serializer writes it in place, so no id becomes an int on the way. A line the
-cut does not cover takes the full path, ``reporting.decode`` and an exact
-type test of each id, which alone reports rejects.
+``_decode_compact``), ``AudioTokenSpan`` keeps it as ``ids_text``, its one
+form of the ids, and every serializer writes it in place, so no id becomes
+an int on the way. A line the cut does not cover takes the full path,
+``reporting.decode`` and an exact type test of each id, which alone reports
+rejects.
 
 ``parse_dialogue`` walks each document once. Every field gets an exact
 type test first (``type(x) is str``, an enum lookup in a frozenset). Only a
@@ -59,53 +60,37 @@ FLAG_KINDS = (
 ADAPTER_FRAME_RATE_HZ = 12.5
 
 
+@dataclass(slots=True, init=False)
 class AudioTokenSpan:
     """Discrete speech tokens for one utterance (ids are opaque, >= 0).
 
-    The ids are held as their compact JSON text, ids_text ("12,0,4095", empty
-    for none); AudioTokenSpan(token_ids=[...], ...) renders a list once.
-    token_ids decodes the text on first read, and from then on that list is
-    the span's ids: ids_text renders it, so a change made to it in place shows.
+    The ids are held only as their compact JSON text, ids_text ("12,0,4095",
+    empty for none); AudioTokenSpan(token_ids=[...], ...) renders a list.
+    token_ids decodes the text on every read, so editing the list it returns
+    leaves the span as it was; assigning a list to token_ids renders it.
     """
 
-    __slots__ = ("_text", "_ids", "frame_rate_hz", "duration_s")
+    ids_text: str
+    frame_rate_hz: float
+    duration_s: float
 
     def __init__(self, token_ids: list[int] | None, frame_rate_hz: float, duration_s: float,
                  *, ids_text: str = ""):
-        self._text = ids_text if token_ids is None else canonical_json(list(token_ids))[1:-1]
-        self._ids = None
+        self.ids_text = ids_text if token_ids is None else canonical_json(list(token_ids))[1:-1]
         self.frame_rate_hz = frame_rate_hz
         self.duration_s = duration_s
 
     @property
-    def ids_text(self) -> str:
-        return self._text if self._ids is None else canonical_json(self._ids)[1:-1]
-
-    @property
     def token_ids(self) -> list[int]:
-        if self._ids is None:
-            self._ids = json.loads(f"[{self._text}]")
-        return self._ids
+        return json.loads(f"[{self.ids_text}]")
 
     @token_ids.setter
     def token_ids(self, ids: list[int]) -> None:
-        self._ids = ids
+        self.ids_text = canonical_json(list(ids))[1:-1]
 
     @property
     def n_tokens(self) -> int:
-        if self._ids is not None:
-            return len(self._ids)
-        return self._text.count(",") + 1 if self._text else 0
-
-    def __eq__(self, other):
-        if type(other) is not AudioTokenSpan:
-            return NotImplemented
-        return ((self.ids_text, self.frame_rate_hz, self.duration_s)
-                == (other.ids_text, other.frame_rate_hz, other.duration_s))
-
-    def __repr__(self) -> str:
-        return (f"AudioTokenSpan(ids_text={self.ids_text!r}, "
-                f"frame_rate_hz={self.frame_rate_hz!r}, duration_s={self.duration_s!r})")
+        return self.ids_text.count(",") + 1 if self.ids_text else 0
 
 
 @dataclass

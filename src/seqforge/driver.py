@@ -3,8 +3,8 @@ corpus, the one reject gate, and publishing the outputs.
 
 All five corpus commands map through map_records; validate, stats and any
 map at --jobs 1 read the corpus as a stream. A command that publishes first
-reads the corpus once as bytes with input_digest, so a corpus that is not
-UTF-8 fails before any record runs, and that digest goes into the manifest.
+reads the corpus once as bytes with manifest.file_digest, so a corpus that is
+not UTF-8 fails before any record runs, and that digest goes into the manifest.
 The process that computes chunk k of the tasks, this one at --jobs 1 or a
 pool worker, writes the chunk's lines of each output to <path>.<k>.tmp
 itself, so output rows never cross a pipe. publish joins the chunk files
@@ -74,30 +74,6 @@ def _init_worker(*worker) -> None:
 def _write_chunk_in_worker(k: int) -> list:
     fn, state, parts, paths = _worker
     return _write_chunk(fn, state, parts[k], paths, k)
-
-
-def input_digest(path) -> str:
-    """sha256 hex digest of the file at path, read once in 1 MiB blocks.
-
-    Bytes that are not UTF-8 raise NotUtf8Error, naming the first such line,
-    before the file is mapped.
-    """
-    import codecs
-    import hashlib
-
-    from seqforge.reporting import not_utf8
-
-    h = hashlib.sha256()
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    with open(path, "rb") as fh:
-        try:
-            while block := fh.read(1 << 20):
-                h.update(block)
-                decode(block)
-            decode(b"", True)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-    return h.hexdigest()
 
 
 def report_rejects(rejects) -> None:

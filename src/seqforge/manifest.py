@@ -64,12 +64,26 @@ def json_digest(value, ids: list[str] = ()) -> str:
 
 
 def file_digest(path) -> str:
+    """sha256 hex digest of the file at path, read once in 1 MiB blocks.
+
+    Bytes that are not UTF-8 raise NotUtf8Error naming the first such line,
+    so a corpus digested before it is mapped fails before any record runs.
+    """
+    import codecs
     import hashlib
 
+    from seqforge.reporting import not_utf8
+
     h = hashlib.sha256()
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        try:
+            while block := fh.read(1 << 20):
+                h.update(block)
+                decode(block)
+            decode(b"", True)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return h.hexdigest()
 
 

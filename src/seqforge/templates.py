@@ -82,27 +82,6 @@ def sample_prompt(spec: TaskSpec, seed: int) -> PromptVariant:
     return variants[rng.below(len(variants))]
 
 
-def variant_matches(spec: TaskSpec, text: str) -> bool:
-    """Whether a text is derivable from the slot grammar (re-parse check)."""
-
-    def rec(remaining: str, slot_idx: int) -> bool:
-        if slot_idx == len(spec.slot_grammar):
-            return remaining == ""
-        slot = spec.slot_grammar[slot_idx]
-        options = slot.choices()
-        for opt in options:
-            if opt is None:
-                if rec(remaining, slot_idx + 1):
-                    return True
-                continue
-            for cand in (opt + " ", opt):
-                if remaining.startswith(cand) and rec(remaining[len(cand):], slot_idx + 1):
-                    return True
-        return False
-
-    return rec(text, 0)
-
-
 def build_only_yes_set(audio_ids: list[str]) -> list[tuple[str, str]]:
     """Pair every audio id with the fixed only-yes instruction, in order."""
     if not audio_ids:

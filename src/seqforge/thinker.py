@@ -173,11 +173,6 @@ def interleave_dialogue(
                             _manifest_text(master_seed, policy), len(elements), n_targets)
 
 
-def extract_loss_targets(seq: TrainingSequence) -> list[tuple[tuple[str, int, int], str]]:
-    """Exactly the loss-target elements, in sequence order."""
-    return [(e.origin, e.text) for e in seq.elements if e.loss_target]
-
-
 def serialize_sequence(seq: TrainingSequence) -> str:
     """The sequence as one canonical JSON line around its rendered elements."""
     return (f'{{"dialogue_id":{json_string(seq.dialogue_id)},"elements":[{seq.elements_text}],'

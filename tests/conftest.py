@@ -6,6 +6,8 @@ from seqforge.cleaning import ClientError
 from seqforge.corpus import (AlignmentSpan, AudioTokenSpan, Dialogue, Turn,
                              serialize_dialogue)
 from seqforge.talker import SPECIAL_TOKENS, StreamRatio
+from seqforge.templates import TaskSpec
+from seqforge.thinker import TrainingSequence
 
 
 def write_corpus(dialogues, path, extra_lines=()) -> None:
@@ -112,6 +114,37 @@ def reference_line(dialogue: Dialogue, mode: str, ratio: StreamRatio, seed: int,
     return (f'{{"mode":{json.dumps(mode)},"tokens":[{tokens[:-1]}],'
             f'"speech_loss_mask":[{mask[:-1]}],'
             f'"manifest":{json.dumps(manifest, ensure_ascii=False, separators=(",", ":"))}}}')
+
+
+# --------------------------------------------------------------------------
+# oracles: the loss targets of a thinker sequence, and whether a prompt derives
+# from a slot grammar
+# --------------------------------------------------------------------------
+
+def extract_loss_targets(seq: TrainingSequence) -> list[tuple[tuple[str, int, int], str]]:
+    """Exactly the loss-target elements, in sequence order."""
+    return [(e.origin, e.text) for e in seq.elements if e.loss_target]
+
+
+def variant_matches(spec: TaskSpec, text: str) -> bool:
+    """Whether a text is derivable from the slot grammar (re-parse check)."""
+
+    def rec(remaining: str, slot_idx: int) -> bool:
+        if slot_idx == len(spec.slot_grammar):
+            return remaining == ""
+        slot = spec.slot_grammar[slot_idx]
+        options = slot.choices()
+        for opt in options:
+            if opt is None:
+                if rec(remaining, slot_idx + 1):
+                    return True
+                continue
+            for cand in (opt + " ", opt):
+                if remaining.startswith(cand) and rec(remaining[len(cand):], slot_idx + 1):
+                    return True
+        return False
+
+    return rec(text, 0)
 
 
 def make_audio(n_tokens: int, rate: float = 12.5) -> AudioTokenSpan:

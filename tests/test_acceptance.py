@@ -20,7 +20,7 @@ from seqforge.metrics import (AblationCell, ablation_gap, edit_distance,
 from seqforge.templates import ONLY_YES_INSTRUCTION
 
 import synthetic
-from conftest import stream_interleave, write_corpus
+from conftest import extract_loss_targets, stream_interleave, write_corpus
 
 
 def ok(criterion: str, detail: str = ""):
@@ -121,7 +121,7 @@ def test_criterion_04_loss_mask_exactness():
         masked = cleaning.apply_masking(d).masked_spans if d.quality_flags else []
         policy = thinker.InterleavePolicy(0.5, p_speech)
         seq = thinker.interleave_dialogue(d, policy, 31337, masked_spans=masked)
-        got = {origin for origin, _ in thinker.extract_loss_targets(seq)}
+        got = {origin for origin, _ in extract_loss_targets(seq)}
 
         expected = set()
         for i, turn in enumerate(d.turns):

@@ -20,7 +20,7 @@ from seqforge.corpus import (Dialogue, QualityFlag, Turn, serialize_dialogue,
                              validate_dialogue)
 
 import synthetic
-from conftest import FlakyClient, make_dialogue, write_corpus
+from conftest import FlakyClient, extract_loss_targets, make_dialogue, write_corpus
 
 
 def flagged(kind, spans=None, **kw):
@@ -200,7 +200,7 @@ def test_masked_dialogue_drops_segment_from_loss_targets():
     seq = thinker.interleave_dialogue(out.dialogue, policy, 1,
                                       masked_spans=out.masked_spans)
     target_turn, masked_range = out.masked_spans[0]
-    for origin, text in thinker.extract_loss_targets(seq):
+    for origin, text in extract_loss_targets(seq):
         _, ti, si = origin
         if ti == target_turn:
             span = d.turns[ti].alignment[si]

@@ -15,6 +15,8 @@ import pytest
 from seqforge import cli, driver
 from seqforge import corpus as corpus_mod
 from seqforge.cli import run
+from seqforge.manifest import file_digest
+from seqforge.reporting import NotUtf8Error
 
 import conftest
 import synthetic
@@ -491,6 +493,28 @@ def test_a_corpus_that_is_not_utf8_fails_before_any_record_runs(tmp_path, capsys
     assert capsys.readouterr() == ("", f"forge: error: {path}: line 151 is not valid UTF-8\n")
     assert calls == []
     assert not list(tmp_path.glob("o.jsonl*"))
+
+
+@pytest.mark.parametrize("before", [1, 2])
+def test_file_digest_of_a_character_across_a_block_boundary_is_its_sha256(tmp_path, before):
+    """file_digest reads 1 MiB blocks; a 3-byte character with `before` of its
+    bytes in the first block is still UTF-8."""
+    data = b"a" * ((1 << 20) - before) + "中\n".encode("utf-8")
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    assert file_digest(path) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"a\nb\nc" + "中".encode("utf-8")[:2], 3),  # cut off mid-character at EOF
+    (b"a\nb\nc\n\xffd\ne\n", 4),
+])
+def test_file_digest_names_the_first_line_that_is_not_utf8(tmp_path, data, line):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(NotUtf8Error) as exc:
+        file_digest(path)
+    assert str(exc.value) == f"{path}: line {line} is not valid UTF-8"
 
 
 def test_eval_only_yes_on_an_empty_file_exits_1(tmp_path, capsys):

@@ -248,8 +248,12 @@ def test_audio_token_span_keeps_ids_as_text():
     assert span == AudioTokenSpan(None, 12.5, 0.24, ids_text=span.ids_text)
     assert (AudioTokenSpan([], 12.5, 0.0).ids_text, AudioTokenSpan([], 12.5, 0.0).n_tokens) \
         == ("", 0)
-    # token_ids is a decoded view; once read, a change made to it in place shows
-    span.token_ids[1] = -1
+    # token_ids is decoded on each read: editing that list leaves the span as it
+    # was, and assigning a list re-renders ids_text
+    ids = span.token_ids
+    ids[1] = -1
+    assert (span.ids_text, span.n_tokens) == ("0,1000000000000000000000000000000,7", 3)
+    span.token_ids = ids
     assert (span.ids_text, span.n_tokens) == ("0,-1,7", 3)
     span.token_ids = [5]
     assert (span.ids_text, span.n_tokens) == ("5", 1)
@@ -1002,7 +1006,8 @@ _SEMANTIC_KINDS = {
                                           (d.turns[i].alignment[-1].audio_range[0],
                                            d.turns[i].audio.n_tokens + 2)),
                      lambda d, i: True),
-    "negative_token": (lambda d, i: d.turns[i].audio.token_ids.__setitem__(0, -1),
+    "negative_token": (lambda d, i: setattr(d.turns[i].audio, "token_ids",
+                                            [-1, *d.turns[i].audio.token_ids[1:]]),
                        lambda d, i: True),
     "duration": (lambda d, i: setattr(d.turns[i].audio, "duration_s",
                                       d.turns[i].audio.duration_s + 1.0),
@@ -1245,7 +1250,7 @@ def _mutate(d: Dialogue, rng: random.Random) -> Dialogue:
     elif kind == 1:
         d.turns = []
     elif kind == 2 and d.turns[0].audio:
-        d.turns[0].audio.token_ids[0] = -5
+        d.turns[0].audio.token_ids = [-5, *d.turns[0].audio.token_ids[1:]]
     elif kind == 3 and d.turns[0].audio:
         d.turns[0].audio.duration_s += 3.0
     elif kind == 4 and d.turns[-1].alignment:

@@ -38,7 +38,7 @@ HOSTILE = 'q"b\\s/\x00\x01\x08\t\n\x0c\r\x1f\x7f\u2028\u2029 中文 😀 é'
 
 
 def _ids(span: AudioTokenSpan) -> list[int]:
-    # json.loads, not span.token_ids: reading that would cache the ids on the span
+    # the ids as the serializers write them: decoded from ids_text, as token_ids is
     return json.loads(f"[{span.ids_text}]")
 
 

@@ -6,7 +6,9 @@ import pytest
 from seqforge.templates import (ONLY_YES_INSTRUCTION, PromptVariant, Slot,
                                 TaskSpec, build_only_yes_set,
                                 expand_templates, load_task_registry,
-                                sample_prompt, variant_matches)
+                                sample_prompt)
+
+from conftest import variant_matches
 
 
 def grammar(*slots) -> TaskSpec:

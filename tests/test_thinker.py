@@ -5,12 +5,11 @@ import pytest
 
 from seqforge import thinker
 from seqforge.corpus import AlignmentSpan, validate_dialogue
-from seqforge.thinker import (CompileError, InterleavePolicy,
-                              extract_loss_targets, interleave_dialogue,
+from seqforge.thinker import (CompileError, InterleavePolicy, interleave_dialogue,
                               serialize_sequence)
 
 import synthetic
-from conftest import make_dialogue, make_turn
+from conftest import extract_loss_targets, make_dialogue, make_turn
 
 
 def test_speech_segments_carry_exactly_their_span_tokens():
