@@ -44,6 +44,26 @@ def vocabulary(attribute: str) -> tuple[str, ...]:
     return _vocabularies()[attribute]
 
 
+# The JSON layout of a record, one row per attribute in layout order:
+# (attribute name, JSON group or None at the top level, JSON key,
+# CaptionRecord field, multi-valued).
+_LAYOUT: tuple[tuple[str, str | None, str, str, bool], ...] = (
+    ("Gender & Age", "speaker_profile", "gender_age", "gender_age", False),
+    ("Accent", "speaker_profile", "accent", "accent", False),
+    ("Emotion", "prosody", "emotion", "emotion", False),
+    ("Tone", "prosody", "tone", "tone", False),
+    ("Speech Rate", "prosody", "speech_rate", "speech_rate", False),
+    ("Vocalizations", "paralinguistics", "vocalizations", "vocalizations", True),
+    ("Affective Burst", "paralinguistics", "affective_burst", "affective_burst", True),
+    ("Vocal Pathology", None, "pathology", "vocal_pathology", True),
+    ("Acoustic Scene", "environment", "acoustic_scene", "acoustic_scene", False),
+    ("Sound Events", "environment", "sound_events", "sound_events", True),
+)
+# (attribute name, CaptionRecord field, multi-valued)
+ATTRIBUTES: tuple[tuple[str, str, bool], ...] = tuple(
+    (attr, name, multi) for attr, _, _, name, multi in _LAYOUT)
+
+
 @dataclass
 class CaptionRecord:
     """One utterance's annotation. Unset single tags are None, sets may be empty."""
@@ -70,19 +90,12 @@ class CaptionRecord:
         return [(attr, tag) for attr, _, _, tags in _populated(self) for tag in tags]
 
     def to_json_dict(self) -> dict:
-        return {
-            "speaker_profile": {"gender_age": self.gender_age, "accent": self.accent},
-            "prosody": {"emotion": self.emotion, "tone": self.tone, "speech_rate": self.speech_rate},
-            "paralinguistics": {
-                "vocalizations": list(self.vocalizations),
-                "affective_burst": list(self.affective_burst),
-            },
-            "pathology": list(self.vocal_pathology),
-            "environment": {
-                "acoustic_scene": self.acoustic_scene,
-                "sound_events": list(self.sound_events),
-            },
-        }
+        doc: dict = {}
+        for _, group, key, name, multi in _LAYOUT:
+            value = getattr(self, name)
+            (doc if group is None else doc.setdefault(group, {}))[key] = (
+                list(value) if multi else value)
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict, path: str = "caption") -> "CaptionRecord":
@@ -91,56 +104,23 @@ class CaptionRecord:
         An absent group or field is unset. A group is an object or null, a
         single tag a string or null, a multi-tag field an array of strings.
         """
-        def group(key: str | None) -> tuple[dict, str]:
-            if key is None:
-                return doc, path
-            value = doc.get(key)
-            if value is not None and type(value) is not dict:
-                raise SchemaError(f"{path}.{key}: expected object")
-            return value or {}, f"{path}.{key}"
-
-        def one(group_key: str, key: str) -> str | None:
-            g, where = group(group_key)
-            value = g.get(key)
-            if value is not None and type(value) is not str:
+        fields = {}
+        for _, group, key, name, multi in _LAYOUT:
+            g, where = (doc, path) if group is None else (doc.get(group), f"{path}.{group}")
+            if g is None:
+                g = {}
+            elif type(g) is not dict:
+                raise SchemaError(f"{where}: expected object")
+            value = g.get(key, [] if multi else None)
+            if multi:
+                if type(value) is not list or not set(map(type, value)) <= {str}:
+                    raise SchemaError(f"{where}.{key}: expected array of strings")
+                value = tuple(value)
+            elif value is not None and type(value) is not str:
                 raise SchemaError(f"{where}.{key}: expected string or null, "
                                   f"got {type(value).__name__}")
-            return value
-
-        def many(group_key: str | None, key: str) -> tuple[str, ...]:
-            g, where = group(group_key)
-            value = g.get(key, [])
-            if type(value) is not list or not set(map(type, value)) <= {str}:
-                raise SchemaError(f"{where}.{key}: expected array of strings")
-            return tuple(value)
-
-        return cls(
-            gender_age=one("speaker_profile", "gender_age"),
-            accent=one("speaker_profile", "accent"),
-            emotion=one("prosody", "emotion"),
-            tone=one("prosody", "tone"),
-            speech_rate=one("prosody", "speech_rate"),
-            vocalizations=many("paralinguistics", "vocalizations"),
-            affective_burst=many("paralinguistics", "affective_burst"),
-            vocal_pathology=many(None, "pathology"),
-            acoustic_scene=one("environment", "acoustic_scene"),
-            sound_events=many("environment", "sound_events"),
-        )
-
-
-# (attribute name, CaptionRecord field, multi-valued)
-ATTRIBUTES: tuple[tuple[str, str, bool], ...] = (
-    ("Gender & Age", "gender_age", False),
-    ("Accent", "accent", False),
-    ("Emotion", "emotion", False),
-    ("Tone", "tone", False),
-    ("Speech Rate", "speech_rate", False),
-    ("Vocalizations", "vocalizations", True),
-    ("Affective Burst", "affective_burst", True),
-    ("Vocal Pathology", "vocal_pathology", True),
-    ("Acoustic Scene", "acoustic_scene", False),
-    ("Sound Events", "sound_events", True),
-)
+            fields[name] = value
+        return cls(**fields)
 
 
 def _populated(record: CaptionRecord):

@@ -40,6 +40,13 @@ def _jobs(flag: int | None) -> int:
     return jobs
 
 
+def _check_seed(seed: int) -> None:
+    """A master seed is 64 bits; seeding.derive_seed would mask any other value
+    to one, so two --seed values would compile the same bytes."""
+    if not 0 <= seed < 1 << 64:
+        raise UsageError(f"--seed must be in [0, 2**64), got {seed}")
+
+
 @contextlib.contextmanager
 def _side_input(flag: str, path):
     """Report a side-input file that is not UTF-8, JSON that reporting.decode
@@ -184,7 +191,8 @@ def _load_masks(path) -> dict[str, list]:
     from seqforge.reporting import JSON_WHITESPACE, DecodeError, SchemaError, decode
 
     masks: dict[str, list] = {}
-    with _side_input("--masks", path), open(path, encoding="utf-8") as fh:
+    # newline="\n": a line ends at LF only, as a corpus line does (reporting.raw_lines)
+    with _side_input("--masks", path), open(path, encoding="utf-8", newline="\n") as fh:
         text = fh.read()
         start = 0
         for line_no, line in enumerate(text.split("\n"), 1):
@@ -214,6 +222,7 @@ def cmd_build_thinker(args) -> int:
     from seqforge import thinker as thinker_mod
     from seqforge.manifest import file_digest
 
+    _check_seed(args.seed)
     try:
         policy = thinker_mod.InterleavePolicy(
             p_user_speech=args.p_user, p_assistant_segment_speech=args.p_assistant)
@@ -264,6 +273,7 @@ def cmd_build_talker(args) -> int:
     from seqforge import talker as talker_mod
     from seqforge.manifest import file_digest
 
+    _check_seed(args.seed)
     if args.mode not in talker_mod.MODES:
         raise UsageError(f"unknown mode {args.mode!r}")
     try:
@@ -439,7 +449,8 @@ def cmd_loss_check(args) -> int:
 def _read_lines(path) -> list[str]:
     from seqforge.reporting import read_lines
 
-    return [line.rstrip("\n") for line in read_lines(path)]
+    # A line ends at LF; the CR of a CRLF ending is not part of its text.
+    return [line.removesuffix("\n").removesuffix("\r") for line in read_lines(path)]
 
 
 def cmd_eval(args) -> int:

@@ -88,8 +88,9 @@ def map_records(fn, state, tasks, jobs: int, chunks: Chunks) -> tuple[list, list
     Each task is (line number, record). fn returns a Reject, a list of them,
     a Failed, or a row (dialogue id, lines, *rest) as _write_chunk takes it.
     At jobs 1 the tasks are a stream read in this process; above, contiguous
-    chunks go to jobs pool workers (fork start: fn, state and the tasks reach
-    each worker by the fork, and a task message is a chunk's index).
+    chunks go to a pool of jobs workers, or one per chunk if there are fewer
+    chunks (fork start: fn, state and the tasks reach each worker by the
+    fork, and a task message is a chunk's index).
 
     Returns each row (dialogue id, *rest) whose id no earlier row has, in
     input order; every reject in line order, repeated ids included; and the
@@ -117,7 +118,7 @@ def map_records(fn, state, tasks, jobs: int, chunks: Chunks) -> tuple[list, list
 
         bounds = [len(tasks) * k // chunks.n for k in range(chunks.n + 1)]
         parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
-        with multiprocessing.Pool(jobs, initializer=_init_worker,
+        with multiprocessing.Pool(min(jobs, chunks.n), initializer=_init_worker,
                                   initargs=(fn, state, parts, chunks.paths)) as pool:
             written = pool.map(_write_chunk_in_worker, range(chunks.n), chunksize=1)
     rows, rejects, failure = [], [], None

@@ -18,6 +18,8 @@ produce byte-identical manifests.
 """
 import json
 import math
+import os
+import stat
 
 from seqforge import __version__
 
@@ -64,26 +66,22 @@ def json_digest(value, ids: list[str] = ()) -> str:
 
 
 def file_digest(path) -> str:
-    """sha256 hex digest of the file at path, read once in 1 MiB blocks.
+    """sha256 hex digest of the file at path, read line by line by reporting.raw_lines.
 
-    Bytes that are not UTF-8 raise NotUtf8Error naming the first such line,
-    so a corpus digested before it is mapped fails before any record runs.
+    A digested input is read again, so a path that is not a regular file (a
+    pipe, whose second read gets nothing) raises OSError naming it. A line
+    that is not UTF-8 raises NotUtf8Error naming it, so a corpus digested
+    before it is mapped fails before any record runs.
     """
-    import codecs
     import hashlib
 
-    from seqforge.reporting import not_utf8
+    from seqforge.reporting import raw_lines
 
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{path} is not a regular file: it is digested, then read again")
     h = hashlib.sha256()
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    with open(path, "rb") as fh:
-        try:
-            while block := fh.read(1 << 20):
-                h.update(block)
-                decode(block)
-            decode(b"", True)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+    for raw, _ in raw_lines(path):
+        h.update(raw)
     return h.hexdigest()
 
 

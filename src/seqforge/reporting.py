@@ -1,7 +1,9 @@
 """Validation report, error types, the line reader and the JSON decoder shared across modules.
 
-Nothing here loads the corpus data model, so commands that only read text
-(eval) import this module alone.
+Every line-delimited input (a corpus, an eval file) and every digested file
+is read by raw_lines: a line ends at LF only, and the first line that is not
+UTF-8 is named. Nothing here loads the corpus data model, so commands that
+only read text (eval) import this module alone.
 """
 import json
 import re
@@ -40,31 +42,24 @@ class NotUtf8Error(ValueError):
         super().__init__(f"{path}: line {line_no} is not valid UTF-8")
 
 
-# Under errors="surrogateescape" each byte that is not UTF-8 decodes to one of these.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+def raw_lines(path):
+    """Yield (bytes, text) of each line of the file at path; unreadable files raise.
 
-
-def not_utf8(path) -> NotUtf8Error:
-    """The error naming the first line of path that is not UTF-8.
-
-    Decoding fails a whole buffer at a time, so the file is read again to
-    find the line.
+    A line ends at LF only, as in JSON Lines: a CR is a character of its
+    line. The first line that is not UTF-8 raises NotUtf8Error naming it.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        line_no = next(n for n, line in enumerate(fh, 1) if _ESCAPED_BYTE.search(line))
-    return NotUtf8Error(path, line_no)
+    with open(path, "rb") as fh:
+        try:
+            for line_no, raw in enumerate(fh, 1):
+                yield raw, raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise NotUtf8Error(path, line_no) from None
 
 
 def read_lines(path):
-    """Yield the lines of a UTF-8 text file; unreadable files raise.
-
-    Bytes that are not UTF-8 raise NotUtf8Error naming the first such line.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from fh
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    """Yield the text of each line of a UTF-8 file, its LF kept, as raw_lines splits it."""
+    for _, text in raw_lines(path):
+        yield text
 
 
 # The whitespace JSON allows around a value; str.strip() with no argument also

@@ -16,7 +16,7 @@ from seqforge import cli, driver
 from seqforge import corpus as corpus_mod
 from seqforge.cli import run
 from seqforge.manifest import file_digest
-from seqforge.reporting import NotUtf8Error
+from seqforge.reporting import NotUtf8Error, read_lines
 
 import conftest
 import synthetic
@@ -93,6 +93,39 @@ def test_non_json_whitespace_around_a_line_is_a_reject(tmp_path, capsys, monkeyp
     assert run(["build-thinker", "--seed", "1", "--corpus", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"reject line 2: {reason}\n"
     assert not list(tmp_path.glob("o.jsonl*"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_corpus_line_ends_at_lf_only(tmp_path, capsys, monkeypatch, jobs):
+    """A lone CR between two members is JSON whitespace inside its line, as in
+    JSON Lines; before, a line also ended at a lone CR, which cut a valid
+    line in two and moved every later line number."""
+    monkeypatch.setenv("FORGE_JOBS", jobs)
+    lines = list(map(corpus_mod.serialize_dialogue, synthetic.synth_corpus(2, 3)))
+    with_cr = [lines[0].replace(',"', ',\r"', 1), lines[1]]
+    assert with_cr[0] != lines[0]
+    bodies = []
+    for name, text in (("lf", lines), ("cr", with_cr)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes("\n".join(text).encode("utf-8") + b"\n")
+        assert run(["validate", "--corpus", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["dialogues"] == 2
+        out = tmp_path / f"{name}.out.jsonl"
+        assert run(["build-thinker", "--seed", "1", "--corpus", str(path),
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        bodies.append(out.read_text(encoding="utf-8").split("\n", 1)[1])
+    assert bodies[0] == bodies[1]
+    broken = tmp_path / "broken.jsonl"
+    broken.write_bytes("\n".join([with_cr[0], lines[1], "{not json"]).encode("utf-8") + b"\n")
+    assert run(["validate", "--corpus", str(broken)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["dialogues"] == 2
+    reason = "invalid JSON: Expecting property name enclosed in double quotes"
+    assert report["rejects"] == [{"line": 3, "reason": reason}]
+    out = tmp_path / "o.jsonl"
+    assert run(["build-thinker", "--seed", "1", "--corpus", str(broken), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"reject line 3: {reason}\n"
 
 
 def test_build_thinker_writes_manifest_and_sequences(tmp_path, capsys):
@@ -228,6 +261,22 @@ def test_manifest_records_the_masks_file_digest(tmp_path):
     assert digests[0] != digests[1]
 
 
+@pytest.mark.parametrize("newline, inside", [("\r\n", ""), ("\n", "\r")],
+                         ids=["crlf", "lone-cr"])
+def test_a_masks_line_ends_at_lf_only(tmp_path, newline, inside):
+    """A CRLF --masks file loads the masks of its LF form, and a lone CR is
+    JSON whitespace inside its line; before, a lone CR ended a line too."""
+    outcomes = ['{"dialogue_id": "d0",%s"masked_spans": [[0, [0, 1]]]}' % inside,
+                '{"dialogue_id": "d1",%s"masked_spans": [[1, [2, 5]], [3, [0, 4]]]}' % inside]
+    lf = tmp_path / "lf.jsonl"
+    lf.write_bytes("\n".join(outcomes).replace("\r", "").encode("utf-8") + b"\n")
+    other = tmp_path / "other.jsonl"
+    other.write_bytes(newline.join(outcomes).encode("utf-8") + newline.encode("utf-8"))
+    expected = cli._load_masks(lf)
+    assert list(expected) == ["d0", "d1"]
+    assert cli._load_masks(other) == expected
+
+
 def test_plan_show_and_directive(tmp_path, capsys):
     assert run(["plan", "show"]) == 0
     capsys.readouterr()
@@ -316,6 +365,32 @@ def test_eval_error_rate_stdout_is_pinned(tmp_path, capsys, argv, expected):
     hyp.write_text(EVAL_HYP, encoding="utf-8")
     assert run(argv + ["--ref", str(ref), "--hyp", str(hyp)]) == 0
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_an_eval_line_holding_a_lone_cr_is_one_line(tmp_path, capsys):
+    """Before, a lone CR ended a line too: ref had 3 lines but hyp 2."""
+    ref = tmp_path / "ref.txt"
+    hyp = tmp_path / "hyp.txt"
+    ref.write_bytes(b"a\rb\nc\n")
+    hyp.write_bytes(b"ab\nc\n")
+    assert run(["eval", "cer", "--raw", "--ref", str(ref), "--hyp", str(hyp)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["utterances"] == 2 and doc["errors"] == 1 and doc["reference_length"] == 4
+
+
+@pytest.mark.parametrize("metric", ["cer", "wer"])
+def test_crlf_eval_files_score_as_lf_files(tmp_path, capsys, metric):
+    """The CR of a CRLF line ending is not part of the line's text."""
+    reports = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        ref = tmp_path / f"{name}.ref.txt"
+        hyp = tmp_path / f"{name}.hyp.txt"
+        ref.write_bytes(EVAL_REF.replace("\n", newline).encode("utf-8"))
+        hyp.write_bytes(EVAL_HYP.replace("\n", newline).encode("utf-8"))
+        assert run(["eval", metric, "--raw", "--ref", str(ref), "--hyp", str(hyp)]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0].out)["utterances"] == 5
 
 
 @pytest.mark.parametrize("lang", corpus_mod.LANGUAGES)
@@ -449,6 +524,58 @@ def test_corpus_commands_exit_2_on_a_missing_corpus(tmp_path, capsys, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture
+def pipe_path():
+    """A function that writes bytes (under 64 KiB, so the write does not block)
+    into a new pipe and returns the path /dev/fd/N of its read end."""
+    fds = []
+
+    def make(data: bytes) -> str:
+        r, w = os.pipe()
+        fds.append(r)
+        os.write(w, data)
+        os.close(w)
+        return f"/dev/fd/{r}"
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("argv", [
+    ["clean", "--out", "o.jsonl"], ["stats", "--out", "o.jsonl"],
+    ["build-thinker", "--seed", "1", "--out", "o.jsonl"],
+    ["build-talker", "--seed", "1", "--out", "o.jsonl"],
+    ["build-thinker", "--seed", "1", "--out", "o.jsonl", "--masks", "PIPE"],
+], ids=["clean", "stats-out", "build-thinker", "build-talker", "build-thinker-masks"])
+def test_a_digested_input_that_is_not_a_regular_file_exits_2(tmp_path, capsys, monkeypatch,
+                                                             pipe_path, argv):
+    """A digested input is read twice; before, a pipe's second read got
+    nothing, so the command wrote an empty output, or the sha256 of nothing
+    as the masks file's digest, and exited 0."""
+    monkeypatch.chdir(tmp_path)
+    data = write_corpus(tmp_path, synthetic.synth_corpus(3, 6)).read_bytes()
+    assert len(data) < 1 << 16
+    if "PIPE" in argv:
+        fifo = pipe_path(b'{"dialogue_id": "d0", "masked_spans": []}\n')
+        argv = [fifo if arg == "PIPE" else arg for arg in argv] + ["--corpus", "corpus.jsonl"]
+    else:
+        fifo = pipe_path(data)
+        argv = argv + ["--corpus", fifo]
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"forge: error: {fifo} is not a regular file: it is digested, then read again\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_a_corpus_read_once_may_be_a_pipe(tmp_path, capsys, pipe_path, command):
+    path = write_corpus(tmp_path, synthetic.synth_corpus(3, 6))
+    assert run([command, "--corpus", str(path)]) == 0
+    expected = capsys.readouterr()
+    assert run([command, "--corpus", pipe_path(path.read_bytes())]) == 0
+    assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("command", ["validate", "eval", "build-thinker"])
 def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, command):
     path = write_corpus(tmp_path, synthetic.synth_corpus(40, 6))
@@ -497,24 +624,40 @@ def test_a_corpus_that_is_not_utf8_fails_before_any_record_runs(tmp_path, capsys
 
 @pytest.mark.parametrize("before", [1, 2])
 def test_file_digest_of_a_character_across_a_block_boundary_is_its_sha256(tmp_path, before):
-    """file_digest reads 1 MiB blocks; a 3-byte character with `before` of its
-    bytes in the first block is still UTF-8."""
+    """A 3-byte character with `before` of its bytes in the file's first MiB
+    is still UTF-8: file_digest decodes whole lines, however the file is read."""
     data = b"a" * ((1 << 20) - before) + "中\n".encode("utf-8")
     path = tmp_path / "c.jsonl"
     path.write_bytes(data)
     assert file_digest(path) == hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("data, line", [
+NOT_UTF8 = [
     (b"a\nb\nc" + "中".encode("utf-8")[:2], 3),  # cut off mid-character at EOF
     (b"a\nb\nc\n\xffd\ne\n", 4),
-])
+    (b'{"a":1}\r{"b":2}\n\xff\n', 2),  # a line ends at LF only
+]
+
+
+@pytest.mark.parametrize("data, line", NOT_UTF8)
 def test_file_digest_names_the_first_line_that_is_not_utf8(tmp_path, data, line):
     path = tmp_path / "c.jsonl"
     path.write_bytes(data)
     with pytest.raises(NotUtf8Error) as exc:
         file_digest(path)
     assert str(exc.value) == f"{path}: line {line} is not valid UTF-8"
+
+
+@pytest.mark.parametrize("data, line", NOT_UTF8)
+def test_read_lines_names_the_first_line_that_is_not_utf8(tmp_path, data, line):
+    """Every line before the one that is not UTF-8 is read."""
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    read = []
+    with pytest.raises(NotUtf8Error) as exc:
+        read.extend(read_lines(path))
+    assert str(exc.value) == f"{path}: line {line} is not valid UTF-8"
+    assert len(read) == line - 1 and data.startswith("".join(read).encode("utf-8"))
 
 
 def test_eval_only_yes_on_an_empty_file_exits_1(tmp_path, capsys):
@@ -759,6 +902,26 @@ def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
     assert code == 130
     assert capsys.readouterr().err == "forge: error: interrupted\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    """Three records make three chunks at --jobs 8; before, the pool forked 8 workers."""
+    import multiprocessing
+
+    path = write_corpus(tmp_path, synthetic.synth_corpus(3, 6))
+    out = tmp_path / "o.jsonl"
+    argv = ["build-thinker", "--seed", "1", "--corpus", str(path), "--out", str(out), "--jobs"]
+    assert run(argv + ["1"]) == 0
+    expected = out.read_bytes()
+    real, started = multiprocessing.Pool, []
+
+    def pool(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real(processes, *args, **kwargs)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    assert run(argv + ["8"]) == 0
+    assert started == [3]
+    assert out.read_bytes() == expected
 
 
 def test_stats_leaves_a_repeated_line_out_of_its_totals(tmp_path, capsys):
@@ -1137,6 +1300,14 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
       '@{"t": {"slots": [{"alternatives": ["a"]}]}}'], None,
      "forge: error: --limit must be >= 1, got -2\n"),
     (["loss-check", "--seed", "-1"], None, "forge: error: --seed must be >= 0, got -1\n"),
+    (["build-thinker", "--seed", "-1"], None,
+     "forge: error: --seed must be in [0, 2**64), got -1\n"),
+    (["build-thinker", "--seed", "18446744073709551616"], None,
+     "forge: error: --seed must be in [0, 2**64), got 18446744073709551616\n"),
+    (["build-talker", "--seed", "-1"], None,
+     "forge: error: --seed must be in [0, 2**64), got -1\n"),
+    (["build-talker", "--seed", "36893488147419103231"], None,
+     "forge: error: --seed must be in [0, 2**64), got 36893488147419103231\n"),
 ], ids=["p-user", "ratio", "config-json", "http-url", "http-no-config", "stage", "step",
         "config-array", "config-float-bool", "config-float-overflow", "jobs-negative",
         "env-jobs-text", "env-jobs-zero", "masks-json", "stats-json", "registry-json",
@@ -1150,7 +1321,8 @@ _AMOUNT_SHAPE = ("side.json: speech: expected {\"amount\": number >= 0, \"unit\"
         "masks-nested", "registry-nested", "config-nested", "stats-amount-inf", "stats-amount-1e400",
         "stats-amount-10**400", "config-url-empty", "config-url-no-scheme",
         "config-url-not-ascii", "config-url-ftp", "config-url-ipv6", "limit-zero",
-        "limit-negative", "loss-seed-negative"])
+        "limit-negative", "loss-seed-negative", "thinker-seed-negative", "thinker-seed-2**64",
+        "talker-seed-negative", "talker-seed-2**65-1"])
 def test_bad_argument_values_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
                                                       config, message):
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
