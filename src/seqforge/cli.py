@@ -17,7 +17,7 @@ from seqforge import LANGUAGES, __version__
 # Each command imports the modules only it needs, so no command pays for
 # loading the others': eval, plan, templates and loss-check never load the
 # corpus data model, the corpus commands' driver or manifests, only loss-check
-# loads numpy, only --jobs > 1 loads multiprocessing, and --version loads no
+# loads numpy, only --jobs > 1 loads pickle and signal, and --version loads no
 # seqforge module but this one.
 
 
@@ -447,10 +447,10 @@ def cmd_loss_check(args) -> int:
 # --------------------------------------------------------------------------
 
 def _read_lines(path) -> list[str]:
-    from seqforge.reporting import read_lines
+    from seqforge.reporting import raw_lines
 
     # A line ends at LF; the CR of a CRLF ending is not part of its text.
-    return [line.removesuffix("\n").removesuffix("\r") for line in read_lines(path)]
+    return [line.removesuffix("\n").removesuffix("\r") for _, line in raw_lines(path)]
 
 
 def cmd_eval(args) -> int:
@@ -674,7 +674,7 @@ def run(argv: list[str] | None = None) -> int:
         if hasattr(args, "jobs"):
             args.jobs = _jobs(args.jobs)
         return args.func(args)
-    except NotUtf8Error as exc:
+    except (NotUtf8Error, ChildProcessError) as exc:  # ChildProcessError: a worker died
         print(f"forge: error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, OSError) as exc:  # a flag value, or a path that fails to read or write
@@ -687,7 +687,3 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -42,10 +42,10 @@ from dataclasses import dataclass, field
 from seqforge import LANGUAGES
 from seqforge.captions import CaptionRecord, validate_caption
 from seqforge.manifest import IDS_MARK, canonical_json, json_number, json_string
-# read_lines, NotUtf8Error and MAX_DEPTH live in reporting, so that eval reads text
-# without loading this data model; corpus re-exports them, as it does SchemaError.
+# NotUtf8Error and MAX_DEPTH live in reporting, so that eval reads text without
+# loading this data model; corpus re-exports them, as it does SchemaError.
 from seqforge.reporting import (JSON_WHITESPACE, MAX_DEPTH, DecodeError, NotUtf8Error,
-                                SchemaError, ValidationReport, Violation, decode, read_lines,
+                                SchemaError, ValidationReport, Violation, decode, raw_lines,
                                 refusal)
 
 SOURCES = ("real_life", "synthetic", "podcast", "audiobook", "short_utterance")
@@ -371,7 +371,7 @@ def iter_lines(path):
     feed, U+3000) is not blank, and with such a character at either end a
     line is not JSON, so both reach the parser and become rejects.
     """
-    for line_no, line in enumerate(read_lines(path), 1):
+    for line_no, (_, line) in enumerate(raw_lines(path), 1):
         if stripped := line.strip(JSON_WHITESPACE):
             yield line_no, stripped
 

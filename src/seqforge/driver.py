@@ -5,8 +5,8 @@ All five corpus commands map through map_records; validate, stats and any
 map at --jobs 1 read the corpus as a stream. A command that publishes first
 reads the corpus once as bytes with manifest.file_digest, so a corpus that is
 not UTF-8 fails before any record runs, and that digest goes into the manifest.
-The process that computes chunk k of the tasks, this one at --jobs 1 or a
-pool worker, writes the chunk's lines of each output to <path>.<k>.tmp
+The process that computes chunk k of the tasks, this one for chunk 0 or a
+forked child, writes the chunk's lines of each output to <path>.<k>.tmp
 itself, so output rows never cross a pipe. publish joins the chunk files
 behind the header and moves every output into place. Only the corpus
 commands load this module.
@@ -60,22 +60,6 @@ def _write_chunk(fn, state, tasks, paths, k: int) -> list:
     return rows
 
 
-_worker: tuple = ()  # (fn, state, chunks of tasks, paths), set only inside pool workers
-
-
-def _init_worker(*worker) -> None:
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    global _worker
-    _worker = worker
-
-
-def _write_chunk_in_worker(k: int) -> list:
-    fn, state, parts, paths = _worker
-    return _write_chunk(fn, state, parts[k], paths, k)
-
-
 def report_rejects(rejects) -> None:
     """One stderr line per reject: the text every corpus command prints."""
     for r in rejects:
@@ -87,10 +71,10 @@ def map_records(fn, state, tasks, jobs: int, chunks: Chunks) -> tuple[list, list
 
     Each task is (line number, record). fn returns a Reject, a list of them,
     a Failed, or a row (dialogue id, lines, *rest) as _write_chunk takes it.
-    At jobs 1 the tasks are a stream read in this process; above, contiguous
-    chunks go to a pool of jobs workers, or one per chunk if there are fewer
-    chunks (fork start: fn, state and the tasks reach each worker by the
-    fork, and a task message is a chunk's index).
+    The tasks are cut into min(jobs, tasks) contiguous chunks; at jobs 1 the
+    one chunk is a stream. A forked child maps each chunk after the first
+    (fn, state and its tasks reach it by the fork), while this process maps
+    the first. A child that dies raises ChildProcessError naming its lines.
 
     Returns each row (dialogue id, *rest) whose id no earlier row has, in
     input order; every reject in line order, repeated ids included; and the
@@ -98,29 +82,55 @@ def map_records(fn, state, tasks, jobs: int, chunks: Chunks) -> tuple[list, list
     """
     from seqforge.corpus import Reject
 
-    chunks.n = 1
+    parts = [tasks]  # at jobs 1, a stream
     if jobs > 1:
-        tasks = list(tasks)  # the chunks are cut before the pool forks
-        chunks.n = max(1, min(len(tasks), jobs * 4))
-    if chunks.n == 1:
-        # Rows hold no cycles: the collector would only re-traverse them, and
-        # frozen, a pool forked later does not copy them on write.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            written = [_write_chunk(fn, state, tasks, chunks.paths, 0)]
-        finally:
-            gc.freeze()
-            if enabled:
-                gc.enable()
-    else:
-        import multiprocessing
+        import pickle
+        import signal
 
-        bounds = [len(tasks) * k // chunks.n for k in range(chunks.n + 1)]
-        parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
-        with multiprocessing.Pool(min(jobs, chunks.n), initializer=_init_worker,
-                                  initargs=(fn, state, parts, chunks.paths)) as pool:
-            written = pool.map(_write_chunk_in_worker, range(chunks.n), chunksize=1)
+        tasks = list(tasks)  # the chunks are cut before the children fork
+        n = max(1, min(len(tasks), jobs))
+        parts = [tasks[len(tasks) * k // n:len(tasks) * (k + 1) // n] for k in range(n)]
+    chunks.n = len(parts)
+    # Rows hold no cycles: the collector would only re-traverse them, here and in
+    # children forked with it off; frozen, the rows stay out of later collections.
+    enabled = gc.isenabled()
+    gc.disable()
+    children = []  # (pid, read end, its first-last line) of each child; the finally reaps them
+    try:
+        for k in range(1, chunks.n):  # before this process opens its own chunk files
+            r, w = os.pipe()
+            if not (pid := os.fork()):  # the child leaves only through os._exit, never unwinding
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's
+                    try:
+                        result = _write_chunk(fn, state, parts[k], chunks.paths, k)
+                    except Exception as exc:  # raised in the parent, as at --jobs 1
+                        result = exc
+                    with open(w, "wb") as pipe:
+                        pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # only if the above raised
+            os.close(w)  # the read end meets EOF once the child exits
+            children.append((pid, open(r, "rb"), f"{parts[k][0][0]}-{parts[k][-1][0]}"))
+        written = [_write_chunk(fn, state, parts[0], chunks.paths, 0)]
+        for pid, pipe, lines in children:
+            data = pipe.read()  # to EOF before the wait: a child blocks on a full pipe
+            end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # left a zombie to reap
+            if end.si_code != os.CLD_EXITED or end.si_status:
+                how = "exited with status" if end.si_code == os.CLD_EXITED else "was killed by signal"
+                raise ChildProcessError(f"the worker for lines {lines} {how} {end.si_status}")
+            written.append(pickle.loads(data))  # only the bytes of a child that exited 0
+            if isinstance(written[-1], Exception):
+                raise written[-1]
+    finally:
+        for pid, pipe, _ in children:  # none reaped yet, so each pid is still this child's
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # ends one still mapping after an error or interrupt
+            os.waitpid(pid, 0)
+        gc.freeze()
+        if enabled:
+            gc.enable()
     rows, rejects, failure = [], [], None
     # Seeds and masks are keyed by dialogue id, so two dialogues with one id
     # would share one seed stream and one masks entry.

@@ -56,12 +56,6 @@ def raw_lines(path):
             raise NotUtf8Error(path, line_no) from None
 
 
-def read_lines(path):
-    """Yield the text of each line of a UTF-8 file, its LF kept, as raw_lines splits it."""
-    for _, text in raw_lines(path):
-        yield text
-
-
 # The whitespace JSON allows around a value; str.strip() with no argument also
 # strips other Unicode whitespace, which makes a line that is not JSON look blank.
 JSON_WHITESPACE = " \t\r\n"

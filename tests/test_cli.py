@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from seqforge import cli, driver
 from seqforge import corpus as corpus_mod
 from seqforge.cli import run
 from seqforge.manifest import file_digest
-from seqforge.reporting import NotUtf8Error, read_lines
+from seqforge.reporting import NotUtf8Error, raw_lines
 
 import conftest
 import synthetic
@@ -649,13 +650,13 @@ def test_file_digest_names_the_first_line_that_is_not_utf8(tmp_path, data, line)
 
 
 @pytest.mark.parametrize("data, line", NOT_UTF8)
-def test_read_lines_names_the_first_line_that_is_not_utf8(tmp_path, data, line):
+def test_raw_lines_names_the_first_line_that_is_not_utf8(tmp_path, data, line):
     """Every line before the one that is not UTF-8 is read."""
     path = tmp_path / "c.jsonl"
     path.write_bytes(data)
     read = []
     with pytest.raises(NotUtf8Error) as exc:
-        read.extend(read_lines(path))
+        read.extend(text for _, text in raw_lines(path))
     assert str(exc.value) == f"{path}: line {line} is not valid UTF-8"
     assert len(read) == line - 1 and data.startswith("".join(read).encode("utf-8"))
 
@@ -868,10 +869,9 @@ def _interrupt(*args, **kwargs):
 ])
 def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
         tmp_path, capsys, monkeypatch, command, where, jobs):
-    """KeyboardInterrupt from a record, from publish or in the parent while
-    the workers map: exit 130 with one line, no .tmp file and no chunk file."""
-    import multiprocessing.pool
-
+    """KeyboardInterrupt from a record, from publish or in the parent once it
+    mapped its own chunk, while the children map ("pool"): exit 130 with one
+    line, no .tmp file, no chunk file and no child left unreaped."""
     path = write_corpus(tmp_path, synthetic.synth_corpus(12, 3, speaker_pool=2))  # no skips
     out = tmp_path / "o.jsonl"
     argv = [command, "--corpus", str(path), "--out", str(out), "--jobs", jobs]
@@ -879,6 +879,14 @@ def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
     assert run(argv) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
+    real_fork, children = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:  # in the parent
+            children.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
     if where == "record":
         real, calls = cli._talker_record, []
 
@@ -889,12 +897,14 @@ def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
     elif where == "publish":
         monkeypatch.setattr(driver, "_append", _interrupt)
     else:
-        real_map = multiprocessing.pool.Pool.map
+        real_write = driver._write_chunk
 
-        def map_(self, *args, **kwargs):  # arrives once the workers wrote their chunks
-            real_map(self, *args, **kwargs)
-            raise KeyboardInterrupt
-        monkeypatch.setattr(multiprocessing.pool.Pool, "map", map_)
+        def write_chunk(fn, state, tasks, paths, k):  # chunk 0 is the calling process's
+            rows = real_write(fn, state, tasks, paths, k)
+            if k == 0 and children:
+                raise KeyboardInterrupt
+            return rows
+        monkeypatch.setattr(driver, "_write_chunk", write_chunk)
     try:
         code = run(argv)
     except KeyboardInterrupt:
@@ -902,26 +912,66 @@ def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
     assert code == 130
     assert capsys.readouterr().err == "forge: error: interrupted\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert len(children) == int(jobs) - 1
+    for pid in children:  # reaped: no longer a child of this process
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
-def test_a_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
-    """Three records make three chunks at --jobs 8; before, the pool forked 8 workers."""
-    import multiprocessing
-
+def test_jobs_forks_one_child_per_chunk_after_the_first(tmp_path, monkeypatch):
+    """Three records make three chunks at --jobs 8: the calling process maps
+    the first and forks two children for the rest; a pool forked 8 workers."""
     path = write_corpus(tmp_path, synthetic.synth_corpus(3, 6))
     out = tmp_path / "o.jsonl"
     argv = ["build-thinker", "--seed", "1", "--corpus", str(path), "--out", str(out), "--jobs"]
     assert run(argv + ["1"]) == 0
     expected = out.read_bytes()
-    real, started = multiprocessing.Pool, []
+    real, forked = os.fork, []
 
-    def pool(processes=None, *args, **kwargs):
-        started.append(processes)
-        return real(processes, *args, **kwargs)
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    def fork():
+        pid = real()
+        if pid:  # in the parent
+            forked.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
     assert run(argv + ["8"]) == 0
-    assert started == [3]
+    assert len(forked) == 2
     assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", ["build-thinker", "clean"])
+def test_a_worker_that_dies_fails_the_command(tmp_path, command):
+    """A record that ends its child with os._exit(1) at --jobs 2: exit 1 with
+    one line naming the child's lines, and no output, .tmp or chunk file. A
+    pool waited forever for the lost chunk, so the run has a time limit."""
+    path = write_corpus(tmp_path, synthetic.synth_corpus(4, 3))
+    record = {"build-thinker": "_thinker_record", "clean": "_clean_record"}[command]
+    code = ("import os, sys\n"
+            "from seqforge import cli\n"
+            "parent, real = os.getpid(), cli." + record + "\n"
+            "def record(state, task):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(1)\n"
+            "    return real(state, task)\n"
+            "cli." + record + " = record\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n")
+    argv = [command, "--corpus", str(path), "--out", str(tmp_path / "o.jsonl"), "--jobs", "2"]
+    argv += ["--client", "mock"] if command == "clean" else ["--seed", "1"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{command} --jobs 2 still ran 30 s after its worker died")
+    assert (proc.returncode, out, err) == (
+        1, "", "forge: error: the worker for lines 3-4 exited with status 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 def test_stats_leaves_a_repeated_line_out_of_its_totals(tmp_path, capsys):
