@@ -859,6 +859,19 @@ def _interrupt(*args, **kwargs):
     raise KeyboardInterrupt
 
 
+def _record_forks(monkeypatch) -> list:
+    """Patch os.fork to list, in the parent, the pid of each child it forks."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:  # in the parent
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 @pytest.mark.parametrize("command, where, jobs", [
     ("build-talker", "record", "1"),
     ("build-talker", "publish", "1"),
@@ -879,14 +892,7 @@ def test_an_interrupt_is_one_line_and_leaves_every_output_as_it_was(
     assert run(argv) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
-    real_fork, children = os.fork, []
-
-    def fork():
-        pid = real_fork()
-        if pid:  # in the parent
-            children.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", fork)
+    children = _record_forks(monkeypatch)
     if where == "record":
         real, calls = cli._talker_record, []
 
@@ -926,14 +932,7 @@ def test_jobs_forks_one_child_per_chunk_after_the_first(tmp_path, monkeypatch):
     argv = ["build-thinker", "--seed", "1", "--corpus", str(path), "--out", str(out), "--jobs"]
     assert run(argv + ["1"]) == 0
     expected = out.read_bytes()
-    real, forked = os.fork, []
-
-    def fork():
-        pid = real()
-        if pid:  # in the parent
-            forked.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", fork)
+    forked = _record_forks(monkeypatch)
     assert run(argv + ["8"]) == 0
     assert len(forked) == 2
     assert out.read_bytes() == expected
